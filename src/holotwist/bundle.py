@@ -2,9 +2,13 @@
 cover: transition maps, the fiber 2-cocycle, and the three layers of
 connection forms, plus validation, gauge transformation and flatness.
 
-Group-valued local maps are carried by GroupMap, which evaluates its
-defining function on dual numbers, so first derivatives of products,
-inverses and gauge composites stay exact.
+Group-valued local maps are carried by GroupMap, whose jets are exact:
+defining functions are evaluated on dual numbers, products and inverses
+follow the product rule, and a map pushed through a homomorphism of
+the extension is differentiated through that homomorphism's
+differential.  Forms carry their exterior derivatives (see
+formsexpr.forms), so no identity checked here involves a finite
+difference.
 """
 
 from __future__ import annotations
@@ -21,8 +25,6 @@ from .dual import Dual, value
 from .errors import ChartMismatch, MissingField, TagMismatch
 from .formsexpr.forms import LocalForm, exterior_derivative, native_form, zero_form
 from .liecore import CentralExtension, GroupElement, mat_norm
-
-FD_STEP = 1e-5
 
 
 def _seeded_point(point, direction):
@@ -51,8 +53,8 @@ def _split(matrix_rows):
 class GroupMap:
     """A smooth group-valued map on (part of) the model, with exact jets.
 
-    jet(point, direction) returns the pair (g(p), directional derivative
-    of g at p along the ambient direction).
+    jet(point, direction) returns the pair (g(p), derivative of g at p
+    along the ambient direction).
     """
 
     def __init__(self, jet_fn, tag, value_fn=None):
@@ -121,18 +123,17 @@ class GroupMap:
             out = out.mul(base)
         return out
 
-    def pushforward(self, mat_fn, tag, step=FD_STEP) -> "GroupMap":
-        """Compose with a smooth matrix-level map (e.g. a projection);
-        the derivative falls back to a central difference through mat_fn."""
+    def pushforward(self, hom, alg_hom, tag) -> "GroupMap":
+        """Compose with a group homomorphism `hom` on matrices (an
+        extension's include or project map) whose differential is
+        `alg_hom`; the jet is exact: d hom(a) = hom(a) . alg_hom(a^-1 da)."""
 
         def jet(p, d):
             a, da = self._jet(p, d)
-            v = mat_fn(a)
-            plus = mat_fn(a + step * da)
-            minus = mat_fn(a - step * da)
-            return v, (plus - minus) / (2.0 * step)
+            v = hom(a)
+            return v, v @ alg_hom(np.linalg.inv(a) @ da)
 
-        return GroupMap(jet, tag, lambda p: mat_fn(self.value(p).entries))
+        return GroupMap(jet, tag, lambda p: hom(self.value(p).entries))
 
     # --- derived forms --------------------------------------------------
 
@@ -142,16 +143,8 @@ class GroupMap:
             a, da = self._jet(p, v)
             return np.linalg.inv(a) @ da
 
-        def dirfn(p, d, v):
-            h = FD_STEP
-            return (evalfn(p + h * d, v) - evalfn(p - h * d, v)) / (2.0 * h)
-
-        return LocalForm(1, dim, coord_names, evalfn, dirfn,
-                         value_tag=value_tag or self.tag.lower())
-
-    def log_differential(self, dim, coord_names, value_tag=None) -> LocalForm:
-        """g^-1 dg for an abelian map, which equals d(log g)."""
-        return self.maurer_cartan(dim, coord_names, value_tag)
+        return LocalForm(1, dim, coord_names, evalfn,
+                         value_tag or self.tag.lower())
 
     def conjugated_form(self, form: LocalForm) -> LocalForm:
         """(p, v) -> g(p)^-1 form(p, v) g(p)."""
@@ -160,7 +153,7 @@ class GroupMap:
             return np.linalg.inv(a) @ form(p, v) @ a
 
         return LocalForm(form.degree, form.dim, form.coord_names, evalfn,
-                         None, form.chart_label, form.value_tag)
+                         form.value_tag)
 
 
 def add_forms(*forms):
@@ -246,7 +239,8 @@ class GaugeData:
     B_i: dict        # i -> degree-1 LocalForm valued in L(H)
 
     def g_i(self, ext, i) -> GroupMap:
-        return self.e_i[i].pushforward(ext.project_mat, "G")
+        return self.e_i[i].pushforward(ext.project_mat, ext.alg_project_mat,
+                                       "G")
 
 
 @dataclass
@@ -399,7 +393,8 @@ def gauge_transform(bundle: TwistedBundleData,
         new_g[(i, j)] = g_i[i].inv().mul(bundle.g[(i, j)]).mul(g_i[j])
         new_e[(i, j)] = gauge.e_i[i].inv().mul(bundle.e[(i, j)]) \
             .mul(gauge.e_i[j]).mul(
-                gauge.h_ij[(i, j)].pushforward(ext.include_mat, "E"))
+                gauge.h_ij[(i, j)].pushforward(ext.include_mat,
+                                               ext.alg_include_mat, "E"))
 
     for (i, j, k) in overlap_triples(n):
         new_h[(i, j, k)] = bundle.h[(i, j, k)] \
@@ -424,7 +419,7 @@ def gauge_transform(bundle: TwistedBundleData,
                              gauge.B_i[i] * (-1.0), mc * (-1.0))
         # H is abelian, so d(h^-1 dh) = 0 and dA'_ij has a closed form
         dAij = exterior_derivative(bundle.Aij[(i, j)])
-        new_form.analytic_d = add_forms(dAij, dBs[j], dBs[i] * (-1.0))
+        new_form.d = add_forms(dAij, dBs[j], dBs[i] * (-1.0))
         new_Aij[(i, j)] = new_form
 
     return TwistedBundleData(
@@ -437,11 +432,7 @@ def _include_form(ext, form_h: LocalForm, dim_e, coord_names) -> LocalForm:
     def evalfn(p, *t):
         return ext.alg_include_mat(form_h(p, *t))
 
-    def dirfn(p, d, *t):
-        return ext.alg_include_mat(form_h.directional(p, d, *t))
-
-    return LocalForm(form_h.degree, dim_e, coord_names, evalfn, dirfn,
-                     form_h.chart_label, "e")
+    return LocalForm(form_h.degree, dim_e, coord_names, evalfn, "e")
 
 
 def identity_gauge(bundle: TwistedBundleData) -> GaugeData:
@@ -500,8 +491,8 @@ def _smooth_scalar(rng, dim, scale, periodic, basepoint=None):
 
 
 def _coeff_form(cfns, Y, coords, tag) -> LocalForm:
-    """sum_k c_k(x) dx_k . Y with scalar fields c_k, carrying an exact
-    directional derivative and exterior derivative."""
+    """sum_k c_k(x) dx_k . Y with scalar fields c_k, carrying its exact
+    exterior derivative."""
     Y = np.asarray(Y, dtype=complex)
 
     def _dot(c, p, d):
@@ -514,24 +505,14 @@ def _coeff_form(cfns, Y, coords, tag) -> LocalForm:
             s = s + value(c([float(x) for x in p])) * v[k]
         return s * Y
 
-    def dirfn(p, d, v):
-        s = 0.0
-        for k, c in enumerate(cfns):
-            s = s + _dot(c, p, d) * v[k]
-        return s * Y
-
-    form = native_form(1, evalfn, Y.shape[0], coords, value_tag=tag,
-                       dirfn=dirfn)
-
     def d_eval(p, v, w):
         total = 0.0
         for k, c in enumerate(cfns):
             total = total + _dot(c, p, v) * w[k] - _dot(c, p, w) * v[k]
         return total * Y
 
-    form.analytic_d = native_form(2, d_eval, Y.shape[0], coords,
-                                  value_tag=tag)
-    return form
+    d = native_form(2, d_eval, Y.shape[0], coords, value_tag=tag)
+    return native_form(1, evalfn, Y.shape[0], coords, value_tag=tag, d=d)
 
 
 def random_gauge(bundle: TwistedBundleData, seed=0, scale=0.4,
@@ -557,9 +538,6 @@ def random_gauge(bundle: TwistedBundleData, seed=0, scale=0.4,
         x = scipy.linalg.logm(ext.random_mat(tag, rng))
         return 0.5 * (x - x.conj().T)
 
-    discrete_h = mat_norm(
-        ext.alg_include_mat(np.ones((ext.H.dim, ext.H.dim)))) == 0.0
-
     e_i = {}
     for i in range(n):
         m1 = one_parameter_map(alg_gen("E"),
@@ -574,7 +552,7 @@ def random_gauge(bundle: TwistedBundleData, seed=0, scale=0.4,
     for (i, j) in overlap_pairs(n):
         if i > j:
             continue
-        if discrete_h:
+        if ext.discrete_kernel:
             h_ij[(i, j)] = GroupMap.constant(ext.random_mat("H", rng), "H")
         else:
             h_ij[(i, j)] = one_parameter_map(
@@ -584,7 +562,7 @@ def random_gauge(bundle: TwistedBundleData, seed=0, scale=0.4,
 
     B_i = {}
     for i in range(n):
-        if discrete_h:
+        if ext.discrete_kernel:
             B_i[i] = zero_form(1, ext.H.dim, coords, value_tag="h")
         else:
             cfns = [_smooth_scalar(rng, dim, scale, periodic)

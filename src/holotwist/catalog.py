@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from . import dual as dm
-from .dual import Dual, value
+from .dual import value
 from .errors import ConfigError, DomainError
 from .geometry import (
     DEFAULT_COLLAR,
@@ -23,7 +23,6 @@ from .geometry import (
     constant_loop,
     fold_reparam,
     make_model,
-    smooth_step,
 )
 
 PIECE_COLLAR = 0.2   # collar fraction inside each third of a 3-piece loop
@@ -292,76 +291,67 @@ def thin_fold_cylinder(loop: Loop, waypoints=(0.0, 0.7, 0.4, 1.0)) -> Cylinder:
 # Named registry (used by the CLI and by randomized test batteries)
 # --------------------------------------------------------------------------
 
-def make_loop(model_kind, name, params=None) -> Loop:
-    params = dict(params or {})
+_ALL = ("sphere", "torus", "plane")
+
+# name -> (model kinds, builder(model_kind, params))
+_LOOPS = {
+    "constant": (_ALL, lambda kind, p: constant_loop(make_model(kind))),
+    "latitude": (("sphere",), lambda kind, p: latitude_loop(
+        float(p.get("theta", math.pi / 2)))),
+    "equator": (("sphere",), lambda kind, p: equator_loop()),
+    "great-circle": (("sphere",), lambda kind, p: great_circle_loop(
+        float(p.get("tilt", 0.0)))),
+    "winding": (("torus",), lambda kind, p: winding_loop(
+        int(p.get("p", 1)), int(p.get("q", 0)))),
+    "staircase": (("torus",), lambda kind, p: staircase_loop(
+        int(p.get("p", 1)), int(p.get("q", 1)))),
+}
+
+
+def _morph(kind, p):
+    l1 = make_loop("torus", p.get("loop", "winding"),
+                   p.get("loop_params", {"p": 1, "q": 0}))
+    return morph_cylinder(l1, perturb_loop(l1, float(p.get("amplitude", 0.1))))
+
+
+_CYLINDERS = {
+    "constant": (_ALL, lambda kind, p: constant_cylinder(make_loop(
+        kind, p.get("loop", "constant"), p.get("loop_params")))),
+    "thin-fold": (_ALL, lambda kind, p: thin_fold_cylinder(
+        make_loop(kind, p.get("loop", "constant"), p.get("loop_params")),
+        tuple(p.get("waypoints", (0.0, 0.7, 0.4, 1.0))))),
+    "perturbed": (("sphere", "torus"), lambda kind, p: perturb_cylinder(
+        make_cylinder(kind, p.get("base", "constant"), p.get("base_params")),
+        float(p.get("amplitude", 0.1)), p.get("direction"))),
+    "cap-sweep": (("sphere",), lambda kind, p: cap_sweep_cylinder(
+        float(p.get("alpha", math.pi)))),
+    "spike-retraction": (("sphere",), lambda kind, p:
+                         spike_retraction_cylinder(
+                             float(p.get("alpha", math.pi)))),
+    "full-sphere": (("sphere",), lambda kind, p: full_sphere_cylinder()),
+    "morph": (("torus",), _morph),
+}
+
+
+def _build(table, what, model_kind, name, params):
+    kinds, builder = table.get(name, ((), None))
+    if model_kind not in kinds:
+        raise ConfigError(f"unknown {what} {name!r} on model {model_kind!r}")
     try:
-        if name == "constant":
-            return constant_loop(make_model(model_kind))
-        if model_kind == "sphere":
-            if name == "latitude":
-                return latitude_loop(float(params.get("theta", math.pi / 2)))
-            if name == "equator":
-                return equator_loop()
-            if name == "great-circle":
-                return great_circle_loop(float(params.get("tilt", 0.0)))
-        if model_kind == "torus":
-            if name == "winding":
-                return winding_loop(int(params.get("p", 1)),
-                                    int(params.get("q", 0)))
-            if name == "staircase":
-                return staircase_loop(int(params.get("p", 1)),
-                                      int(params.get("q", 1)))
+        return builder(model_kind, dict(params or {}))
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad loop parameters: {exc}") from None
-    raise ConfigError(f"unknown loop {name!r} on model {model_kind!r}")
+        raise ConfigError(f"bad {what} parameters: {exc}") from None
+
+
+def make_loop(model_kind, name, params=None) -> Loop:
+    return _build(_LOOPS, "loop", model_kind, name, params)
 
 
 def make_cylinder(model_kind, name, params=None) -> Cylinder:
-    params = dict(params or {})
-    try:
-        if name == "constant":
-            return constant_cylinder(make_loop(model_kind,
-                                               params.get("loop", "constant"),
-                                               params.get("loop_params")))
-        if name == "thin-fold":
-            base = make_loop(model_kind, params.get("loop", "constant"),
-                             params.get("loop_params"))
-            return thin_fold_cylinder(base, tuple(params.get(
-                "waypoints", (0.0, 0.7, 0.4, 1.0))))
-        if name == "perturbed":
-            base = make_cylinder(model_kind, params.get("base", "constant"),
-                                 params.get("base_params"))
-            return perturb_cylinder(base, float(params.get("amplitude", 0.1)),
-                                    params.get("direction"))
-        if model_kind == "sphere":
-            if name == "cap-sweep":
-                return cap_sweep_cylinder(float(params.get("alpha",
-                                                           math.pi)))
-            if name == "spike-retraction":
-                return spike_retraction_cylinder(float(params.get(
-                    "alpha", math.pi)))
-            if name == "full-sphere":
-                return full_sphere_cylinder()
-        if model_kind == "torus":
-            if name == "morph":
-                l1 = make_loop("torus", params.get("loop", "winding"),
-                               params.get("loop_params", {"p": 1, "q": 0}))
-                l2 = perturb_loop(l1, float(params.get("amplitude", 0.1)))
-                return morph_cylinder(l1, l2)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad cylinder parameters: {exc}") from None
-    raise ConfigError(f"unknown cylinder {name!r} on model {model_kind!r}")
+    return _build(_CYLINDERS, "cylinder", model_kind, name, params)
 
 
-LOOP_NAMES = {
-    "sphere": ("constant", "latitude", "equator", "great-circle"),
-    "torus": ("constant", "winding", "staircase"),
-    "plane": ("constant",),
-}
-
-CYLINDER_NAMES = {
-    "sphere": ("constant", "thin-fold", "perturbed", "cap-sweep",
-               "spike-retraction", "full-sphere"),
-    "torus": ("constant", "thin-fold", "perturbed", "morph"),
-    "plane": ("constant", "thin-fold"),
-}
+LOOP_NAMES = {kind: tuple(n for n, (kinds, _) in _LOOPS.items()
+                          if kind in kinds) for kind in _ALL}
+CYLINDER_NAMES = {kind: tuple(n for n, (kinds, _) in _CYLINDERS.items()
+                              if kind in kinds) for kind in _ALL}

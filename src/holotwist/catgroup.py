@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import NotComposable, TagMismatch
 from .liecore import (
     DEFAULT_TOL,
@@ -87,11 +85,6 @@ def identity_of(ext: CentralExtension, g: GroupElement) -> CatGroupMorphism:
     """Identity morphism [s(g), s(g)] using the stored local section."""
     e = ext.local_section(g)
     return CatGroupMorphism(e, e, ext)
-
-
-def identity_morphism(m_or_ext, g=None) -> CatGroupMorphism:
-    """Identity at an object; accepts (extension, g)."""
-    return identity_of(m_or_ext, g)
 
 
 def morphism_eq(m1: CatGroupMorphism, m2: CatGroupMorphism,

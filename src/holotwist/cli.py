@@ -22,21 +22,19 @@ from .bundle import (
     gauge_transform,
     identity_gauge,
     random_gauge,
-    sample_region,
     validate,
 )
-from .catgroup import CatGroupMorphism, morphism_distance
+from .catgroup import morphism_distance
 from .errors import ConfigError, HolotwistError
 from .families import FAMILY_NAMES, make_bundle
 from .formsexpr.forms import expr_form
-from .geometry import assign_charts_interval, assign_charts_rect, refine_rect
+from .geometry import refine_rect
 from .holonomy import epsilon, hol0, hol1, holonomy_functor, kapustin_trace
 from .liecore import BUILTIN_EXTENSIONS
 from .reconstruct import (
     BasepointScaffold,
     FunctorOracle,
-    reconstruct_cocycle,
-    reconstruct_transitions,
+    rebuild_transitions_and_cocycle,
     round_trip_check,
 )
 
@@ -245,12 +243,9 @@ def _functor_with_invariance(bundle, cyl, num):
                            order=num["order"],
                            edge_cells=num["edge_cells"],
                            face_tol=num["face_tol"], with_error=False)
-    cover = bundle.cover
-    bot = assign_charts_interval(cyl.bottom_loop(), cover)
-    top = assign_charts_interval(cyl.top_loop(), cover)
-    rect = refine_rect(assign_charts_rect(cyl, cover, bottom=bot, top=top))
+    bot, top, rect = res.subdivision
     fine = holonomy_functor(bundle, cyl, bottom_sub=bot, top_sub=top,
-                            rect=rect, steps=2 * num["steps"],
+                            rect=refine_rect(rect), steps=2 * num["steps"],
                             order=num["order"],
                             edge_cells=num["edge_cells"],
                             face_tol=num["face_tol"], with_error=False)
@@ -317,38 +312,16 @@ def _cmd_reconstruct(cfg, args):
     per_overlap = int(rc.positive("samples_per_overlap", 1))
     oracle = FunctorOracle(bundle)
     scaffold = BasepointScaffold.for_cover(bundle.cover, seed=num["seed"])
-    rng = np.random.default_rng(num["seed"])
-    pts = {}
-    for (i, j) in sorted(scaffold.pair_anchors):
-        ys = sample_region(bundle.cover, (i, j), rng, per_overlap)
-        pts[(i, j)] = ys
-        pts[(j, i)] = ys
-    trans = reconstruct_transitions(oracle, scaffold, pts)
-    anti = 0.0
-    dim = bundle.extension.E.dim
+    trans, anti, cocycle = rebuild_transitions_and_cocycle(
+        oracle, scaffold, np.random.default_rng(num["seed"]), per_overlap)
     values = {}
     for (i, j) in sorted(scaffold.pair_anchors):
-        rows = []
-        for (y, eij), (_, eji) in zip(trans.samples[(i, j)],
-                                      trans.samples[(j, i)]):
-            anti = max(anti, float(np.abs(
-                eij.entries @ eji.entries - np.eye(dim)).max()))
-            rows.append({"point": [float(c) for c in y],
-                         "e": _ser_matrix(eij.entries)})
-        values[f"e_{i}{j}"] = rows
+        values[f"e_{i}{j}"] = [{"point": [float(c) for c in y],
+                                "e": _ser_matrix(eij.entries)}
+                               for y, eij in trans.samples[(i, j)]]
     checks = {"base_diagonal": float(trans.base_residual),
-              "antisymmetry": anti}
-    triples = {}
-    for i in range(len(bundle.cover)):
-        for j in range(i + 1, len(bundle.cover)):
-            for k in range(j + 1, len(bundle.cover)):
-                try:
-                    triples[(i, j, k)] = sample_region(
-                        bundle.cover, (i, j, k), rng, 1)
-                except HolotwistError:
-                    continue
-    if triples:
-        cocycle = reconstruct_cocycle(oracle, scaffold, trans.bases, triples)
+              "antisymmetry": float(anti)}
+    if cocycle:
         checks["cocycle_central"] = max(
             float(r) for rows in cocycle.values() for (_, _, r) in rows)
     tol = 10.0 * tol_rec

@@ -1,7 +1,7 @@
 """First-order dual numbers over complex scalars.
 
-Used for exact directional derivatives of expression ASTs and of the
-closed-form curves/cylinders in the geometry catalog.  Only the function
+Used for exact derivatives of expression ASTs along a direction and of
+the closed-form curves/cylinders in the geometry catalog.  Only the function
 set needed by the expression grammar is provided.
 """
 

@@ -18,7 +18,7 @@ from .bundle import GroupMap, TwistedBundleData, overlap_pairs, overlap_triples
 from .dual import Dual, value
 from .errors import ConfigError, DomainError
 from .formsexpr.forms import LocalForm, native_form, zero_form
-from .geometry import SPHERE_CAP_AXES, make_cover
+from .geometry import COVER_FOR_MODEL, SPHERE_CAP_AXES, make_cover
 from .liecore import make_extension
 
 
@@ -90,6 +90,43 @@ def _linear_tau(pi, pj, kappa, mu):
     return tau, coeff
 
 
+def _sphere_fiber_layer(nc, coords, kappa, mu):
+    """The abelian layer shared by the sphere families: the linear
+    phases tau_ij, the cocycle h_ijk = exp(i(tau_ij + tau_jk + tau_ki))
+    and the closed overlap forms A_ij = -i dtau_ij (so d A_ij = 0)."""
+    axes = SPHERE_CAP_AXES
+    taus, aij_forms = {}, {}
+    for (i, j) in overlap_pairs(nc):
+        taus[(i, j)], coeff = _linear_tau(axes[i], axes[j], kappa, mu)
+
+        def aij_eval(p, v, coeff=coeff):
+            return np.array([[-1j * float(np.dot(coeff, v))]])
+
+        aij_forms[(i, j)] = native_form(
+            1, aij_eval, 1, coords, value_tag="h",
+            d=zero_form(2, 1, coords, value_tag="h"))
+
+    def h_fn(i, j, k):
+        ti, tj, tk = taus[(i, j)], taus[(j, k)], taus[(k, i)]
+
+        def fn(point):
+            return [[dm.exp(1j * (ti(point) + tj(point) + tk(point)))]]
+
+        return fn
+
+    h_maps = {t: GroupMap.from_dual_fn(h_fn(*t), "H")
+              for t in overlap_triples(nc)}
+    return taus, h_maps, aij_forms
+
+
+def _section_jet(axis, p, v):
+    """The cap section at p and its derivative along v, as quaternions."""
+    seeded = [Dual(float(c), float(d)) for c, d in zip(p, v)]
+    q = section_rotor(axis, tuple(seeded))
+    return (tuple(value(c) for c in q),
+            tuple((c.dot if isinstance(c, Dual) else 0.0) for c in q))
+
+
 def _const_2form(scale_matrix, component, dim, coords, tag="h"):
     """A 2-form with constant coefficient `scale_matrix` on the given
     coordinate wedge; used on the flat torus."""
@@ -119,9 +156,7 @@ def sphere_area_form(scale, dim=1, tag="h") -> LocalForm:
 def trivial_bundle(model_kind="sphere", extension="u1-squared",
                    cover_name=None) -> TwistedBundleData:
     ext = make_extension(extension)
-    cover = make_cover(cover_name or
-                       {"sphere": "sphere-3caps", "torus": "torus-4squares",
-                        "plane": "plane-1"}[model_kind])
+    cover = make_cover(cover_name or COVER_FOR_MODEL[model_kind])
     n = len(cover)
     coords = cover.model.coord_names
     unit_e = np.eye(ext.E.dim)
@@ -192,10 +227,8 @@ def torus_flat_bundle(k=1, order=3, flux=0.7,
         return np.array([[1j * (d1 * v[0] + d2 * v[1])]])
 
     a_form = native_form(1, a_eval, 2, coords, value_tag="e",
-                         dirfn=lambda p, d, v: np.zeros((2, 2), complex))
-    a_form.analytic_d = zero_form(2, 2, coords, value_tag="e")
-    d_form = native_form(1, d_eval, 1, coords, value_tag="g",
-                         dirfn=lambda p, d, v: np.zeros((1, 1), complex))
+                         d=zero_form(2, 2, coords, value_tag="e"))
+    d_form = native_form(1, d_eval, 1, coords, value_tag="g")
     f_form = _const_2form(2j * math.pi * flux * np.eye(1, dtype=complex),
                           (0, 1), 1, coords)
 
@@ -230,10 +263,7 @@ def _vertical_component(axis):
     """x, v -> the k-component of q^-1 dq for the cap section (a real
     scalar; the canonical abelian connection of the section)."""
     def form_eval(p, v):
-        seeded = [Dual(float(c), float(d)) for c, d in zip(p, v)]
-        q = section_rotor(axis, tuple(seeded))
-        qval = tuple(value(c) for c in q)
-        qdot = tuple((c.dot if isinstance(c, Dual) else 0.0) for c in q)
+        qval, qdot = _section_jet(axis, p, v)
         u = qmul(qconj(qval), qdot)   # q^-1 dq as a pure quaternion
         return u[3]
 
@@ -257,10 +287,7 @@ def monopole_bundle(n=1, kappa=0.8, mu=0.5, flux_scale=None
     coords = cover.model.coord_names
     axes = SPHERE_CAP_AXES
 
-    taus, coeffs = {}, {}
-    for (i, j) in overlap_pairs(nc):
-        taus[(i, j)], coeffs[(i, j)] = _linear_tau(axes[i], axes[j],
-                                                   kappa, mu)
+    taus, h_maps, aij_forms = _sphere_fiber_layer(nc, coords, kappa, mu)
 
     def e_fn(i, j):
         phase = _sphere_transition_phase(axes[i], axes[j])
@@ -281,20 +308,10 @@ def monopole_bundle(n=1, kappa=0.8, mu=0.5, flux_scale=None
 
         return fn
 
-    def h_fn(i, j, k):
-        ti, tj, tk = taus[(i, j)], taus[(j, k)], taus[(k, i)]
-
-        def fn(point):
-            return [[dm.exp(1j * (ti(point) + tj(point) + tk(point)))]]
-
-        return fn
-
     e_maps = {ij: GroupMap.from_dual_fn(e_fn(*ij), "E")
               for ij in overlap_pairs(nc)}
     g_maps = {ij: GroupMap.from_dual_fn(g_fn(*ij), "G")
               for ij in overlap_pairs(nc)}
-    h_maps = {t: GroupMap.from_dual_fn(h_fn(*t), "H")
-              for t in overlap_triples(nc)}
 
     d_forms, a_forms = {}, {}
     for i in range(nc):
@@ -308,18 +325,6 @@ def monopole_bundle(n=1, kappa=0.8, mu=0.5, flux_scale=None
 
         d_forms[i] = native_form(1, d_eval, 1, coords, value_tag="g")
         a_forms[i] = native_form(1, a_eval, 2, coords, value_tag="e")
-
-    aij_forms = {}
-    for (i, j) in overlap_pairs(nc):
-        coeff = coeffs[(i, j)]
-
-        def aij_eval(p, v, coeff=coeff):
-            return np.array([[-1j * float(np.dot(coeff, v))]])
-
-        form = native_form(1, aij_eval, 1, coords, value_tag="h",
-                           dirfn=lambda p, d, v: np.zeros((1, 1), complex))
-        form.analytic_d = zero_form(2, 1, coords, value_tag="h")
-        aij_forms[(i, j)] = form
 
     scale = flux_scale if flux_scale is not None else 0.5j * n
     f_form = sphere_area_form(scale)
@@ -350,10 +355,7 @@ def pu2_bundle(kappa=0.8, mu=0.5, spin=0.6, flux=0.7) -> TwistedBundleData:
     coords = cover.model.coord_names
     axes = SPHERE_CAP_AXES
 
-    taus, coeffs = {}, {}
-    for (i, j) in overlap_pairs(nc):
-        taus[(i, j)], coeffs[(i, j)] = _linear_tau(axes[i], axes[j],
-                                                   kappa, mu)
+    taus, h_maps, aij_forms = _sphere_fiber_layer(nc, coords, kappa, mu)
 
     def e_fn(i, j):
         tau = taus[(i, j)]
@@ -371,19 +373,9 @@ def pu2_bundle(kappa=0.8, mu=0.5, spin=0.6, flux=0.7) -> TwistedBundleData:
 
     e_maps = {ij: GroupMap.from_dual_fn(e_fn(*ij), "E")
               for ij in overlap_pairs(nc)}
-    g_maps = {ij: e_maps[ij].pushforward(ext.project_mat, "G")
+    g_maps = {ij: e_maps[ij].pushforward(ext.project_mat,
+                                         ext.alg_project_mat, "G")
               for ij in overlap_pairs(nc)}
-
-    def h_fn(i, j, k):
-        ti, tj, tk = taus[(i, j)], taus[(j, k)], taus[(k, i)]
-
-        def fn(point):
-            return [[dm.exp(1j * (ti(point) + tj(point) + tk(point)))]]
-
-        return fn
-
-    h_maps = {t: GroupMap.from_dual_fn(h_fn(*t), "H")
-              for t in overlap_triples(nc)}
 
     def global_su2(p, v):
         """(i spin / 2) sigma . (x cross v): a global su(2) 1-form."""
@@ -397,10 +389,7 @@ def pu2_bundle(kappa=0.8, mu=0.5, spin=0.6, flux=0.7) -> TwistedBundleData:
         axis = axes[i]
 
         def a_eval(p, v, axis=axis):
-            seeded = [Dual(float(c), float(d)) for c, d in zip(p, v)]
-            q = section_rotor(axis, tuple(seeded))
-            qval = tuple(value(c) for c in q)
-            qdot = tuple((c.dot if isinstance(c, Dual) else 0.0) for c in q)
+            qval, qdot = _section_jet(axis, p, v)
             u = np.array(su2_matrix(qval), dtype=complex)
             du = np.array(su2_matrix(qdot), dtype=complex)
             ui = np.linalg.inv(u)
@@ -411,18 +400,6 @@ def pu2_bundle(kappa=0.8, mu=0.5, spin=0.6, flux=0.7) -> TwistedBundleData:
 
         a_forms[i] = native_form(1, a_eval, 2, coords, value_tag="e")
         d_forms[i] = native_form(1, d_eval, 3, coords, value_tag="g")
-
-    aij_forms = {}
-    for (i, j) in overlap_pairs(nc):
-        coeff = coeffs[(i, j)]
-
-        def aij_eval(p, v, coeff=coeff):
-            return np.array([[-1j * float(np.dot(coeff, v))]])
-
-        form = native_form(1, aij_eval, 1, coords, value_tag="h",
-                           dirfn=lambda p, d, v: np.zeros((1, 1), complex))
-        form.analytic_d = zero_form(2, 1, coords, value_tag="h")
-        aij_forms[(i, j)] = form
 
     f_form = sphere_area_form(0.5j * flux)
     return TwistedBundleData(
@@ -438,25 +415,25 @@ def pu2_bundle(kappa=0.8, mu=0.5, spin=0.6, flux=0.7) -> TwistedBundleData:
 # Registry
 # --------------------------------------------------------------------------
 
+_FAMILIES = {
+    "trivial": lambda p: trivial_bundle(p.get("model", "sphere"),
+                                        p.get("extension", "u1-squared")),
+    "torus-flat": lambda p: torus_flat_bundle(int(p.get("k", 1)),
+                                              int(p.get("order", 3)),
+                                              float(p.get("flux", 0.7))),
+    "monopole": lambda p: monopole_bundle(int(p.get("n", 1)),
+                                          float(p.get("kappa", 0.8)),
+                                          float(p.get("mu", 0.5))),
+    "sphere-pu2": lambda p: pu2_bundle(float(p.get("kappa", 0.8)),
+                                       float(p.get("mu", 0.5)),
+                                       float(p.get("spin", 0.6)),
+                                       float(p.get("flux", 0.7))),
+}
+
+FAMILY_NAMES = tuple(_FAMILIES)
+
+
 def make_bundle(name, params=None) -> TwistedBundleData:
-    params = dict(params or {})
-    if name == "trivial":
-        return trivial_bundle(params.get("model", "sphere"),
-                              params.get("extension", "u1-squared"))
-    if name == "torus-flat":
-        return torus_flat_bundle(int(params.get("k", 1)),
-                                 int(params.get("order", 3)),
-                                 float(params.get("flux", 0.7)))
-    if name == "monopole":
-        return monopole_bundle(int(params.get("n", 1)),
-                               float(params.get("kappa", 0.8)),
-                               float(params.get("mu", 0.5)))
-    if name == "sphere-pu2":
-        return pu2_bundle(float(params.get("kappa", 0.8)),
-                          float(params.get("mu", 0.5)),
-                          float(params.get("spin", 0.6)),
-                          float(params.get("flux", 0.7)))
-    raise ConfigError(f"unknown bundle family {name!r}")
-
-
-FAMILY_NAMES = ("trivial", "torus-flat", "monopole", "sphere-pu2")
+    if name not in _FAMILIES:
+        raise ConfigError(f"unknown bundle family {name!r}")
+    return _FAMILIES[name](dict(params or {}))

@@ -54,7 +54,7 @@ def eval_expr(node, point):
 
 
 def eval_ad(node, point, seed):
-    """Forward-mode value and directional derivative.
+    """Forward-mode value and derivative along a direction.
 
     point and seed are {coordinate: scalar} bindings; the derivative is
     taken in the direction seed.  Returns (value, derivative).

@@ -1,10 +1,12 @@
-"""Chart-local matrix-valued differential forms with derivative support.
+"""Chart-local matrix-valued differential forms and their quadrature.
 
 A LocalForm of degree 0/1/2 evaluates at an ambient point (plus one or
 two tangent vectors) to a square matrix living in a tagged Lie algebra.
-Forms are either expression-backed (differentiated exactly by forward
-AD), native callables (differentiated by central finite differences, or
-exactly when the caller supplies the derivative), or sums thereof.
+Each form carries one derivative, its exterior derivative `d`, fixed
+when the form is built: expression-backed forms derive it exactly by
+forward AD, native callables carry the one their caller supplies, and
+sums and scalar multiples combine those of their parts.  A form built
+without `d` has none.
 """
 
 from __future__ import annotations
@@ -12,29 +14,26 @@ from __future__ import annotations
 import numpy as np
 
 from ..dual import Dual
-from ..errors import ChartMismatch, DegreeUnsupported
+from ..errors import DegreeUnsupported
 from ..liecore import AlgebraElement
 from .evaluate import _eval
 from .parser import Expr, parse
 
-FD_STEP = 1e-5
-
 
 class LocalForm:
-    """A degree 0, 1 or 2 form with values in a matrix Lie algebra."""
+    """A degree 0, 1 or 2 form with values in a matrix Lie algebra; `d`
+    is its exterior derivative (a LocalForm one degree up) or None."""
 
-    def __init__(self, degree, dim, coord_names, evalfn, dirfn=None,
-                 chart_label="", value_tag="h", analytic_d=None):
+    def __init__(self, degree, dim, coord_names, evalfn, value_tag="h",
+                 d=None):
         if degree not in (0, 1, 2):
             raise DegreeUnsupported(f"degree {degree}")
         self.degree = degree
         self.dim = dim
         self.coord_names = tuple(coord_names)
-        self.chart_label = chart_label
         self.value_tag = value_tag
         self._evalfn = evalfn
-        self._dirfn = dirfn
-        self.analytic_d = analytic_d
+        self.d = d
 
     def __call__(self, point, *tangents):
         if len(tangents) != self.degree:
@@ -43,45 +42,23 @@ class LocalForm:
         return np.asarray(self._evalfn(np.asarray(point, dtype=float), *tangents),
                           dtype=complex)
 
-    def at(self, point, *tangents) -> AlgebraElement:
-        return AlgebraElement(self(point, *tangents), self.value_tag)
-
-    def directional(self, point, direction, *tangents):
-        """Derivative of the coefficient map in an ambient direction,
-        holding the tangent arguments constant."""
-        point = np.asarray(point, dtype=float)
-        direction = np.asarray(direction, dtype=float)
-        if self._dirfn is not None:
-            return np.asarray(self._dirfn(point, direction, *tangents),
-                              dtype=complex)
-        h = FD_STEP
-        plus = self(point + h * direction, *tangents)
-        minus = self(point - h * direction, *tangents)
-        return (plus - minus) / (2.0 * h)
-
     def __add__(self, other):
         if not isinstance(other, LocalForm):
             return NotImplemented
         if self.degree != other.degree or self.dim != other.dim:
             raise DegreeUnsupported("cannot add forms of different shape")
         evalfn = lambda p, *t: self._evalfn(p, *t) + other._evalfn(p, *t)
-        dirfn = None
-        if self._dirfn is not None and other._dirfn is not None:
-            dirfn = lambda p, d, *t: self._dirfn(p, d, *t) + other._dirfn(p, d, *t)
-        analytic_d = None
-        if self.analytic_d is not None and other.analytic_d is not None:
-            analytic_d = self.analytic_d + other.analytic_d
-        return LocalForm(self.degree, self.dim, self.coord_names, evalfn, dirfn,
-                         self.chart_label, self.value_tag, analytic_d)
+        d = None
+        if self.d is not None and other.d is not None:
+            d = self.d + other.d
+        return LocalForm(self.degree, self.dim, self.coord_names, evalfn,
+                         self.value_tag, d)
 
     def __mul__(self, scalar):
         evalfn = lambda p, *t: scalar * np.asarray(self._evalfn(p, *t), dtype=complex)
-        dirfn = None
-        if self._dirfn is not None:
-            dirfn = lambda p, d, *t: scalar * np.asarray(self._dirfn(p, d, *t), dtype=complex)
-        analytic_d = self.analytic_d * scalar if self.analytic_d is not None else None
-        return LocalForm(self.degree, self.dim, self.coord_names, evalfn, dirfn,
-                         self.chart_label, self.value_tag, analytic_d)
+        d = self.d * scalar if self.d is not None else None
+        return LocalForm(self.degree, self.dim, self.coord_names, evalfn,
+                         self.value_tag, d)
 
     __rmul__ = __mul__
 
@@ -109,16 +86,19 @@ def _eval_expr_matrix(mat, env):
     return out
 
 
-def expr_form(degree, components, coord_names, chart_label="", value_tag="h"):
-    """Build an expression-backed form.
+def expr_form(degree, components, coord_names, value_tag="h"):
+    """Build an expression-backed form with its exact exterior derivative.
 
     components: degree 0 -> a matrix of expression strings/ASTs;
     degree 1 -> {coord: matrix}; degree 2 -> {(c1, c2): matrix} giving
     the coefficient of dc1 ^ dc2 (keys must have c1 before c2 in
-    coord_names order).
+    coord_names order).  Degree-2 forms carry no derivative.
     """
     coord_names = tuple(coord_names)
     index = {c: k for k, c in enumerate(coord_names)}
+
+    def dual_env(p, d):
+        return {c: Dual(p[index[c]], d[index[c]]) for c in coord_names}
 
     if degree == 0:
         mat = _as_expr_matrix(components, coord_names)
@@ -128,14 +108,18 @@ def expr_form(degree, components, coord_names, chart_label="", value_tag="h"):
             env = {c: p[index[c]] for c in coord_names}
             return _eval_expr_matrix(mat, env)
 
-        def dirfn(p, d):
-            env = {c: Dual(p[index[c]], d[index[c]]) for c in coord_names}
+        def grad(p, v):
+            """(p, v) -> D_v f."""
+            env = dual_env(p, v)
             out = np.empty((dim, dim), dtype=complex)
             for r, row in enumerate(mat):
                 for c2, entry in enumerate(row):
-                    v = _eval(entry, env)
-                    out[r, c2] = v.dot if isinstance(v, Dual) else 0.0
+                    val = _eval(entry, env)
+                    out[r, c2] = val.dot if isinstance(val, Dual) else 0.0
             return out
+
+        d = LocalForm(1, dim, coord_names, grad, value_tag,
+                      zero_form(2, dim, coord_names, value_tag))
 
     elif degree == 1:
         comp = {c: _as_expr_matrix(m, coord_names) for c, m in components.items()}
@@ -150,8 +134,9 @@ def expr_form(degree, components, coord_names, chart_label="", value_tag="h"):
                     total += vc * _eval_expr_matrix(mat, env)
             return total
 
-        def dirfn(p, d, v):
-            env = {c: Dual(p[index[c]], d[index[c]]) for c in coord_names}
+        def derivative(p, d, v):
+            """D_d A(v): the coefficients differentiated along d."""
+            env = dual_env(p, d)
             total = np.zeros((dim, dim), dtype=complex)
             for c, mat in comp.items():
                 vc = v[index[c]]
@@ -163,6 +148,11 @@ def expr_form(degree, components, coord_names, chart_label="", value_tag="h"):
                         if isinstance(val, Dual):
                             total[r, c2] += vc * val.dot
             return total
+
+        def curl(p, v, w):
+            return derivative(p, v, w) - derivative(p, w, v)
+
+        d = LocalForm(2, dim, coord_names, curl, value_tag)
 
     elif degree == 2:
         comp = {}
@@ -182,45 +172,32 @@ def expr_form(degree, components, coord_names, chart_label="", value_tag="h"):
                     total += factor * _eval_expr_matrix(mat, env)
             return total
 
-        dirfn = None  # degree-2 coefficients are never differentiated
+        d = None
     else:
         raise DegreeUnsupported(f"degree {degree}")
 
-    return LocalForm(degree, dim, coord_names, evalfn, dirfn,
-                     chart_label, value_tag)
+    return LocalForm(degree, dim, coord_names, evalfn, value_tag, d)
 
 
-def native_form(degree, fn, dim, coord_names, chart_label="", value_tag="h",
-                dirfn=None, analytic_d=None):
-    """Wrap a native callable (point, *tangents) -> matrix as a LocalForm."""
-    return LocalForm(degree, dim, coord_names, fn, dirfn,
-                     chart_label, value_tag, analytic_d)
+def native_form(degree, fn, dim, coord_names, value_tag="h", d=None):
+    """Wrap a native callable (point, *tangents) -> matrix as a LocalForm,
+    with `d` its exterior derivative if the caller has one."""
+    return LocalForm(degree, dim, coord_names, fn, value_tag, d)
 
 
-def zero_form(degree, dim, coord_names, chart_label="", value_tag="h"):
+def zero_form(degree, dim, coord_names, value_tag="h"):
     z = np.zeros((dim, dim), dtype=complex)
-    f = LocalForm(degree, dim, coord_names, lambda p, *t: z,
-                  lambda p, d, *t: z, chart_label, value_tag)
-    if degree < 2:
-        f.analytic_d = zero_form(degree + 1, dim, coord_names, chart_label,
-                                 value_tag)
-    return f
+    d = zero_form(degree + 1, dim, coord_names, value_tag) if degree < 2 \
+        else None
+    return LocalForm(degree, dim, coord_names, lambda p, *t: z, value_tag, d)
 
 
 def exterior_derivative(form: LocalForm) -> LocalForm:
-    """d of a degree 0 or 1 form, via the stored derivative machinery."""
-    if form.analytic_d is not None:
-        return form.analytic_d
-    if form.degree == 0:
-        evalfn = lambda p, v: form.directional(p, v)
-        return LocalForm(1, form.dim, form.coord_names, evalfn, None,
-                         form.chart_label, form.value_tag)
-    if form.degree == 1:
-        def evalfn(p, v, w):
-            return form.directional(p, v, w) - form.directional(p, w, v)
-        return LocalForm(2, form.dim, form.coord_names, evalfn, None,
-                         form.chart_label, form.value_tag)
-    raise DegreeUnsupported("d is only defined for degrees 0 and 1 here")
+    """The exterior derivative the form was built with."""
+    if form.d is None:
+        raise DegreeUnsupported(
+            f"this degree-{form.degree} form carries no exterior derivative")
+    return form.d
 
 
 def _gauss_nodes(a, b, order):
@@ -229,14 +206,8 @@ def _gauss_nodes(a, b, order):
     return mid + half * x, half * w
 
 
-def _check_chart(chart, point):
-    if chart is not None and not chart.contains(point):
-        raise ChartMismatch(
-            f"integration point {np.asarray(point)} left chart {chart.label!r}")
-
-
 def integrate_1form(form: LocalForm, segment, a=0.0, b=1.0, order=8,
-                    cells=1, chart=None) -> AlgebraElement:
+                    cells=1) -> AlgebraElement:
     """Gauss-Legendre integral of the pullback of a 1-form.
 
     segment(t) must return (point, tangent) with tangent the curve
@@ -250,14 +221,13 @@ def integrate_1form(form: LocalForm, segment, a=0.0, b=1.0, order=8,
         ts, ws = _gauss_nodes(edges[k], edges[k + 1], order)
         for t, w in zip(ts, ws):
             point, tangent = segment(t)
-            _check_chart(chart, point)
             total += w * form(point, np.asarray(tangent, dtype=float))
     return AlgebraElement(total, form.value_tag)
 
 
 def integrate_2form(form: LocalForm, patch, s_range=(0.0, 1.0),
-                    t_range=(0.0, 1.0), order=8, cells=(1, 1),
-                    chart=None) -> AlgebraElement:
+                    t_range=(0.0, 1.0), order=8,
+                    cells=(1, 1)) -> AlgebraElement:
     """Tensor-product Gauss integral of F(d_s patch, d_t patch) ds dt.
 
     patch(s, t) must return (point, dpds, dpdt).
@@ -274,7 +244,6 @@ def integrate_2form(form: LocalForm, patch, s_range=(0.0, 1.0),
             for s, wsv in zip(ss, sw):
                 for t, wtv in zip(ts, tw):
                     point, dps, dpt = patch(s, t)
-                    _check_chart(chart, point)
                     total += wsv * wtv * form(point,
                                               np.asarray(dps, dtype=float),
                                               np.asarray(dpt, dtype=float))

@@ -50,12 +50,6 @@ def collar_warp(t, delta=DEFAULT_COLLAR):
     return smooth_step((t - delta) / (1.0 - 2.0 * delta))
 
 
-def ramp(t, a, b, delta=DEFAULT_COLLAR):
-    """Collar-warped interpolation from a to b as t runs over [0,1]."""
-    w = collar_warp(t, delta)
-    return a + (b - a) * w
-
-
 class Reparam:
     """A smooth self-map of [0,1] with fixed endpoints.
 
@@ -266,6 +260,10 @@ SPHERE_CAP_AXES = tuple(
 )
 
 
+# Centers of the four square charts of the torus cover.
+TORUS_SQUARE_CENTERS = ((0.0, 0.0), (0.5, 0.0), (0.0, 0.5), (0.5, 0.5))
+
+
 def make_cover(name) -> Cover:
     if name == "sphere-3caps":
         model = make_model("sphere")
@@ -282,9 +280,8 @@ def make_cover(name) -> Cover:
         return Cover(name, model, charts)
     if name == "torus-4squares":
         model = make_model("torus")
-        centers = [(0.0, 0.0), (0.5, 0.0), (0.0, 0.5), (0.5, 0.5)]
         charts = tuple(square_chart(f"sq{k}", c, 0.35, margin=0.03)
-                       for k, c in enumerate(centers))
+                       for k, c in enumerate(TORUS_SQUARE_CENTERS))
         return Cover(name, model, charts)
     if name == "plane-1":
         model = make_model("plane")
@@ -376,22 +373,17 @@ class Cylinder:
         for u in (0.2, 0.8):
             for s, t in ((self.collar_width * 0.3, u),
                          (1.0 - self.collar_width * 0.3, u)):
-                ds, _ = self.partials(s, t)
+                _, ds, _ = self.eval_with_partials(s, t)
                 if np.linalg.norm(ds) > 1e-9:
                     raise BoundaryMismatch("cylinder moves inside its s-collar")
             for s, t in ((u, self.collar_width * 0.3),
                          (u, 1.0 - self.collar_width * 0.3)):
-                _, dt = self.partials(s, t)
+                _, _, dt = self.eval_with_partials(s, t)
                 if np.linalg.norm(dt) > 1e-9:
                     raise BoundaryMismatch("cylinder moves inside its t-collar")
 
     def eval(self, s, t):
         return _components(self.fn(float(s), float(t)))
-
-    def partials(self, s, t):
-        out_s = self.fn(Dual(float(s), 1.0), float(t))
-        out_t = self.fn(float(s), Dual(float(t), 1.0))
-        return _dots(out_s), _dots(out_t)
 
     def eval_with_partials(self, s, t):
         out_s = self.fn(Dual(float(s), 1.0), float(t))
@@ -456,8 +448,6 @@ def compose_cylinders_vertical(c1: Cylinder, c2: Cylinder,
     offset = None
     if model.periodic:
         offset = c1.eval(1.0, 0.5) - c2.eval(0.0, 0.5)
-        if np.linalg.norm(offset - np.round(offset)) > tol:
-            pass  # caught below by the pointwise check
     for t in np.linspace(0.0, 1.0, 17):
         a = c1.eval(1.0, float(t))
         b = c2.eval(0.0, float(t)) + (offset if offset is not None else 0.0)
@@ -542,26 +532,20 @@ def _cell_samples(a, b, n):
     return np.linspace(a, b, n)
 
 
-def _pick_chart(cover, pts, prefer, touches_basepoint):
+def _pick_chart(cover, pts, touches_basepoint):
     fits = cover.fitting_charts(pts)
     if not fits:
         return None
     if touches_basepoint and 0 in fits:
         return 0
-    if prefer is not None:
-        for idx in prefer:
-            if idx in fits:
-                return idx
     return fits[0]
 
 
 def assign_charts_interval(loop: Loop, cover: Cover, max_depth=14,
-                           samples_per_cell=17, prefer=None,
-                           initial_breaks=None) -> IntervalSubdivision:
+                           samples_per_cell=17) -> IntervalSubdivision:
     """Greedy bisection: split cells until each fits one chart with margin."""
     model = cover.model
-    breaks = sorted(set([0.0, 1.0] + list(initial_breaks or [])))
-    cells = [(breaks[k], breaks[k + 1], 0) for k in range(len(breaks) - 1)]
+    cells = [(0.0, 1.0, 0)]
     done = []
     while cells:
         a, b, depth = cells.pop()
@@ -569,7 +553,7 @@ def assign_charts_interval(loop: Loop, cover: Cover, max_depth=14,
         pts = [loop.eval(float(t)) for t in ts]
         touches = (a <= 1e-12 or b >= 1.0 - 1e-12
                    or any(model.is_basepoint(p, tol=1e-9) for p in pts))
-        chart = _pick_chart(cover, pts, prefer, touches)
+        chart = _pick_chart(cover, pts, touches)
         if chart is None:
             if depth >= max_depth:
                 raise MaxDepthExceeded(
@@ -618,7 +602,7 @@ def _interval_chart_at(sub: IntervalSubdivision, a, b):
 
 
 def assign_charts_rect(cylinder: Cylinder, cover: Cover, max_depth=12,
-                       samples_per_cell=5, prefer=None,
+                       samples_per_cell=5,
                        bottom: IntervalSubdivision = None,
                        top: IntervalSubdivision = None) -> RectSubdivision:
     """Assign charts on a regular grid, refining rows/columns as needed.
@@ -659,7 +643,7 @@ def assign_charts_rect(cylinder: Cylinder, cover: Cover, max_depth=12,
                         bad.append((i, j, "s"))
                     continue
                 touches = any(model.is_basepoint(p, tol=1e-9) for p in pts)
-                chart = _pick_chart(cover, pts, prefer, touches)
+                chart = _pick_chart(cover, pts, touches)
                 if chart is None:
                     bad.append((i, j, "st"))
                 else:

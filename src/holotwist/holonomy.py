@@ -30,7 +30,7 @@ from .catgroup import CatGroupMorphism
 from .errors import NonFinite, NotSameFiber, PreconditionViolated
 from .formsexpr.forms import integrate_1form, integrate_2form
 from .geometry import assign_charts_interval, assign_charts_rect
-from .liecore import GroupElement, mat_norm, path_ordered_exp
+from .liecore import GroupElement, log_principal, mat_norm, path_ordered_exp
 
 FACE_SIGN = -1.0
 EDGE_H_SIGN = 1.0
@@ -46,11 +46,6 @@ class HolonomyResult:
     subdivision: object
     cells: list = field(default_factory=list)   # (label, contribution)
     error_estimate: float = 0.0
-
-
-def _discrete_kernel(ext):
-    return mat_norm(ext.alg_include_mat(
-        np.ones((ext.H.dim, ext.H.dim)))) == 0.0
 
 
 def _transition(store, a, b, point, dim):
@@ -69,7 +64,7 @@ def _h_at(bundle, a, b, c, point):
 # Line holonomy
 # --------------------------------------------------------------------------
 
-def _line_product(bundle, loop, sub, forms, trans, tag, dim, steps):
+def _line_product(loop, sub, forms, trans, tag, dim, steps):
     total = np.eye(dim, dtype=complex)
     cells = []
     charts = sub.charts
@@ -96,46 +91,36 @@ def _line_product(bundle, loop, sub, forms, trans, tag, dim, steps):
     return total, cells
 
 
+def _line_holonomy(bundle, loop, tag, subdivision, steps, with_error):
+    """Holonomy of one layer: tag "G" transports with D and g, tag "E"
+    with A and e."""
+    sub = subdivision or assign_charts_interval(loop, bundle.cover)
+    forms, trans = (bundle.D, bundle.g) if tag == "G" else (bundle.A, bundle.e)
+    dim = bundle.extension.families[tag].dim
+    total, cells = _line_product(loop, sub, forms, trans, tag, dim, steps)
+    err = 0.0
+    if with_error:
+        half, _ = _line_product(loop, sub, forms, trans, tag, dim,
+                                max(8, steps // 2))
+        err = mat_norm(total - half)
+    return HolonomyResult(GroupElement(total, tag), sub, cells, err)
+
+
 def hol0(bundle, loop, subdivision=None, steps=96,
          with_error=True) -> HolonomyResult:
     """Ordinary holonomy of the underlying G-bundle along a based loop."""
-    sub = subdivision or assign_charts_interval(loop, bundle.cover)
-    dim = bundle.extension.G.dim
-    total, cells = _line_product(bundle, loop, sub, bundle.D, bundle.g,
-                                 "g", dim, steps)
-    err = 0.0
-    if with_error:
-        half, _ = _line_product(bundle, loop, sub, bundle.D, bundle.g,
-                                "g", dim, max(8, steps // 2))
-        err = mat_norm(total - half)
-    return HolonomyResult(GroupElement(total, "G"), sub, cells, err)
+    return _line_holonomy(bundle, loop, "G", subdivision, steps, with_error)
 
 
 def hol1(bundle, loop, subdivision=None, steps=96,
          with_error=True) -> HolonomyResult:
     """The E-valued 1-holonomy; only well-defined jointly with epsilon."""
-    sub = subdivision or assign_charts_interval(loop, bundle.cover)
-    dim = bundle.extension.E.dim
-    total, cells = _line_product(bundle, loop, sub, bundle.A, bundle.e,
-                                 "e", dim, steps)
-    err = 0.0
-    if with_error:
-        half, _ = _line_product(bundle, loop, sub, bundle.A, bundle.e,
-                                "e", dim, max(8, steps // 2))
-        err = mat_norm(total - half)
-    return HolonomyResult(GroupElement(total, "E"), sub, cells, err)
+    return _line_holonomy(bundle, loop, "E", subdivision, steps, with_error)
 
 
 # --------------------------------------------------------------------------
 # Surface factor
 # --------------------------------------------------------------------------
-
-def _principal_log(m):
-    if m.shape == (1, 1):
-        z = complex(m[0, 0])
-        return np.array([[np.log(z)]], dtype=complex)
-    return scipy.linalg.logm(np.asarray(m, dtype=complex))
-
 
 def _adaptive_face(form, patch, s0, s1, t0, t1, order, tol, depth):
     """Face integral with error control: compare two Gauss orders and
@@ -168,7 +153,7 @@ def epsilon(bundle, cylinder, rect=None, order=8, edge_cells=4,
         top = assign_charts_interval(cylinder.top_loop(), bundle.cover)
         rect = assign_charts_rect(cylinder, bundle.cover, bottom=bot, top=top)
     dim_h = ext.H.dim
-    discrete = _discrete_kernel(ext)
+    discrete = ext.discrete_kernel
     acc = np.zeros((dim_h, dim_h), dtype=complex)
     vert_prod = np.eye(dim_h, dtype=complex)
     cells = []
@@ -242,8 +227,8 @@ def epsilon(bundle, cylinder, rect=None, order=8, edge_cells=4,
             vert_prod[:] = vert_prod @ step
             cells.append((f"vertex[{r},{c_right}]", step))
         else:
-            val = VERTEX_SIGN * (_principal_log(first)
-                                 - _principal_log(second))
+            val = VERTEX_SIGN * (log_principal(first)
+                                 - log_principal(second))
             acc = acc + val
             cells.append((f"vertex[{r},{c_right}]", val))
 

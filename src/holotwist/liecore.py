@@ -9,10 +9,10 @@ explicit include/project maps between matrix groups.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
+from scipy.linalg import expm, logm
 
 from .errors import NonFinite, NotCentralFiber, NotSameFiber, SectionUndefined, TagMismatch
 
@@ -29,11 +29,8 @@ class Tolerances:
     """Numerical tolerances; defaults chosen for the built-in families."""
 
     tol_grp: float = 1e-9
-    tol_alg: float = 1e-9
     tol_fiber: float = 1e-7
-    tol_cech: float = 1e-8
     tol_inv: float = 1e-6
-    tol_rec: float = 1e-4
 
 
 DEFAULT_TOL = Tolerances()
@@ -233,10 +230,11 @@ class CentralExtension:
     def unit(self, tag):
         return GroupElement(self.families[tag].identity(), tag)
 
-    def zero(self, tag):
-        fam = self.families[tag.upper() if tag in "heg" else tag]
-        n = {"h": self.H, "e": self.E, "g": self.G}[tag].dim
-        return AlgebraElement(np.zeros((n, n), dtype=complex), tag)
+    @property
+    def discrete_kernel(self):
+        """True when the kernel H is discrete, i.e. L(H) = 0."""
+        return mat_norm(self.alg_include_mat(
+            np.ones((self.H.dim, self.H.dim)))) == 0.0
 
     def random_mat(self, tag, rng):
         raise NotImplementedError
@@ -449,6 +447,13 @@ def group_conj(a: GroupElement, by: GroupElement) -> GroupElement:
         raise TagMismatch("conjugation operands must share tag and dimension")
     binv = np.linalg.inv(by.entries)
     return GroupElement(binv @ a.entries @ by.entries, a.group_tag)
+
+
+def log_principal(m):
+    """Principal matrix logarithm; the 1x1 case uses the scalar branch."""
+    if m.shape == (1, 1):
+        return np.array([[np.log(complex(m[0, 0]))]], dtype=complex)
+    return logm(np.asarray(m, dtype=complex))
 
 
 def exp_matrix(a: AlgebraElement) -> GroupElement:

@@ -27,11 +27,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg import expm
 
 from . import dual as dm
+from .bundle import sample_region
 from .catgroup import CatGroupMorphism, morphism_distance
-from .dual import Dual, value
+from .dual import value
 from .errors import (
     ConfigError,
     HolotwistError,
@@ -40,6 +41,7 @@ from .errors import (
 )
 from .geometry import (
     SPHERE_CAP_AXES,
+    TORUS_SQUARE_CENTERS,
     Cylinder,
     Loop,
     assign_charts_interval,
@@ -47,7 +49,14 @@ from .geometry import (
     constant_cylinder,
 )
 from .holonomy import holonomy_functor
-from .liecore import GroupElement, fiber_normalize, group_inv, group_mul, mat_norm
+from .liecore import (
+    GroupElement,
+    fiber_normalize,
+    group_inv,
+    group_mul,
+    log_principal,
+    mat_norm,
+)
 
 SEG_COLLAR = 0.12          # parameter collar inside every path segment
 DEFAULT_FD_STEP = 1e-4     # central-difference step for the connection
@@ -112,11 +121,6 @@ def _piecewise_path(segments, s, t):
 # The scaffold
 # --------------------------------------------------------------------------
 
-_SQUARE_CENTERS = {
-    "torus-4squares": [(0.0, 0.0), (0.5, 0.0), (0.0, 0.5), (0.5, 0.5)],
-}
-
-
 @dataclass
 class BasepointScaffold:
     """Frozen anchors and path families for one cover."""
@@ -139,13 +143,12 @@ class BasepointScaffold:
 
     @classmethod
     def for_cover(cls, cover, seed=0):
-        model = cover.model
         if cover.name == "sphere-3caps":
             anchors = {k: np.array(ax) / np.linalg.norm(ax)
                        for k, ax in enumerate(SPHERE_CAP_AXES)}
-        elif cover.name in _SQUARE_CENTERS:
+        elif cover.name == "torus-4squares":
             anchors = {k: np.array(c, dtype=float)
-                       for k, c in enumerate(_SQUARE_CENTERS[cover.name])}
+                       for k, c in enumerate(TORUS_SQUARE_CENTERS)}
         else:
             anchors = {}
         rng = np.random.default_rng(seed)
@@ -176,14 +179,6 @@ class BasepointScaffold:
             prev = out[-1]
             out.append(prev + _wrap(np.asarray(p, dtype=float) - prev))
         return out
-
-    def _stem(self, i, reverse=False):
-        """Segments for the fixed path * -> x_i (or its reverse)."""
-        bp, xi = self._unwrap_chain([self.model.basepoint, self.anchors[i]])
-        seg = _Segment(self.model, self._const(bp), self._const(xi))
-        if reverse:
-            seg = _Segment(self.model, self._const(xi), self._const(bp))
-        return seg, (bp, xi)
 
     def pair_loop(self, i, j, y) -> Loop:
         """The based loop * -> x_i -> y -> x_j -> * through fixed anchors."""
@@ -309,12 +304,10 @@ class BasepointScaffold:
                         collar_width=SEG_COLLAR / len(segments), check=False)
 
 
-def _central_point(cover, indices, rng, tries=400):
-    """A well-inside point of the (multi-)overlap: the sampled point
-    maximizing the distance to the region boundary along random rays."""
-    from .bundle import sample_region
-
-    pts = sample_region(cover, indices, rng, min(tries, 64))
+def _central_point(cover, indices, rng):
+    """A well-inside point of the (multi-)overlap: of 64 sampled points,
+    the one maximizing the distance to the region boundary along rays."""
+    pts = sample_region(cover, indices, rng, 64)
     charts = [cover.charts[k] for k in indices]
     model = cover.model
 
@@ -397,7 +390,6 @@ def _normalized_pair(ext, morphism, base):
 def reconstruct_base(oracle, scaffold, i, j):
     """Base representative (e, e) of the anchor-loop morphism, with the
     inverse convention for the reversed pair."""
-    ext = oracle.extension
     m0 = oracle(scaffold.pair_cylinder(i, j, scaffold.pair_anchor(i, j)))
     res = mat_norm(m0.rep_source.entries - m0.rep_target.entries)
     return m0.rep_source, res
@@ -462,6 +454,44 @@ def reconstruct_cocycle(oracle, scaffold, bases, triples_points):
     return out
 
 
+def rebuild_transitions_and_cocycle(oracle, scaffold, rng,
+                                    samples_per_overlap):
+    """Transition samples at random points of every anchored overlap and
+    kernel-cocycle samples at one random point of each triple overlap.
+
+    Returns (transitions, antisymmetry, cocycle): `antisymmetry` is the
+    worst Frobenius norm of e_ij e_ji - 1 over the samples, `cocycle`
+    the reconstruct_cocycle rows ({} when no triple overlap is found).
+    """
+    cover = scaffold.cover
+    pts = {}
+    for (i, j) in sorted(scaffold.pair_anchors):
+        ys = sample_region(cover, (i, j), rng, samples_per_overlap)
+        pts[(i, j)] = ys
+        pts[(j, i)] = ys
+    trans = reconstruct_transitions(oracle, scaffold, pts)
+    unit = np.eye(oracle.extension.E.dim)
+    anti = 0.0
+    for (i, j) in sorted(scaffold.pair_anchors):
+        for (_, eij), (_, eji) in zip(trans.samples[(i, j)],
+                                      trans.samples[(j, i)]):
+            anti = max(anti, mat_norm(group_mul(eij, eji).entries - unit))
+
+    triples = {}
+    n = len(cover)
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                try:
+                    triples[(i, j, k)] = sample_region(cover, (i, j, k),
+                                                       rng, 1)
+                except HolotwistError:
+                    continue
+    cocycle = reconstruct_cocycle(oracle, scaffold, trans.bases, triples) \
+        if triples else {}
+    return trans, anti, cocycle
+
+
 # --------------------------------------------------------------------------
 # Connection and curving
 # --------------------------------------------------------------------------
@@ -479,14 +509,6 @@ def reconstruct_connection(oracle, scaffold, chart, point, tangent,
     r_minus = oracle(scaffold.probe_cylinder(chart, point, tangent,
                                              -step)).invariant().entries
     return ext.algebra_element((r_plus - r_minus) / (2.0 * step), "E")
-
-
-def _tangent_frame(model, point):
-    if model.kind == "sphere":
-        t1 = np.cross(point, [0.11, 0.83, 0.55])
-        t1 /= np.linalg.norm(t1)
-        return t1, np.cross(point, t1)
-    return np.array([1.0, 0.0]), np.array([0.0, 1.0])
 
 
 def _shift(model, point, delta):
@@ -522,12 +544,6 @@ def reconstruct_curvature_of_connection(oracle, scaffold, chart, point,
     return d_vw - d_wv + av @ aw - aw @ av
 
 
-def _logm(m):
-    if m.shape == (1, 1):
-        return np.array([[np.log(complex(m[0, 0]))]])
-    return scipy.linalg.logm(m)
-
-
 def reconstruct_curving(oracle, scaffold, chart, point, v, w,
                         rho=DEFAULT_RHO, curvature=None):
     """Curving sample F_chart(v, w) at the point.
@@ -543,7 +559,7 @@ def reconstruct_curving(oracle, scaffold, chart, point, v, w,
 
     def density(r):
         m = oracle(scaffold.sweep_cylinder(chart, point, v, w, r))
-        return _logm(m.invariant().entries) / (r * r)
+        return log_principal(m.invariant().entries) / (r * r)
 
     fitted = (4.0 * density(rho) - density(2.0 * rho)) / 3.0
     f_mat = curvature - fitted
@@ -568,12 +584,6 @@ def _central_coefficients(ext, mat):
 # --------------------------------------------------------------------------
 # Holonomy recomputation from reconstructed samples
 # --------------------------------------------------------------------------
-
-def _expm(m):
-    if m.shape == (1, 1):
-        return np.array([[np.exp(complex(m[0, 0]))]])
-    return scipy.linalg.expm(m)
-
 
 def holonomy_from_samples(oracle, scaffold, bases, loop, nodes=6):
     """Line holonomy of a based loop recomputed from reconstruction.
@@ -602,7 +612,7 @@ def holonomy_from_samples(oracle, scaffold, bases, loop, nodes=6):
                 a_sample = reconstruct_connection(
                     oracle, scaffold, ck, scaffold.model.reduce(p), vel)
                 acc = acc + 0.5 * width * a_sample.entries
-            total = total @ _expm(acc)
+            total = total @ expm(acc)
         nxt = charts[(k + 1) % len(charts)]
         if nxt != ck:
             yb = scaffold.model.reduce(loop.eval(b % 1.0))
@@ -661,37 +671,10 @@ def round_trip_check(bundle, seed=0, samples_per_overlap=2,
     oracle = FunctorOracle(bundle, **(oracle_settings or {}))
     scaffold = BasepointScaffold.for_cover(bundle.cover, seed=seed)
     rng = np.random.default_rng(seed)
-    checks = {}
-
-    # transitions and antisymmetry
-    from .bundle import sample_region
-    pts = {}
-    for (i, j) in sorted(scaffold.pair_anchors):
-        ys = sample_region(bundle.cover, (i, j), rng, samples_per_overlap)
-        pts[(i, j)] = ys
-        pts[(j, i)] = ys
-    trans = reconstruct_transitions(oracle, scaffold, pts)
-    checks["base-diagonal"] = trans.base_residual
-    anti = 0.0
-    for (i, j) in sorted(scaffold.pair_anchors):
-        for (y, eij), (y2, eji) in zip(trans.samples[(i, j)],
-                                       trans.samples[(j, i)]):
-            anti = max(anti, mat_norm(
-                group_mul(eij, eji).entries - np.eye(ext.E.dim)))
-    checks["antisymmetry"] = anti
-
-    # kernel cocycle on triple overlaps
-    triples = {}
-    for i in range(len(bundle.cover)):
-        for j in range(i + 1, len(bundle.cover)):
-            for k in range(j + 1, len(bundle.cover)):
-                try:
-                    ys = sample_region(bundle.cover, (i, j, k), rng, 1)
-                except HolotwistError:
-                    continue
-                triples[(i, j, k)] = ys
-    if triples:
-        cocycle = reconstruct_cocycle(oracle, scaffold, trans.bases, triples)
+    trans, anti, cocycle = rebuild_transitions_and_cocycle(
+        oracle, scaffold, rng, samples_per_overlap)
+    checks = {"base-diagonal": trans.base_residual, "antisymmetry": anti}
+    if cocycle:
         checks["cocycle-central"] = max(
             res for rows in cocycle.values() for (_, _, res) in rows)
 

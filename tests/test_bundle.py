@@ -16,10 +16,15 @@ from holotwist.bundle import (
     validate,
 )
 from holotwist.errors import MissingField, TagMismatch
-from holotwist.families import monopole_bundle, torus_flat_bundle, trivial_bundle
+from holotwist.families import (
+    monopole_bundle,
+    pu2_bundle,
+    torus_flat_bundle,
+    trivial_bundle,
+)
 from holotwist.formsexpr.forms import exterior_derivative
 from holotwist.geometry import make_cover
-from holotwist.liecore import make_extension
+from holotwist.liecore import SIGMA, make_extension
 
 
 def _phase_map():
@@ -163,3 +168,35 @@ def test_flatness_report():
     rep = is_flat(monopole_bundle(1), sample_count=8)
     assert not rep.flat_bundle          # h_ijk varies over the overlap
     assert rep.flat_connection          # no 3-form curvature on a surface
+
+
+def _so3_derivative_by_hand(e, de):
+    """d of R_kl = 1/2 tr(s_k e s_l e^dagger), by the product rule."""
+    ed, ded = e.conj().T, de.conj().T
+    return np.array([[0.5 * np.trace(SIGMA[k] @ de @ SIGMA[l] @ ed
+                                     + SIGMA[k] @ e @ SIGMA[l] @ ded)
+                      for l in range(3)] for k in range(3)])
+
+
+def test_projected_jets_are_exact():
+    b = pu2_bundle()
+    gauge = random_gauge(b, seed=4)
+    rng = np.random.default_rng(12)
+    worst = 0.0
+    for (i, j) in overlap_pairs(b.nc):
+        for p in sample_region(b.cover, (i, j), rng, 5):
+            v = b.cover.model.random_tangent(rng, p)
+            pairs = [(b.e[(i, j)], b.g[(i, j)]),
+                     (gauge.e_i[i], gauge.g_i(b.extension, i))]
+            for emap, gmap in pairs:
+                e, de = emap.jet(p, v)
+                r, dr = gmap.jet(p, v)
+                assert np.allclose(r, b.extension.project_mat(e), atol=1e-14)
+                worst = max(worst, float(np.abs(
+                    dr - _so3_derivative_by_hand(e, de)).max()))
+    assert worst <= 1e-13, worst
+
+
+def test_pu2_gluing_residual_is_roundoff():
+    rep = validate(pu2_bundle(), sample_count=200)
+    assert rep.residuals["D_gluing"] <= 1e-13, rep.residuals

@@ -1,7 +1,9 @@
 """Command-line interface: configs, reports, exit codes, determinism."""
 
 import json
+import math
 
+import numpy as np
 import pytest
 
 from holotwist.cli import main
@@ -11,6 +13,7 @@ TRIVIAL = {
     "loop": {"name": "latitude", "params": {"theta": 1.0}},
     "numerics": {"sample_count": 20, "steps": 64},
 }
+MONOPOLE = {"family": "monopole", "params": {"n": 1}}
 
 
 def write_cfg(tmp_path, data, name="cfg.json"):
@@ -156,3 +159,34 @@ def test_reconstruct_trivial(tmp_path):
 def test_verify_trivial(tmp_path):
     cfg = write_cfg(tmp_path, TRIVIAL)
     assert main(["verify", "--config", cfg]) == 0
+
+
+def _matrix(rows):
+    return np.array([[complex(re, im) for re, im in row] for row in rows])
+
+
+def test_functor_monopole_cap_sweep_invariant(tmp_path):
+    # sweeping the cap of polar radius 2 encloses area A = 2 pi (1 - cos 2)
+    data = {"bundle": MONOPOLE,
+            "cylinder": {"name": "cap-sweep", "params": {"alpha": 2.0}}}
+    cfg = write_cfg(tmp_path, data)
+    out = tmp_path / "rep.json"
+    assert main(["functor", "--config", cfg, "--out", str(out)]) == 0
+    body = json.loads(out.read_text())["body"]
+    values = body["values"]
+    inv = np.linalg.inv(_matrix(values["rep_source"])) \
+        @ _matrix(values["rep_target"])
+    area = 2.0 * math.pi * (1.0 - math.cos(2.0))
+    expected = np.diag([np.exp(-0.5j * area), np.exp(0.5j * area)])
+    assert np.abs(inv - expected).max() <= body["tol"]
+
+
+def test_reconstruct_monopole(tmp_path):
+    cfg = write_cfg(tmp_path, {"bundle": MONOPOLE})
+    out = tmp_path / "rep.json"
+    assert main(["reconstruct", "--config", cfg, "--out", str(out)]) == 0
+    body = json.loads(out.read_text())["body"]
+    assert set(body["checks"]) == {"base_diagonal", "antisymmetry",
+                                   "cocycle_central"}
+    assert all(v <= body["tol"] for v in body["checks"].values())
+    assert "e_01" in body["values"]

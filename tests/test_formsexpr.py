@@ -173,8 +173,7 @@ def test_dd_is_small():
     rng = np.random.default_rng(1)
     for _ in range(5):
         p = rng.uniform(-1, 1, size=2)
-        assert abs(ddf(p, np.array([1.0, 0.0]),
-                       np.array([0.0, 1.0]))[0, 0]) < 1e-6
+        assert ddf(p, np.array([1.0, 0.0]), np.array([0.0, 1.0]))[0, 0] == 0
 
 
 def test_top_degree_rejected():
@@ -266,10 +265,20 @@ def test_rank_one_patch_integrates_to_zero():
 
 def test_native_form_with_supplied_derivative():
     fn = lambda p, v: np.array([[p[0] * v[1] - p[1] * v[0]]], dtype=complex)
-    dirfn = lambda p, d, v: np.array([[d[0] * v[1] - d[1] * v[0]]],
-                                     dtype=complex)
-    nf = native_form(1, fn, 1, ("x", "y"), dirfn=dirfn)
+    dfn = lambda p, v, w: np.array([[2.0 * (v[0] * w[1] - v[1] * w[0])]],
+                                   dtype=complex)
+    nf = native_form(1, fn, 1, ("x", "y"), d=native_form(2, dfn, 1, ("x", "y")))
     d = exterior_derivative(nf)
     got = d(np.array([0.2, 0.5]), np.array([1.0, 0.0]),
             np.array([0.0, 1.0]))[0, 0]
     assert got == pytest.approx(2.0, abs=1e-12)
+
+
+def test_native_form_without_derivative_has_none():
+    fn = lambda p, v: np.array([[p[0] * v[1]]], dtype=complex)
+    with pytest.raises(DegreeUnsupported):
+        exterior_derivative(native_form(1, fn, 1, ("x", "y")))
+    f0 = native_form(0, lambda p: np.array([[p[0]]], dtype=complex), 1,
+                     ("x", "y"))
+    with pytest.raises(DegreeUnsupported):
+        exterior_derivative(f0)
