@@ -167,11 +167,11 @@ def add_forms(*forms):
 # Region sampling
 # --------------------------------------------------------------------------
 
-def sample_region(cover, indices, rng, count, max_tries=20000):
+def sample_region(cover, indices, rng, count):
     """Random points lying in every margin-shrunk chart of `indices`."""
     out = []
     charts = [cover.charts[i] for i in indices]
-    for _ in range(max_tries):
+    for _ in range(20000):
         p = cover.model.random_point(rng)
         q = cover.model.reduce(p)
         if all(c.contains(q, with_margin=True) for c in charts):

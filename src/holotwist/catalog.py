@@ -58,14 +58,14 @@ def _cap_profile(alpha, t):
     return alpha * (1.0 - _w(3.0 * t - 2.0)), 0.0 * t
 
 
-def latitude_loop(theta0, collar=DEFAULT_COLLAR) -> Loop:
+def latitude_loop(theta0) -> Loop:
     model = make_model("sphere")
 
     def fn(t):
         th, ph = _cap_profile(theta0, t)
         return _sphere_point(th, ph)
 
-    return Loop(model, fn, collar)
+    return Loop(model, fn, DEFAULT_COLLAR)
 
 
 def equator_loop() -> Loop:
@@ -132,15 +132,15 @@ def full_sphere_cylinder() -> Cylinder:
 # Torus
 # --------------------------------------------------------------------------
 
-def winding_loop(p, q, collar=DEFAULT_COLLAR) -> Loop:
+def winding_loop(p, q) -> Loop:
     """Straight winding loop of class (p, q), traversed with collars."""
     model = make_model("torus")
 
     def fn(t):
-        w = collar_warp(t, collar)
+        w = collar_warp(t)
         return [p * w, q * w]
 
-    return Loop(model, fn, collar)
+    return Loop(model, fn, DEFAULT_COLLAR)
 
 
 def staircase_loop(p, q) -> Loop:

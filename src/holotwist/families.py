@@ -153,10 +153,10 @@ def sphere_area_form(scale, dim=1, tag="h") -> LocalForm:
 # Trivial bundle
 # --------------------------------------------------------------------------
 
-def trivial_bundle(model_kind="sphere", extension="u1-squared",
-                   cover_name=None) -> TwistedBundleData:
+def trivial_bundle(model_kind="sphere", extension="u1-squared"
+                   ) -> TwistedBundleData:
     ext = make_extension(extension)
-    cover = make_cover(cover_name or COVER_FOR_MODEL[model_kind])
+    cover = make_cover(COVER_FOR_MODEL[model_kind])
     n = len(cover)
     coords = cover.model.coord_names
     unit_e = np.eye(ext.E.dim)
@@ -186,9 +186,7 @@ def trivial_bundle(model_kind="sphere", extension="u1-squared",
 TORUS_M = {(0, 1): 1, (2, 3): 1, (0, 2): 0, (0, 3): 0, (1, 2): 0, (1, 3): 0}
 
 
-def torus_flat_bundle(k=1, order=3, flux=0.7,
-                      a_coeffs=(0.9, 1.7), d_coeffs=(1.3, 0.55)
-                      ) -> TwistedBundleData:
+def torus_flat_bundle(k=1, order=3, flux=0.7) -> TwistedBundleData:
     """Flat twisted bundle over the square torus.
 
     Transitions are constant, the fiber cocycle takes values in the
@@ -215,8 +213,8 @@ def torus_flat_bundle(k=1, order=3, flux=0.7,
         val = lam[(i, j)] * lam[(j, kk)] * lam[(kk, i)]
         h_maps[(i, j, kk)] = GroupMap.constant(np.array([[val]]), "H")
 
-    a1, a2 = a_coeffs
-    d1, d2 = d_coeffs
+    a1, a2 = 0.9, 1.7
+    d1, d2 = 1.3, 0.55
 
     def a_eval(p, v):
         lam_part = 1j * (a1 * v[0] + a2 * v[1])
@@ -270,8 +268,7 @@ def _vertical_component(axis):
     return form_eval
 
 
-def monopole_bundle(n=1, kappa=0.8, mu=0.5, flux_scale=None
-                    ) -> TwistedBundleData:
+def monopole_bundle(n=1, kappa=0.8, mu=0.5) -> TwistedBundleData:
     """Charge-n sphere monopole inside the U(1)^2 extension.
 
     g_ij is the n-th power of the quaternion-section transition phase,
@@ -326,8 +323,7 @@ def monopole_bundle(n=1, kappa=0.8, mu=0.5, flux_scale=None
         d_forms[i] = native_form(1, d_eval, 1, coords, value_tag="g")
         a_forms[i] = native_form(1, a_eval, 2, coords, value_tag="e")
 
-    scale = flux_scale if flux_scale is not None else 0.5j * n
-    f_form = sphere_area_form(scale)
+    f_form = sphere_area_form(0.5j * n)
     return TwistedBundleData(
         name=f"monopole-{n}", cover=cover, extension=ext,
         g=g_maps, e=e_maps, h=h_maps,

@@ -571,11 +571,10 @@ def assign_charts_interval(loop: Loop, cover: Cover, max_depth=14,
     )
 
 
-def certify_interval(loop: Loop, cover: Cover, sub: IntervalSubdivision,
-                     factor=4):
-    """Re-check containment at a denser sampling; ChartMismatch on failure."""
+def certify_interval(loop: Loop, cover: Cover, sub: IntervalSubdivision):
+    """Re-check containment at 4x the sampling; ChartMismatch on failure."""
     for (a, b), chart in zip(sub.cells, sub.charts):
-        for t in _cell_samples(a, b, sub.sample_density * factor):
+        for t in _cell_samples(a, b, sub.sample_density * 4):
             p = cover.model.reduce(loop.eval(float(t)))
             if not cover.charts[chart].contains(p, with_margin=True):
                 raise ChartMismatch(
@@ -665,16 +664,16 @@ def assign_charts_rect(cylinder: Cylinder, cover: Cover, max_depth=12,
     raise MaxDepthExceeded("refinement budget exhausted")
 
 
-def certify_rect(cylinder: Cylinder, cover: Cover, sub: RectSubdivision,
-                 factor=4):
+def certify_rect(cylinder: Cylinder, cover: Cover, sub: RectSubdivision):
+    """Re-check containment at 4x the sampling; ChartMismatch on failure."""
     ns, nt = sub.shape
     for i in range(ns):
         for j in range(nt):
             chart = cover.charts[sub.charts[i][j]]
             for s in _cell_samples(sub.s_breaks[i], sub.s_breaks[i + 1],
-                                   sub.sample_density * factor):
+                                   sub.sample_density * 4):
                 for t in _cell_samples(sub.t_breaks[j], sub.t_breaks[j + 1],
-                                       sub.sample_density * factor):
+                                       sub.sample_density * 4):
                     p = cover.model.reduce(cylinder.eval(float(s), float(t)))
                     if not chart.contains(p, with_margin=True):
                         raise ChartMismatch(

@@ -32,12 +32,6 @@ from .formsexpr.forms import integrate_1form, integrate_2form
 from .geometry import assign_charts_interval, assign_charts_rect
 from .liecore import GroupElement, log_principal, mat_norm, path_ordered_exp
 
-FACE_SIGN = -1.0
-EDGE_H_SIGN = 1.0
-EDGE_V_SIGN = 1.0
-VERTEX_SIGN = 1.0
-
-
 @dataclass
 class HolonomyResult:
     """A holonomy value with the discretization that produced it."""
@@ -168,7 +162,7 @@ def epsilon(bundle, cylinder, rect=None, order=8, edge_cells=4,
             def patch(s, t):
                 return cylinder.eval_with_partials(s, t)
 
-            val = FACE_SIGN * _adaptive_face(
+            val = -_adaptive_face(
                 bundle.F[a], patch, sb[r], sb[r + 1], tb[c], tb[c + 1],
                 order, face_tol, max_split)
             acc = acc + val
@@ -185,7 +179,7 @@ def epsilon(bundle, cylinder, rect=None, order=8, edge_cells=4,
                 p, _, dt = cylinder.eval_with_partials(s, t)
                 return p, dt
 
-            val = EDGE_H_SIGN * integrate_1form(
+            val = integrate_1form(
                 bundle.Aij[(north, south)], seg, tb[c], tb[c + 1],
                 order=order, cells=edge_cells).entries
             acc = acc + val
@@ -202,7 +196,7 @@ def epsilon(bundle, cylinder, rect=None, order=8, edge_cells=4,
                 p, ds, _ = cylinder.eval_with_partials(s, t)
                 return p, ds
 
-            val = EDGE_V_SIGN * integrate_1form(
+            val = integrate_1form(
                 bundle.Aij[(west, east)], seg, sb[r], sb[r + 1],
                 order=order, cells=edge_cells).entries
             acc = acc + val
@@ -222,13 +216,10 @@ def epsilon(bundle, cylinder, rect=None, order=8, edge_cells=4,
         second = _h_at(bundle, a, d, cc, point)
         if discrete:
             step = first @ np.linalg.inv(second)
-            if VERTEX_SIGN < 0:
-                step = np.linalg.inv(step)
             vert_prod[:] = vert_prod @ step
             cells.append((f"vertex[{r},{c_right}]", step))
         else:
-            val = VERTEX_SIGN * (log_principal(first)
-                                 - log_principal(second))
+            val = log_principal(first) - log_principal(second)
             acc = acc + val
             cells.append((f"vertex[{r},{c_right}]", val))
 

@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import dual as dm
 from .bundle import sample_region
@@ -56,6 +55,7 @@ from .liecore import (
     group_mul,
     log_principal,
     mat_norm,
+    path_ordered_exp,
 )
 
 SEG_COLLAR = 0.12          # parameter collar inside every path segment
@@ -64,57 +64,51 @@ DEFAULT_RHO = 0.04         # base rectangle scale for the curving
 
 
 # --------------------------------------------------------------------------
-# Dual-capable point arithmetic
+# Waypoint chains
 # --------------------------------------------------------------------------
 
-def _norm3(comps):
-    acc = comps[0] * comps[0]
-    for c in comps[1:]:
-        acc = acc + c * c
-    return dm.sqrt(acc)
+def _chain_cylinder(model, waypoints) -> Cylinder:
+    """A homotopy through a chain of fixed and moving waypoints.
 
-
-def _normalize(comps):
-    inv = 1.0 / _norm3(comps)
-    return [c * inv for c in comps]
-
-
-def _lerp(a, b, tau):
-    return [av + tau * (bv - av) for av, bv in zip(a, b)]
-
-
-def _wrap(d):
-    d = np.asarray(d, dtype=float)
-    return d - np.round(d)
-
-
-class _Segment:
-    """A collared within-model path between two (possibly moving) points.
-
-    `start` and `end` are callables of the stage parameter s returning
-    coordinate components (floats or duals); the segment itself maps the
-    local parameter tau in [0,1] with sitting collars at both ends.
+    A waypoint is a point or a moving point (base, scale, vector) that
+    sits at base + (k(s) * scale) * vector, k = collar_warp(s, SEG_COLLAR).
+    Consecutive waypoints are joined by collared straight segments of
+    equal parameter length, projected radially onto the sphere.  On the
+    torus each base is lifted next to the previous one: by the wrapped
+    displacement between the two bases as given, so a segment between
+    two given points runs the same way wherever the chain has lifted
+    them (a half-period tie included).
     """
+    ends, given = [], None
+    for wp in waypoints:
+        base, scale, vec = wp if isinstance(wp, tuple) else (wp, 0.0, None)
+        base = lifted = np.asarray(base, dtype=float)
+        if model.periodic and given is not None:
+            d = base - given
+            lifted = ends[-1][0] + (d - np.round(d))
+        ends.append((lifted, scale, vec))
+        given = base
+    n = len(ends) - 1
 
-    def __init__(self, model, start, end):
-        self.model = model
-        self.start = start
-        self.end = end
+    def at(end, s):
+        base, scale, vec = end
+        if vec is None:
+            return list(base)
+        k = collar_warp(s, SEG_COLLAR)
+        return [b + (k * scale) * v for b, v in zip(base, vec)]
 
-    def at(self, s, tau):
-        w = collar_warp(tau, SEG_COLLAR)
-        comps = _lerp(self.start(s), self.end(s), w)
-        if self.model.kind == "sphere":
-            return _normalize(comps)
+    def fn(s, t):
+        tv = min(max(value(t).real, 0.0), 1.0)
+        piece = min(int(tv * n), n - 1)
+        w = collar_warp(t * n - float(piece), SEG_COLLAR)
+        a, b = at(ends[piece], s), at(ends[piece + 1], s)
+        comps = [av + w * (bv - av) for av, bv in zip(a, b)]
+        if model.kind == "sphere":
+            inv = 1.0 / dm.sqrt(sum(c * c for c in comps))
+            comps = [c * inv for c in comps]
         return comps
 
-
-def _piecewise_path(segments, s, t):
-    n = len(segments)
-    tv = min(max(value(t).real, 0.0), 1.0)
-    k = min(int(tv * n), n - 1)
-    tau = t * n - float(k)
-    return segments[k].at(s, tau)
+    return Cylinder(model, fn, collar_width=SEG_COLLAR / n, check=False)
 
 
 # --------------------------------------------------------------------------
@@ -166,19 +160,11 @@ class BasepointScaffold:
 
     # -- path plans -------------------------------------------------------
 
-    def _const(self, p):
-        p = np.asarray(p, dtype=float)
-        return lambda s: list(p)
-
-    def _unwrap_chain(self, points):
-        """Continuous coordinate representatives along a chain of points."""
-        if not self.model.periodic:
-            return [np.asarray(p, dtype=float) for p in points]
-        out = [np.asarray(points[0], dtype=float)]
-        for p in points[1:]:
-            prev = out[-1]
-            out.append(prev + _wrap(np.asarray(p, dtype=float) - prev))
-        return out
+    def _in_chart(self, i, q):
+        if self.model.kind == "sphere":
+            q = q / np.linalg.norm(q)
+        return self.cover.charts[i].contains(self.model.reduce(q),
+                                             with_margin=True)
 
     def pair_loop(self, i, j, y) -> Loop:
         """The based loop * -> x_i -> y -> x_j -> * through fixed anchors."""
@@ -193,30 +179,12 @@ class BasepointScaffold:
         """
         model = self.model
         xij = np.asarray(self.pair_anchor(i, j), dtype=float)
-        y = np.asarray(y, dtype=float)
-        chain = self._unwrap_chain(
-            [model.basepoint, self.anchors[i], xij])
-        bp, xi, xij_u = chain
-        d = _wrap(y - xij) if model.periodic else (y - xij)
-        xj_u = xij_u + (_wrap(self.anchors[j] - xij) if model.periodic
-                        else (np.asarray(self.anchors[j], dtype=float) - xij))
-        bp_u = xj_u + (_wrap(model.basepoint - self.anchors[j])
-                       if model.periodic
-                       else (np.asarray(model.basepoint, dtype=float)
-                             - np.asarray(self.anchors[j], dtype=float)))
-
-        def y_s(s):
-            r = collar_warp(s, SEG_COLLAR)
-            return [xv + r * dv for xv, dv in zip(xij_u, d)]
-
-        segments = [
-            _Segment(model, self._const(bp), self._const(xi)),
-            _Segment(model, self._const(xi), y_s),
-            _Segment(model, y_s, self._const(xj_u)),
-            _Segment(model, self._const(xj_u), self._const(bp_u)),
-        ]
-        return Cylinder(model, lambda s, t: _piecewise_path(segments, s, t),
-                        collar_width=SEG_COLLAR / len(segments), check=False)
+        d = np.asarray(y, dtype=float) - xij
+        if model.periodic:
+            d = d - np.round(d)
+        bp = model.basepoint
+        return _chain_cylinder(model, [bp, self.anchors[i], (xij, 1.0, d),
+                                       self.anchors[j], bp])
 
     def probe_cylinder(self, i, y, tangent, step) -> Cylinder:
         """Homotopy sweeping the short probe path q(u) = y + u*step*v.
@@ -224,32 +192,13 @@ class BasepointScaffold:
         The stage-s loop runs * -> x_i -> y, along q to q(s*step), then
         back to x_i and * along fixed paths.  Its bottom loop is thin.
         """
-        model = self.model
         y = np.asarray(y, dtype=float)
         v = np.asarray(tangent, dtype=float)
-        chain = self._unwrap_chain([model.basepoint, self.anchors[i], y])
-        bp, xi, y_u = chain
-        endpoint = y + step * v
-        if model.kind == "sphere":
-            endpoint = endpoint / np.linalg.norm(endpoint)
-        if not self.cover.charts[i].contains(model.reduce(endpoint),
-                                             with_margin=True):
+        if not self._in_chart(i, y + step * v):
             raise StepTooLarge(
                 f"probe path leaves chart {i} at step {step}")
-
-        def z_s(s):
-            r = collar_warp(s, SEG_COLLAR)
-            return [yv + (r * step) * vv for yv, vv in zip(y_u, v)]
-
-        segments = [
-            _Segment(model, self._const(bp), self._const(xi)),
-            _Segment(model, self._const(xi), self._const(y_u)),
-            _Segment(model, self._const(y_u), z_s),
-            _Segment(model, z_s, self._const(xi)),
-            _Segment(model, self._const(xi), self._const(bp)),
-        ]
-        return Cylinder(model, lambda s, t: _piecewise_path(segments, s, t),
-                        collar_width=SEG_COLLAR / len(segments), check=False)
+        bp, xi = self.model.basepoint, self.anchors[i]
+        return _chain_cylinder(self.model, [bp, xi, y, (y, step, v), xi, bp])
 
     def sweep_cylinder(self, i, point, v, w, rho) -> Cylinder:
         """Homotopy growing the rho-rectangle spanned by (v, w) at a point.
@@ -259,49 +208,15 @@ class BasepointScaffold:
         is the thin out-and-back along the v edge and its top the full
         rectangle boundary.
         """
-        model = self.model
         p = np.asarray(point, dtype=float)
-        v = np.asarray(v, dtype=float)
         w = np.asarray(w, dtype=float)
-        chain = self._unwrap_chain([model.basepoint, self.anchors[i], p])
-        bp, xi, p_u = chain
-
-        corners = [p_u + rho * v,
-                   None,       # p + rho v + k(s) rho w
-                   None,       # p + k(s) rho w
-                   p_u]
-        for corner in (p_u + rho * v, p_u):
-            q = corner / np.linalg.norm(corner) if model.kind == "sphere" \
-                else corner
-            if not self.cover.charts[i].contains(model.reduce(q),
-                                                 with_margin=True):
-                raise StepTooLarge(
-                    f"sweep rectangle leaves chart {i} at scale {rho}")
-
-        def k_of(s):
-            return collar_warp(s, SEG_COLLAR)
-
-        def corner_vw(s):
-            k = k_of(s)
-            return [pv + rho * vv + (k * rho) * wv
-                    for pv, vv, wv in zip(p_u, v, w)]
-
-        def corner_w(s):
-            k = k_of(s)
-            return [pv + (k * rho) * wv for pv, wv in zip(p_u, w)]
-
-        segments = [
-            _Segment(model, self._const(bp), self._const(xi)),
-            _Segment(model, self._const(xi), self._const(p_u)),
-            _Segment(model, self._const(p_u), self._const(corners[0])),
-            _Segment(model, self._const(corners[0]), corner_vw),
-            _Segment(model, corner_vw, corner_w),
-            _Segment(model, corner_w, self._const(p_u)),
-            _Segment(model, self._const(p_u), self._const(xi)),
-            _Segment(model, self._const(xi), self._const(bp)),
-        ]
-        return Cylinder(model, lambda s, t: _piecewise_path(segments, s, t),
-                        collar_width=SEG_COLLAR / len(segments), check=False)
+        corner = p + rho * np.asarray(v, dtype=float)
+        if not (self._in_chart(i, corner) and self._in_chart(i, p)):
+            raise StepTooLarge(
+                f"sweep rectangle leaves chart {i} at scale {rho}")
+        bp, xi = self.model.basepoint, self.anchors[i]
+        return _chain_cylinder(self.model, [
+            bp, xi, p, corner, (corner, rho, w), (p, rho, w), p, xi, bp])
 
 
 def _central_point(cover, indices, rng):
@@ -387,12 +302,20 @@ def _normalized_pair(ext, morphism, base):
     return group_mul(morphism.rep_target, ext.include(h))
 
 
-def reconstruct_base(oracle, scaffold, i, j):
-    """Base representative (e, e) of the anchor-loop morphism, with the
-    inverse convention for the reversed pair."""
-    m0 = oracle(scaffold.pair_cylinder(i, j, scaffold.pair_anchor(i, j)))
-    res = mat_norm(m0.rep_source.entries - m0.rep_target.entries)
-    return m0.rep_source, res
+def _fetch_base(oracle, scaffold, bases, i, j):
+    """Store the base representative (e, e) of the anchor-loop morphism
+    of the pair {i, j} under (min, max) and its inverse under the
+    reversed pair, unless already stored.
+
+    Returns the base residual |e - e'| of a fresh fetch, else 0.
+    """
+    key = (min(i, j), max(i, j))
+    if key in bases:
+        return 0.0
+    m0 = oracle(scaffold.pair_cylinder(*key, scaffold.pair_anchor(*key)))
+    bases[key] = m0.rep_source
+    bases[(key[1], key[0])] = group_inv(m0.rep_source)
+    return mat_norm(m0.rep_source.entries - m0.rep_target.entries)
 
 
 def reconstruct_transitions(oracle, scaffold, points) -> TransitionSamples:
@@ -405,12 +328,8 @@ def reconstruct_transitions(oracle, scaffold, points) -> TransitionSamples:
     ext = oracle.extension
     out = TransitionSamples()
     for (i, j) in sorted(points):
-        key = (min(i, j), max(i, j))
-        if key not in out.bases:
-            base, res = reconstruct_base(oracle, scaffold, *key)
-            out.bases[key] = base
-            out.bases[(key[1], key[0])] = group_inv(base)
-            out.base_residual = max(out.base_residual, res)
+        out.base_residual = max(out.base_residual, _fetch_base(
+            oracle, scaffold, out.bases, i, j))
         sampled = []
         for y in points[(i, j)]:
             m = oracle(scaffold.pair_cylinder(i, j, y))
@@ -422,14 +341,9 @@ def reconstruct_transitions(oracle, scaffold, points) -> TransitionSamples:
 
 def transition_at(oracle, scaffold, bases, i, j, y) -> GroupElement:
     """One transition sample e_ij(y), normalized against the stored base."""
-    ext = oracle.extension
-    key = (min(i, j), max(i, j))
-    if key not in bases:
-        base, _ = reconstruct_base(oracle, scaffold, *key)
-        bases[key] = base
-        bases[(key[1], key[0])] = group_inv(base)
+    _fetch_base(oracle, scaffold, bases, i, j)
     m = oracle(scaffold.pair_cylinder(i, j, y))
-    return _normalized_pair(ext, m, bases[(i, j)])
+    return _normalized_pair(oracle.extension, m, bases[(i, j)])
 
 
 def reconstruct_cocycle(oracle, scaffold, bases, triples_points):
@@ -525,10 +439,11 @@ def _project_tangent(model, point, v):
 
 
 def reconstruct_curvature_of_connection(oracle, scaffold, chart, point,
-                                        v, w, fd=2e-3,
-                                        step=DEFAULT_FD_STEP):
-    """Curvature dA + [A(v), A(w)] of the reconstructed connection."""
+                                        v, w, step=DEFAULT_FD_STEP):
+    """Curvature dA + [A(v), A(w)] of the reconstructed connection, with
+    dA a central difference of step 2e-3."""
     model = scaffold.model
+    fd = 2e-3
 
     def a_at(p, u):
         return reconstruct_connection(
@@ -585,34 +500,31 @@ def _central_coefficients(ext, mat):
 # Holonomy recomputation from reconstructed samples
 # --------------------------------------------------------------------------
 
-def holonomy_from_samples(oracle, scaffold, bases, loop, nodes=6):
+def holonomy_from_samples(oracle, scaffold, bases, loop):
     """Line holonomy of a based loop recomputed from reconstruction.
 
-    Midpoint-rule ordered product of exponentials of reconstructed
-    connection samples, with reconstructed transition samples at the
-    chart crossings of a certified subdivision.
+    Within each cell of a certified subdivision, the path-ordered
+    exponential (the Magnus integrator of `liecore.path_ordered_exp`,
+    max(3, ceil(18 * length)) steps) of reconstructed connection
+    samples; reconstructed transition samples at the chart crossings.
+    Nodes where the loop sits still cost no oracle call.
     """
-    ext = oracle.extension
     sub = assign_charts_interval(loop, scaffold.cover)
-    dim = ext.E.dim
+    dim = oracle.extension.E.dim
     total = np.eye(dim, dtype=complex)
     charts = sub.charts
-    gauss = (0.5 - 0.5 / math.sqrt(3.0), 0.5 + 0.5 / math.sqrt(3.0))
     for k, (a, b) in enumerate(sub.cells):
         ck = charts[k]
-        pieces = max(3, math.ceil(3.0 * nodes * (b - a)))
-        width = (b - a) / pieces
-        for m in range(pieces):
-            acc = np.zeros((dim, dim), dtype=complex)
-            for gx in gauss:
-                t = a + (m + gx) * width
-                p, vel = loop.eval_with_deriv(t)
-                if np.linalg.norm(vel) < 1e-12:
-                    continue
-                a_sample = reconstruct_connection(
-                    oracle, scaffold, ck, scaffold.model.reduce(p), vel)
-                acc = acc + 0.5 * width * a_sample.entries
-            total = total @ expm(acc)
+
+        def field(t, ck=ck):
+            p, vel = loop.eval_with_deriv(t)
+            if np.linalg.norm(vel) < 1e-12:
+                return np.zeros((dim, dim), dtype=complex)
+            return reconstruct_connection(
+                oracle, scaffold, ck, scaffold.model.reduce(p), vel).entries
+
+        steps = max(3, math.ceil(18.0 * (b - a)))
+        total = total @ path_ordered_exp(field, a, b, steps).entries
         nxt = charts[(k + 1) % len(charts)]
         if nxt != ck:
             yb = scaffold.model.reduce(loop.eval(b % 1.0))
@@ -657,8 +569,7 @@ def _battery_loops(model):
 
 
 def round_trip_check(bundle, seed=0, samples_per_overlap=2,
-                     tol_rec=1e-4, oracle_settings=None,
-                     conjugator=None) -> EquivalenceReport:
+                     tol_rec=1e-4, conjugator=None) -> EquivalenceReport:
     """Rebuild the bundle's local data from its own functor and compare
     recomputed holonomies of a battery against the functor directly.
 
@@ -668,7 +579,7 @@ def round_trip_check(bundle, seed=0, samples_per_overlap=2,
     before comparing.
     """
     ext = bundle.extension
-    oracle = FunctorOracle(bundle, **(oracle_settings or {}))
+    oracle = FunctorOracle(bundle)
     scaffold = BasepointScaffold.for_cover(bundle.cover, seed=seed)
     rng = np.random.default_rng(seed)
     trans, anti, cocycle = rebuild_transitions_and_cocycle(

@@ -7,8 +7,8 @@ from holotwist import catalog, reconstruct as R
 from holotwist.bundle import gauge_transform, random_gauge, sample_region
 from holotwist.catgroup import CatGroupMorphism, morphism_distance
 from holotwist.errors import ConfigError, StepTooLarge
-from holotwist.families import monopole_bundle, trivial_bundle
-from holotwist.geometry import constant_cylinder
+from holotwist.families import monopole_bundle, pu2_bundle, trivial_bundle
+from holotwist.geometry import constant_cylinder, make_cover
 from holotwist.liecore import group_mul
 
 
@@ -69,6 +69,71 @@ def test_pair_cylinder_boundaries(mono):
     # s-collar: the stage-0.02 loop still equals the bottom loop
     for t in (0.3, 0.62):
         assert np.linalg.norm(cyl.eval(0.02, t) - cyl.eval(0.0, t)) < 1e-12
+
+
+def _scaffold_probes(cover_name):
+    """A scaffold with a point, unit tangents v, w of chart 0 near its
+    anchor, and a point of the (0, 1) overlap."""
+    cover = make_cover(cover_name)
+    scaffold = R.BasepointScaffold.for_cover(cover, seed=0)
+    rng = np.random.default_rng(12)
+    p = scaffold.anchors[0] + 0.1 * cover.model.random_tangent(
+        rng, scaffold.anchors[0])
+    if cover.model.kind == "sphere":
+        p /= np.linalg.norm(p)
+    v = cover.model.random_tangent(rng, p)
+    v /= np.linalg.norm(v)
+    w = cover.model.random_tangent(rng, p)
+    w -= np.dot(w, v) * v
+    w /= np.linalg.norm(w)
+    y = sample_region(cover, (0, 1), rng, 1)[0]
+    return scaffold, p, v, w, y
+
+
+@pytest.mark.parametrize("cover_name", ["sphere-3caps", "torus-4squares"])
+def test_scaffold_cylinders_are_based_and_collared(cover_name):
+    scaffold, p, v, w, y = _scaffold_probes(cover_name)
+    cylinders = [scaffold.pair_cylinder(0, 1, y),
+                 scaffold.pair_cylinder(1, 0, y),
+                 scaffold.probe_cylinder(0, p, v, 1e-3),
+                 scaffold.sweep_cylinder(0, p, v, w, R.DEFAULT_RHO)]
+    for cyl in cylinders:
+        cyl._validate()
+    # probe and sweep loops go out and back: they close in coordinates
+    bp = scaffold.model.basepoint
+    for cyl in cylinders[2:]:
+        for s in (0.0, 0.5, 1.0):
+            assert np.allclose(cyl.eval(s, 1.0), bp, atol=1e-12)
+    # a pair loop may wind around the torus, but the loops of (i, j) and
+    # (j, i) wind oppositely, as e_ij e_ji = 1 needs
+    for (i, j) in scaffold.pair_anchors:
+        x = scaffold.pair_anchor(i, j)
+        winding = (scaffold.pair_cylinder(i, j, x).eval(0.5, 1.0)
+                   + scaffold.pair_cylinder(j, i, x).eval(0.5, 1.0))
+        assert np.allclose(winding, 2.0 * bp, atol=1e-12)
+    # the probe homotopy starts from a thin out-and-back loop
+    probe = cylinders[2]
+    for t in np.linspace(0.0, 0.5, 41):
+        assert np.allclose(probe.eval(0.0, t), probe.eval(0.0, 1.0 - t),
+                           atol=1e-12)
+
+
+@pytest.mark.parametrize("cover_name", ["sphere-3caps", "torus-4squares"])
+def test_sweep_outside_chart_raises(cover_name):
+    scaffold, p, v, w, _ = _scaffold_probes(cover_name)
+    model = scaffold.model
+    axis = scaffold.anchors[0]
+    if model.kind == "sphere":
+        # a point just inside the cap rim, swept radially outward
+        u = np.cross(axis, v)
+        u /= np.linalg.norm(u)
+        p = -0.1 * axis + np.sqrt(0.99) * u
+        v = -(axis - np.dot(axis, p) * p)
+        v /= np.linalg.norm(v)
+    else:
+        p, v = axis, np.array([1.0, 0.0])
+    with pytest.raises(StepTooLarge):
+        scaffold.sweep_cylinder(0, p, v, w, 0.5)
 
 
 # --- transitions -------------------------------------------------------------
@@ -220,3 +285,16 @@ def test_gauge_transformed_bundle_reconstructs_same_class(mono):
     m_a = CatGroupMorphism(h_a, h_a, ext)
     m_b = CatGroupMorphism(h_b, h_b, ext)
     assert morphism_distance(m_a, m_b) < 1e-3
+
+
+def test_pu2_rebuilt_great_circle_matches_functor():
+    """The rebuilt holonomy integrates the reconstructed connection with
+    the same Magnus step as the functor (commutator term included)."""
+    bundle = pu2_bundle()
+    scaffold = R.BasepointScaffold.for_cover(bundle.cover, seed=0)
+    oracle = R.FunctorOracle(bundle)
+    loop = catalog.great_circle_loop(0.4)
+    h = R.holonomy_from_samples(oracle, scaffold, {}, loop)
+    m_rec = CatGroupMorphism(h, h, bundle.extension)
+    m_ref = oracle(constant_cylinder(loop))
+    assert morphism_distance(m_rec, m_ref) < 1e-2
