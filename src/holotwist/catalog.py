@@ -12,7 +12,7 @@ import numpy as np
 
 from . import dual as dm
 from .dual import value
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, integer_setting
 from .geometry import (
     DEFAULT_COLLAR,
     Cylinder,
@@ -293,53 +293,70 @@ def thin_fold_cylinder(loop: Loop, waypoints=(0.0, 0.7, 0.4, 1.0)) -> Cylinder:
 
 _ALL = ("sphere", "torus", "plane")
 
-# name -> (model kinds, builder(model_kind, params))
+# name -> (model kinds, params with their defaults, builder(kind, params));
+# the params a config may set are exactly the keys of the defaults.
 _LOOPS = {
-    "constant": (_ALL, lambda kind, p: constant_loop(make_model(kind))),
-    "latitude": (("sphere",), lambda kind, p: latitude_loop(
-        float(p.get("theta", math.pi / 2)))),
-    "equator": (("sphere",), lambda kind, p: equator_loop()),
-    "great-circle": (("sphere",), lambda kind, p: great_circle_loop(
-        float(p.get("tilt", 0.0)))),
-    "winding": (("torus",), lambda kind, p: winding_loop(
-        int(p.get("p", 1)), int(p.get("q", 0)))),
-    "staircase": (("torus",), lambda kind, p: staircase_loop(
-        int(p.get("p", 1)), int(p.get("q", 1)))),
+    "constant": (_ALL, {}, lambda kind, p: constant_loop(make_model(kind))),
+    "latitude": (("sphere",), {"theta": math.pi / 2},
+                 lambda kind, p: latitude_loop(float(p["theta"]))),
+    "equator": (("sphere",), {}, lambda kind, p: equator_loop()),
+    "great-circle": (("sphere",), {"tilt": 0.0},
+                     lambda kind, p: great_circle_loop(float(p["tilt"]))),
+    "winding": (("torus",), {"p": 1, "q": 0}, lambda kind, p: winding_loop(
+        integer_setting(p["p"], "p"), integer_setting(p["q"], "q"))),
+    "staircase": (("torus",), {"p": 1, "q": 1}, lambda kind, p:
+                  staircase_loop(integer_setting(p["p"], "p"),
+                                 integer_setting(p["q"], "q"))),
 }
 
 
+def _loop(kind, p):
+    return make_loop(kind, p["loop"], p["loop_params"])
+
+
 def _morph(kind, p):
-    l1 = make_loop("torus", p.get("loop", "winding"),
-                   p.get("loop_params", {"p": 1, "q": 0}))
-    return morph_cylinder(l1, perturb_loop(l1, float(p.get("amplitude", 0.1))))
+    l1 = _loop("torus", p)
+    return morph_cylinder(l1, perturb_loop(l1, float(p["amplitude"])))
 
 
+_LOOP = {"loop": "constant", "loop_params": None}
 _CYLINDERS = {
-    "constant": (_ALL, lambda kind, p: constant_cylinder(make_loop(
-        kind, p.get("loop", "constant"), p.get("loop_params")))),
-    "thin-fold": (_ALL, lambda kind, p: thin_fold_cylinder(
-        make_loop(kind, p.get("loop", "constant"), p.get("loop_params")),
-        tuple(p.get("waypoints", (0.0, 0.7, 0.4, 1.0))))),
-    "perturbed": (("sphere", "torus"), lambda kind, p: perturb_cylinder(
-        make_cylinder(kind, p.get("base", "constant"), p.get("base_params")),
-        float(p.get("amplitude", 0.1)), p.get("direction"))),
-    "cap-sweep": (("sphere",), lambda kind, p: cap_sweep_cylinder(
-        float(p.get("alpha", math.pi)))),
-    "spike-retraction": (("sphere",), lambda kind, p:
-                         spike_retraction_cylinder(
-                             float(p.get("alpha", math.pi)))),
-    "full-sphere": (("sphere",), lambda kind, p: full_sphere_cylinder()),
-    "morph": (("torus",), _morph),
+    "constant": (_ALL, _LOOP,
+                 lambda kind, p: constant_cylinder(_loop(kind, p))),
+    "thin-fold": (_ALL, {**_LOOP, "waypoints": (0.0, 0.7, 0.4, 1.0)},
+                  lambda kind, p: thin_fold_cylinder(
+                      _loop(kind, p), tuple(p["waypoints"]))),
+    "perturbed": (("sphere", "torus"),
+                  {"base": "constant", "base_params": None,
+                   "amplitude": 0.1, "direction": None},
+                  lambda kind, p: perturb_cylinder(
+                      make_cylinder(kind, p["base"], p["base_params"]),
+                      float(p["amplitude"]), p["direction"])),
+    "cap-sweep": (("sphere",), {"alpha": math.pi},
+                  lambda kind, p: cap_sweep_cylinder(float(p["alpha"]))),
+    "spike-retraction": (("sphere",), {"alpha": math.pi}, lambda kind, p:
+                         spike_retraction_cylinder(float(p["alpha"]))),
+    "full-sphere": (("sphere",), {}, lambda kind, p: full_sphere_cylinder()),
+    "morph": (("torus",), {"loop": "winding", "loop_params": {"p": 1, "q": 0},
+                           "amplitude": 0.1}, _morph),
 }
 
 
 def _build(table, what, model_kind, name, params):
-    kinds, builder = table.get(name, ((), None))
+    """Unknown names raise ConfigError at "name", unknown or bad params
+    a ConfigError without a path."""
+    kinds, defaults, builder = table.get(name, ((), {}, None))
     if model_kind not in kinds:
-        raise ConfigError(f"unknown {what} {name!r} on model {model_kind!r}")
+        raise ConfigError(f"unknown {what} {name!r} on model {model_kind!r}",
+                          "name")
+    params = dict(params or {})
+    unknown = sorted(set(params) - set(defaults))
+    if unknown:
+        raise ConfigError(f"unknown {what} parameters {unknown}; {name!r} "
+                          f"takes {sorted(defaults)}")
     try:
-        return builder(model_kind, dict(params or {}))
-    except (TypeError, ValueError) as exc:
+        return builder(model_kind, {**defaults, **params})
+    except (TypeError, ValueError, ConfigError) as exc:
         raise ConfigError(f"bad {what} parameters: {exc}") from None
 
 
@@ -351,7 +368,7 @@ def make_cylinder(model_kind, name, params=None) -> Cylinder:
     return _build(_CYLINDERS, "cylinder", model_kind, name, params)
 
 
-LOOP_NAMES = {kind: tuple(n for n, (kinds, _) in _LOOPS.items()
+LOOP_NAMES = {kind: tuple(n for n, (kinds, *_) in _LOOPS.items()
                           if kind in kinds) for kind in _ALL}
-CYLINDER_NAMES = {kind: tuple(n for n, (kinds, _) in _CYLINDERS.items()
+CYLINDER_NAMES = {kind: tuple(n for n, (kinds, *_) in _CYLINDERS.items()
                               if kind in kinds) for kind in _ALL}

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .errors import NotComposable, TagMismatch
 from .liecore import (
-    DEFAULT_TOL,
+    TOL_FIBER,
     CentralExtension,
     GroupElement,
     fiber_normalize,
@@ -20,6 +20,8 @@ from .liecore import (
     group_mul,
     mat_norm,
 )
+
+TOL_MORPHISM = 1e-6   # object gap compose accepts; orbit residual of eq
 
 
 @dataclass(frozen=True)
@@ -54,16 +56,15 @@ class CatGroupMorphism:
                                 self.extension)
 
 
-def compose(m1: CatGroupMorphism, m2: CatGroupMorphism,
-            tol=DEFAULT_TOL) -> CatGroupMorphism:
+def compose(m1: CatGroupMorphism, m2: CatGroupMorphism) -> CatGroupMorphism:
     """[e1, e2 h][e2, e3] = [e1, e3 h]; m1's target must be m2's source."""
     if m1.extension is not m2.extension:
         raise TagMismatch("morphisms live over different extensions")
     gap = mat_norm(m1.target_object.entries - m2.source_object.entries)
-    if gap > tol.tol_grp * 1e3 and gap > tol.tol_inv:
+    if gap > TOL_MORPHISM:
         raise NotComposable(f"object mismatch {gap:.3e}")
     h = fiber_normalize(m1.extension, m2.rep_source, m1.rep_target,
-                        tol_fiber=max(tol.tol_fiber, 10 * gap))
+                        tol_fiber=max(TOL_FIBER, 10 * gap))
     new_target = group_mul(m2.rep_target, m1.extension.include(h))
     return CatGroupMorphism(m1.rep_source, new_target, m1.extension)
 
@@ -87,12 +88,11 @@ def identity_of(ext: CentralExtension, g: GroupElement) -> CatGroupMorphism:
     return CatGroupMorphism(e, e, ext)
 
 
-def morphism_eq(m1: CatGroupMorphism, m2: CatGroupMorphism,
-                tol=DEFAULT_TOL):
+def morphism_eq(m1: CatGroupMorphism, m2: CatGroupMorphism):
     """H-orbit equality with a residual report.
 
     Returns (equal, residual): equal iff both slot differences lie in
-    iota(H) and carry the same H element, within tol_fiber-scaled bounds.
+    iota(H) and carry the same H element, within TOL_MORPHISM.
     """
     if m1.extension is not m2.extension:
         raise TagMismatch("morphisms live over different extensions")
@@ -102,7 +102,7 @@ def morphism_eq(m1: CatGroupMorphism, m2: CatGroupMorphism,
     hs, rs = ext.central_fit_mat(ds.entries)
     ht, rt = ext.central_fit_mat(dt.entries)
     residual = max(rs, rt, mat_norm(hs - ht))
-    return residual <= tol.tol_inv, residual
+    return residual <= TOL_MORPHISM, residual
 
 
 def morphism_distance(m1: CatGroupMorphism, m2: CatGroupMorphism) -> float:

@@ -10,6 +10,7 @@ except for its "timings" entry.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -17,15 +18,9 @@ import time
 import numpy as np
 
 from . import catalog
-from .bundle import (
-    GaugeData,
-    gauge_transform,
-    identity_gauge,
-    random_gauge,
-    validate,
-)
+from .bundle import gauge_transform, identity_gauge, random_gauge, validate
 from .catgroup import morphism_distance
-from .errors import ConfigError, HolotwistError
+from .errors import ConfigError, HolotwistError, integer_setting
 from .families import FAMILY_NAMES, make_bundle
 from .formsexpr.forms import expr_form
 from .geometry import refine_rect
@@ -40,9 +35,6 @@ from .reconstruct import (
 
 SCHEMA = "holotwist-report/1"
 EXIT_OK, EXIT_CHECK, EXIT_USAGE = 0, 1, 2
-
-COMMANDS = ("validate", "hol0", "hol1", "surface", "functor", "trace",
-            "gauge", "reconstruct", "roundtrip", "verify", "list-examples")
 
 _MISSING = object()
 
@@ -63,20 +55,12 @@ class Config:
     def _at(self, key):
         return f"{self.path}.{key}" if self.path else str(key)
 
-    def get(self, key, default=_MISSING, kind=None):
+    def get(self, key, default=_MISSING):
         if key not in self.data:
             if default is _MISSING:
                 raise ConfigError("missing required key", self._at(key))
             return default
-        val = self.data[key]
-        if kind is not None:
-            try:
-                val = kind(val)
-            except (TypeError, ValueError):
-                raise ConfigError(
-                    f"expected {kind.__name__}, got {val!r}",
-                    self._at(key)) from None
-        return val
+        return self.data[key]
 
     def sub(self, key, default=_MISSING):
         val = self.get(key, default)
@@ -85,10 +69,19 @@ class Config:
         return Config(val, self._at(key))
 
     def positive(self, key, default):
-        val = self.get(key, default, kind=float)
+        val = self.get(key, default)
+        try:
+            val = float(val)
+        except (TypeError, ValueError):
+            raise ConfigError(f"expected float, got {val!r}",
+                              self._at(key)) from None
         if val <= 0.0:
             raise ConfigError(f"must be positive, got {val}", self._at(key))
         return val
+
+    def integer(self, key, default, least=1):
+        return integer_setting(self.get(key, default), key, least,
+                               self._at(key))
 
 
 # --------------------------------------------------------------------------
@@ -101,58 +94,53 @@ def _ser_matrix(m):
             for row in m]
 
 
-def _ser_complex(z):
-    z = complex(z)
-    return [float(z.real), float(z.imag)]
-
-
 # --------------------------------------------------------------------------
 # Shared builders
 # --------------------------------------------------------------------------
 
-def _build_bundle(cfg: Config):
-    bc = cfg.sub("bundle")
-    family = bc.get("family")
-    if family not in FAMILY_NAMES:
-        raise ConfigError(
-            f"unknown family {family!r}; known: {sorted(FAMILY_NAMES)}",
-            bc._at("family"))
-    return make_bundle(family, bc.get("params", {}))
-
-
-def _numerics(cfg: Config, args):
+def _numerics(cfg: Config, args, tol):
+    """The numerics settings with the command-line overrides; `tol` is
+    the command's default tolerance."""
     nc = cfg.sub("numerics", None)
-    out = {
-        "steps": int(nc.positive("steps", 256)),
-        "order": int(nc.positive("order", 8)),
-        "edge_cells": int(nc.positive("edge_cells", 4)),
-        "face_tol": nc.positive("face_tol", 2e-9),
-        "sample_count": int(nc.positive("sample_count", 40)),
-        "tol": nc.positive("tol", 1e-6),
-        "seed": int(nc.get("seed", 0, kind=int)),
-    }
+    num = {key: nc.integer(key, default) for key, default in (
+        ("steps", 256), ("order", 8), ("edge_cells", 4),
+        ("sample_count", 40))}
+    num["face_tol"] = nc.positive("face_tol", 2e-9)
+    num["tol"] = nc.positive("tol", tol)
+    num["seed"] = nc.integer("seed", 0, least=0)
     if args.seed is not None:
-        out["seed"] = args.seed
+        num["seed"] = integer_setting(args.seed, "--seed", 0, "--seed")
     if args.tol is not None:
         if args.tol <= 0.0:
             raise ConfigError("must be positive", "--tol")
-        out["tol"] = args.tol
-    return out
+        num["tol"] = args.tol
+    return num
 
 
-def _build_loop(cfg: Config, bundle):
-    lc = cfg.sub("loop")
-    return catalog.make_loop(bundle.cover.model.kind, lc.get("name"),
-                             lc.get("params", {}))
+def _build(cfg: Config, key, make, *lead):
+    """make(*lead, name, params) from the object at `key`, which holds a
+    name ("family" for bundles) and its params; a builder's ConfigError
+    is re-raised with its key path under `key`."""
+    sub = cfg.sub(key)
+    name_key = "family" if key == "bundle" else "name"
+    name = sub.get(name_key)
+    if not isinstance(name, str):
+        raise ConfigError(f"expected a string, got {name!r}",
+                          sub._at(name_key))
+    params = sub.sub("params", {}).data
+    try:
+        return make(*lead, name, params)
+    except ConfigError as exc:
+        raise ConfigError(exc.message, sub._at(exc.path or "params")) \
+            from None
 
 
-def _build_cylinder(cfg: Config, bundle):
-    cc = cfg.sub("cylinder")
-    return catalog.make_cylinder(bundle.cover.model.kind, cc.get("name"),
-                                 cc.get("params", {}))
+def _cylinder(cfg: Config, bundle):
+    return _build(cfg, "cylinder", catalog.make_cylinder,
+                  bundle.cover.model.kind)
 
 
-def _build_gauge(cfg: Config, bundle, seed) -> GaugeData:
+def _build_gauge(cfg: Config, bundle, seed):
     gc = cfg.sub("gauge", None)
     exprs = gc.get("B", None)
     if exprs is not None:
@@ -172,211 +160,129 @@ def _build_gauge(cfg: Config, bundle, seed) -> GaugeData:
                          coords, value_tag="h")
         gauge.B_i = {i: form for i in range(bundle.nc)}
         return gauge
-    return random_gauge(bundle,
-                        seed=int(gc.get("seed", seed, kind=int)),
+    return random_gauge(bundle, seed=gc.integer("seed", seed, least=0),
                         scale=gc.positive("scale", 0.4),
                         based=bool(gc.get("based", True)))
 
 
-def _verdict(checks, tol):
-    worst = max(checks.values()) if checks else 0.0
-    return ("pass" if worst <= tol else "fail"), worst
-
-
-# --------------------------------------------------------------------------
-# Commands
-# --------------------------------------------------------------------------
-
-def _cmd_validate(cfg, args):
-    num = _numerics(cfg, args)
-    bundle = _build_bundle(cfg)
-    tol = cfg.sub("numerics", None).positive("tol", 1e-8) \
-        if args.tol is None else num["tol"]
-    rep = validate(bundle, sample_count=num["sample_count"], tol=tol,
-                   seed=num["seed"])
-    verdict = "pass" if rep.passed else "fail"
-    return {
-        "checks": {k: float(v) for k, v in sorted(rep.residuals.items())},
-        "values": {"max_residual": float(rep.max_residual)},
-        "tol": tol,
-        "verdict": verdict,
-    }
-
-
-def _cmd_hol(layer, cfg, args):
-    num = _numerics(cfg, args)
-    bundle = _build_bundle(cfg)
-    loop = _build_loop(cfg, bundle)
-    fn = hol0 if layer == 0 else hol1
-    res = fn(bundle, loop, steps=num["steps"])
-    verdict = "pass" if res.error_estimate <= num["tol"] else "fail"
-    return {
-        "checks": {"step_halving_drift": float(res.error_estimate)},
-        "values": {"holonomy": _ser_matrix(res.value.entries),
-                   "group": res.value.group_tag},
-        "tol": num["tol"],
-        "verdict": verdict,
-    }
-
-
-def _cmd_surface(cfg, args):
-    num = _numerics(cfg, args)
-    bundle = _build_bundle(cfg)
-    cyl = _build_cylinder(cfg, bundle)
-    res = epsilon(bundle, cyl, order=num["order"],
-                  edge_cells=num["edge_cells"], face_tol=num["face_tol"])
-    fine = epsilon(bundle, cyl, rect=refine_rect(res.subdivision),
-                   order=num["order"], edge_cells=num["edge_cells"],
-                   face_tol=num["face_tol"])
-    drift = float(np.abs(res.value.entries - fine.value.entries).max())
-    verdict = "pass" if drift <= num["tol"] else "fail"
-    return {
-        "checks": {"grid_doubling_drift": drift},
-        "values": {"epsilon": _ser_matrix(res.value.entries)},
-        "tol": num["tol"],
-        "verdict": verdict,
-    }
+def _quadrature(num):
+    return {k: num[k] for k in ("order", "edge_cells", "face_tol")}
 
 
 def _functor_with_invariance(bundle, cyl, num):
     res = holonomy_functor(bundle, cyl, steps=num["steps"],
-                           order=num["order"],
-                           edge_cells=num["edge_cells"],
-                           face_tol=num["face_tol"], with_error=False)
+                           with_error=False, **_quadrature(num))
     bot, top, rect = res.subdivision
     fine = holonomy_functor(bundle, cyl, bottom_sub=bot, top_sub=top,
                             rect=refine_rect(rect), steps=2 * num["steps"],
-                            order=num["order"],
-                            edge_cells=num["edge_cells"],
-                            face_tol=num["face_tol"], with_error=False)
-    return res.value, float(morphism_distance(res.value, fine.value))
+                            with_error=False, **_quadrature(num))
+    return res.value, morphism_distance(res.value, fine.value)
 
 
-def _cmd_functor(cfg, args):
-    num = _numerics(cfg, args)
-    bundle = _build_bundle(cfg)
-    cyl = _build_cylinder(cfg, bundle)
+# --------------------------------------------------------------------------
+# Commands: each returns (checks, values, tol)
+# --------------------------------------------------------------------------
+
+def _validation(bundle, num):
+    return validate(bundle, sample_count=num["sample_count"],
+                    seed=num["seed"])
+
+
+def _cmd_validate(cfg, num, bundle):
+    rep = _validation(bundle, num)
+    return rep.residuals, {"max_residual": rep.max_residual}, num["tol"]
+
+
+def _cmd_hol(fn, cfg, num, bundle):
+    loop = _build(cfg, "loop", catalog.make_loop, bundle.cover.model.kind)
+    res = fn(bundle, loop, steps=num["steps"])
+    return ({"step_halving_drift": res.error_estimate},
+            {"holonomy": _ser_matrix(res.value.entries),
+             "group": res.value.group_tag}, num["tol"])
+
+
+def _cmd_surface(cfg, num, bundle):
+    cyl = _cylinder(cfg, bundle)
+    res = epsilon(bundle, cyl, **_quadrature(num))
+    fine = epsilon(bundle, cyl, rect=refine_rect(res.subdivision),
+                   **_quadrature(num))
+    drift = np.abs(res.value.entries - fine.value.entries).max()
+    return ({"grid_doubling_drift": drift},
+            {"epsilon": _ser_matrix(res.value.entries)}, num["tol"])
+
+
+def _cmd_functor(cfg, num, bundle):
+    cyl = _cylinder(cfg, bundle)
     morphism, drift = _functor_with_invariance(bundle, cyl, num)
-    verdict = "pass" if drift <= num["tol"] else "fail"
-    return {
-        "checks": {"refinement_invariance": drift},
-        "values": {
-            "rep_source": _ser_matrix(morphism.rep_source.entries),
-            "rep_target": _ser_matrix(morphism.rep_target.entries),
-            "source_object": _ser_matrix(morphism.source_object.entries),
-            "target_object": _ser_matrix(morphism.target_object.entries),
-        },
-        "tol": num["tol"],
-        "verdict": verdict,
-    }
+    values = {name: _ser_matrix(getattr(morphism, name).entries)
+              for name in ("rep_source", "rep_target", "source_object",
+                           "target_object")}
+    return {"refinement_invariance": drift}, values, num["tol"]
 
 
-def _cmd_trace(cfg, args):
-    num = _numerics(cfg, args)
-    bundle = _build_bundle(cfg)
-    cyl = _build_cylinder(cfg, bundle)
+def _cmd_trace(cfg, num, bundle):
+    cyl = _cylinder(cfg, bundle)
     tr = kapustin_trace(bundle, cyl, steps=num["steps"], order=num["order"])
     tr2 = kapustin_trace(bundle, cyl, steps=2 * num["steps"],
                          order=num["order"])
-    drift = abs(tr - tr2)
-    verdict = "pass" if drift <= num["tol"] else "fail"
-    return {
-        "checks": {"refinement_invariance": drift},
-        "values": {"trace": _ser_complex(tr)},
-        "tol": num["tol"],
-        "verdict": verdict,
-    }
+    return ({"refinement_invariance": abs(tr - tr2)},
+            {"trace": [tr.real, tr.imag]}, num["tol"])
 
 
-def _cmd_gauge(cfg, args):
-    num = _numerics(cfg, args)
-    bundle = _build_bundle(cfg)
-    gauge = _build_gauge(cfg, bundle, num["seed"])
-    transformed = gauge_transform(bundle, gauge)
-    rep = validate(transformed, sample_count=num["sample_count"],
-                   tol=max(num["tol"], 1e-8), seed=num["seed"])
-    verdict = "pass" if rep.passed else "fail"
-    return {
-        "checks": {k: float(v) for k, v in sorted(rep.residuals.items())},
-        "values": {"max_residual": float(rep.max_residual)},
-        "tol": rep.tol,
-        "verdict": verdict,
-    }
+def _cmd_gauge(cfg, num, bundle):
+    gauged = gauge_transform(bundle, _build_gauge(cfg, bundle, num["seed"]))
+    return _cmd_validate(cfg, {**num, "tol": max(num["tol"], 1e-8)}, gauged)
 
 
-def _cmd_reconstruct(cfg, args):
-    num = _numerics(cfg, args)
-    bundle = _build_bundle(cfg)
+def _cmd_reconstruct(cfg, num, bundle):
     rc = cfg.sub("reconstruct", None)
-    tol_rec = rc.positive("tol_rec", 1e-4)
-    per_overlap = int(rc.positive("samples_per_overlap", 1))
+    tol = 10.0 * rc.positive("tol_rec", 1e-4)
     oracle = FunctorOracle(bundle)
     scaffold = BasepointScaffold.for_cover(bundle.cover, seed=num["seed"])
     trans, anti, cocycle = rebuild_transitions_and_cocycle(
-        oracle, scaffold, np.random.default_rng(num["seed"]), per_overlap)
+        oracle, scaffold, np.random.default_rng(num["seed"]),
+        rc.integer("samples_per_overlap", 1))
     values = {}
     for (i, j) in sorted(scaffold.pair_anchors):
         values[f"e_{i}{j}"] = [{"point": [float(c) for c in y],
                                 "e": _ser_matrix(eij.entries)}
                                for y, eij in trans.samples[(i, j)]]
-    checks = {"base_diagonal": float(trans.base_residual),
-              "antisymmetry": float(anti)}
+    checks = {"base_diagonal": trans.base_residual, "antisymmetry": anti}
     if cocycle:
         checks["cocycle_central"] = max(
-            float(r) for rows in cocycle.values() for (_, _, r) in rows)
-    tol = 10.0 * tol_rec
-    verdict, _ = _verdict(checks, tol)
-    return {"checks": checks, "values": values, "tol": tol,
-            "verdict": verdict}
+            r for rows in cocycle.values() for (_, _, r) in rows)
+    return checks, values, tol
 
 
-def _cmd_roundtrip(cfg, args):
-    num = _numerics(cfg, args)
-    bundle = _build_bundle(cfg)
+def _cmd_roundtrip(cfg, num, bundle):
     rc = cfg.sub("reconstruct", None)
     report = round_trip_check(
         bundle, seed=num["seed"],
-        samples_per_overlap=int(rc.positive("samples_per_overlap", 2)),
+        samples_per_overlap=rc.integer("samples_per_overlap", 2),
         tol_rec=rc.positive("tol_rec", 1e-4))
-    return {
-        "checks": {**{f"battery:{label}": float(d)
-                      for label, d in report.items},
-                   **{k: float(v) for k, v in report.checks.items()}},
-        "values": {"max_deviation": float(report.max_deviation),
-                   "oracle_calls": report.oracle_calls},
-        "tol": report.tol,
-        "verdict": "pass" if report.passed else "fail",
-    }
+    checks = {**{f"battery:{label}": d for label, d in report.items},
+              **report.checks}
+    return checks, {"max_deviation": float(report.max_deviation),
+                    "oracle_calls": report.oracle_calls}, report.tol
 
 
-def _cmd_verify(cfg, args):
-    num = _numerics(cfg, args)
-    bundle = _build_bundle(cfg)
-    checks = {}
-    rep = validate(bundle, sample_count=num["sample_count"], tol=1e-8,
-                   seed=num["seed"])
-    checks["validation"] = float(rep.max_residual)
+_VERIFY_CYLINDER = {"sphere": ("cap-sweep", {"alpha": 2.0}),
+                    "torus": ("morph", {}), "plane": ("constant", {})}
+
+
+def _cmd_verify(cfg, num, bundle):
     kind = bundle.cover.model.kind
-    default_cyl = {"sphere": ("cap-sweep", {"alpha": 2.0}),
-                   "torus": ("morph", {}),
-                   "plane": ("constant", {})}[kind]
-    if "cylinder" in cfg.data:
-        cyl = _build_cylinder(cfg, bundle)
-    else:
-        cyl = catalog.make_cylinder(kind, *default_cyl)
-    _, drift = _functor_with_invariance(bundle, cyl, num)
-    checks["functor_invariance"] = drift
+    cyl = _cylinder(cfg, bundle) if "cylinder" in cfg.data \
+        else catalog.make_cylinder(kind, *_VERIFY_CYLINDER[kind])
     gauged = gauge_transform(bundle, random_gauge(bundle, seed=num["seed"]))
-    grep = validate(gauged, sample_count=num["sample_count"], tol=1e-6,
-                    seed=num["seed"])
-    checks["gauge_validation"] = float(grep.max_residual)
-    verdict = "pass" if (rep.passed and drift <= num["tol"]
-                         and grep.passed) else "fail"
-    return {"checks": checks, "values": {}, "tol": num["tol"],
-            "verdict": verdict}
+    _, drift = _functor_with_invariance(bundle, cyl, num)
+    return {"validation": _validation(bundle, num).max_residual,
+            "functor_invariance": drift,
+            "gauge_validation": _validation(gauged, num).max_residual,
+            }, {}, num["tol"]
 
 
-def _cmd_list_examples(cfg, args):
+def _cmd_list_examples(cfg, num, bundle):
     values = {
         "families": sorted(FAMILY_NAMES),
         "extensions": sorted(BUILTIN_EXTENSIONS),
@@ -384,13 +290,13 @@ def _cmd_list_examples(cfg, args):
         "cylinders": {k: sorted(v)
                       for k, v in catalog.CYLINDER_NAMES.items()},
     }
-    return {"checks": {}, "values": values, "tol": 0.0, "verdict": "pass"}
+    return {}, values, 0.0
 
 
-_DISPATCH = {
+_COMMANDS = {
     "validate": _cmd_validate,
-    "hol0": lambda cfg, args: _cmd_hol(0, cfg, args),
-    "hol1": lambda cfg, args: _cmd_hol(1, cfg, args),
+    "hol0": functools.partial(_cmd_hol, hol0),
+    "hol1": functools.partial(_cmd_hol, hol1),
     "surface": _cmd_surface,
     "functor": _cmd_functor,
     "trace": _cmd_trace,
@@ -400,6 +306,7 @@ _DISPATCH = {
     "verify": _cmd_verify,
     "list-examples": _cmd_list_examples,
 }
+COMMANDS = tuple(_COMMANDS)
 
 
 # --------------------------------------------------------------------------
@@ -419,22 +326,29 @@ def _load_config(path):
     return Config(data)
 
 
-def _print_summary(report, stream=None):
-    stream = stream if stream is not None else sys.stdout
-    print(f"command: {report['command']}", file=stream)
+def _print_summary(report):
+    print(f"command: {report['command']}")
     for name, residual in sorted(report["body"]["checks"].items()):
-        print(f"  check {name}: {residual:.3e}", file=stream)
+        print(f"  check {name}: {residual:.3e}")
     print(f"verdict: {report['body']['verdict']} "
-          f"(tol {report['body']['tol']:g})", file=stream)
+          f"(tol {report['body']['tol']:g})")
 
 
 def run(command, config: Config, args) -> dict:
-    body = _DISPATCH[command](config, args)
+    """Run one command.  Its verdict is "pass" iff every check is at
+    most the tolerance the command reports."""
+    num = _numerics(config, args, 1e-8 if command == "validate" else 1e-6)
+    bundle = None if command == "list-examples" \
+        else _build(config, "bundle", make_bundle)
+    checks, values, tol = _COMMANDS[command](config, num, bundle)
+    checks = {k: float(v) for k, v in sorted(checks.items())}
+    verdict = "pass" if all(v <= tol for v in checks.values()) else "fail"
     return {
         "schema": SCHEMA,
         "command": command,
         "config": config.data,
-        "body": body,
+        "body": {"checks": checks, "values": values, "tol": tol,
+                 "verdict": verdict},
     }
 
 

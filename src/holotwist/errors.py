@@ -1,5 +1,7 @@
 """Exception hierarchy shared by all holotwist modules."""
 
+import numbers
+
 
 class HolotwistError(Exception):
     """Base class for all errors raised by this package."""
@@ -87,4 +89,16 @@ class ConfigError(HolotwistError):
 
     def __init__(self, message, path=""):
         super().__init__(f"{message}" + (f" (at {path})" if path else ""))
+        self.message = message
         self.path = path
+
+
+def integer_setting(x, what, least=None, path=""):
+    """x as an int if it is a whole number >= least, else ConfigError."""
+    whole = isinstance(x, numbers.Integral) \
+        or isinstance(x, numbers.Real) and float(x).is_integer()
+    if isinstance(x, bool) or not whole or (least is not None and x < least):
+        bound = "" if least is None else f" >= {least}"
+        raise ConfigError(f"{what} must be an integer{bound}, got {x!r}",
+                          path)
+    return int(x)

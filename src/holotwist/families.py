@@ -16,7 +16,7 @@ import numpy as np
 from . import dual as dm
 from .bundle import GroupMap, TwistedBundleData, overlap_pairs, overlap_triples
 from .dual import Dual, value
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, integer_setting
 from .formsexpr.forms import LocalForm, native_form, zero_form
 from .geometry import COVER_FOR_MODEL, SPHERE_CAP_AXES, make_cover
 from .liecore import make_extension
@@ -153,10 +153,13 @@ def sphere_area_form(scale, dim=1, tag="h") -> LocalForm:
 # Trivial bundle
 # --------------------------------------------------------------------------
 
-def trivial_bundle(model_kind="sphere", extension="u1-squared"
+def trivial_bundle(model="sphere", extension="u1-squared"
                    ) -> TwistedBundleData:
+    if model not in COVER_FOR_MODEL:
+        raise ConfigError(f"unknown model {model!r}; known: "
+                          f"{sorted(COVER_FOR_MODEL)}")
     ext = make_extension(extension)
-    cover = make_cover(COVER_FOR_MODEL[model_kind])
+    cover = make_cover(COVER_FOR_MODEL[model])
     n = len(cover)
     coords = cover.model.coord_names
     unit_e = np.eye(ext.E.dim)
@@ -165,7 +168,7 @@ def trivial_bundle(model_kind="sphere", extension="u1-squared"
     zero1_h = zero_form(1, ext.H.dim, coords, value_tag="h")
     zero2_h = zero_form(2, ext.H.dim, coords, value_tag="h")
     return TwistedBundleData(
-        name=f"trivial-{model_kind}-{extension}", cover=cover, extension=ext,
+        name=f"trivial-{model}-{extension}", cover=cover, extension=ext,
         g={ij: GroupMap.constant(np.eye(ext.G.dim), "G")
            for ij in overlap_pairs(n)},
         e={ij: GroupMap.constant(unit_e, "E") for ij in overlap_pairs(n)},
@@ -175,7 +178,7 @@ def trivial_bundle(model_kind="sphere", extension="u1-squared"
         A={i: zero1_e for i in range(n)},
         Aij={ij: zero1_h for ij in overlap_pairs(n)},
         F={i: zero2_h for i in range(n)},
-        params={"model": model_kind, "extension": extension},
+        params={"model": model, "extension": extension},
     )
 
 
@@ -194,6 +197,7 @@ def torus_flat_bundle(k=1, order=3, flux=0.7) -> TwistedBundleData:
     forms are constant-coefficient, and F carries a non-integer flux so
     that surface holonomy separates winding classes.
     """
+    k, order = integer_setting(k, "k"), integer_setting(order, "order", 1)
     ext = make_extension("u1-squared")
     cover = make_cover("torus-4squares")
     n = len(cover)
@@ -275,9 +279,7 @@ def monopole_bundle(n=1, kappa=0.8, mu=0.5) -> TwistedBundleData:
     D_i the matching abelian connection, and the fiber layer carries the
     smooth antisymmetric phases tau_ij, making h_ijk nonconstant.
     """
-    if n != int(n):
-        raise ConfigError("monopole charge must be an integer")
-    n = int(n)
+    n = integer_setting(n, "monopole charge n")
     ext = make_extension("u1-squared")
     cover = make_cover("sphere-3caps")
     nc = len(cover)
@@ -411,25 +413,18 @@ def pu2_bundle(kappa=0.8, mu=0.5, spin=0.6, flux=0.7) -> TwistedBundleData:
 # Registry
 # --------------------------------------------------------------------------
 
-_FAMILIES = {
-    "trivial": lambda p: trivial_bundle(p.get("model", "sphere"),
-                                        p.get("extension", "u1-squared")),
-    "torus-flat": lambda p: torus_flat_bundle(int(p.get("k", 1)),
-                                              int(p.get("order", 3)),
-                                              float(p.get("flux", 0.7))),
-    "monopole": lambda p: monopole_bundle(int(p.get("n", 1)),
-                                          float(p.get("kappa", 0.8)),
-                                          float(p.get("mu", 0.5))),
-    "sphere-pu2": lambda p: pu2_bundle(float(p.get("kappa", 0.8)),
-                                       float(p.get("mu", 0.5)),
-                                       float(p.get("spin", 0.6)),
-                                       float(p.get("flux", 0.7))),
-}
+_FAMILIES = {"trivial": trivial_bundle, "torus-flat": torus_flat_bundle,
+             "monopole": monopole_bundle, "sphere-pu2": pu2_bundle}
 
 FAMILY_NAMES = tuple(_FAMILIES)
 
 
 def make_bundle(name, params=None) -> TwistedBundleData:
+    """Family `name` from `params`, keyword arguments of its builder."""
     if name not in _FAMILIES:
-        raise ConfigError(f"unknown bundle family {name!r}")
-    return _FAMILIES[name](dict(params or {}))
+        raise ConfigError(f"unknown family {name!r}; known: "
+                          f"{sorted(_FAMILIES)}", "family")
+    try:
+        return _FAMILIES[name](**(params or {}))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {name} parameters: {exc}") from None

@@ -23,6 +23,7 @@ from .errors import (
 
 BASEPOINT_TOL = 1e-12
 DEFAULT_COLLAR = 1.0 / 16.0
+STACK_TOL = 1e-10   # boundary mismatch allowed when stacking cylinders
 
 
 # --------------------------------------------------------------------------
@@ -441,8 +442,7 @@ def reverse_loop(l: Loop) -> Loop:
     return Loop(l.model, lambda t: l.fn(1.0 - t), l.collar_width, check=False)
 
 
-def compose_cylinders_vertical(c1: Cylinder, c2: Cylinder,
-                               tol=1e-10) -> Cylinder:
+def compose_cylinders_vertical(c1: Cylinder, c2: Cylinder) -> Cylinder:
     """Stack homotopies: first c1 (s in [0,1/2]) then c2."""
     model = c1.model
     offset = None
@@ -451,7 +451,8 @@ def compose_cylinders_vertical(c1: Cylinder, c2: Cylinder,
     for t in np.linspace(0.0, 1.0, 17):
         a = c1.eval(1.0, float(t))
         b = c2.eval(0.0, float(t)) + (offset if offset is not None else 0.0)
-        if not model.same_point(a, b, tol=tol) or np.linalg.norm(a - b) > tol:
+        if not model.same_point(a, b, tol=STACK_TOL) \
+                or np.linalg.norm(a - b) > STACK_TOL:
             raise BoundaryMismatch(
                 f"end loop of first cylinder differs from start of second at t={t}")
 

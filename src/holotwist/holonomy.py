@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .catgroup import CatGroupMorphism
+from .catgroup import TOL_MORPHISM, CatGroupMorphism
 from .errors import NonFinite, NotSameFiber, PreconditionViolated
 from .formsexpr.forms import integrate_1form, integrate_2form
 from .geometry import assign_charts_interval, assign_charts_rect
@@ -267,13 +267,14 @@ def holonomy_functor(bundle, cylinder, bottom_sub=None, top_sub=None,
 
 
 def conjugate_functor(result, g: GroupElement, lift: GroupElement,
-                      ext=None, tol=1e-6):
+                      ext=None):
     """Conjugate a holonomy value or morphism by g through a lift in E;
     well-defined because the extension is central."""
     if isinstance(result, CatGroupMorphism):
         ext = result.extension
     if ext is not None:
-        if mat_norm(ext.project_mat(lift.entries) - g.entries) > tol:
+        if mat_norm(ext.project_mat(lift.entries) - g.entries) \
+                > TOL_MORPHISM:
             raise NotSameFiber("lift does not project to the group element")
     if isinstance(result, CatGroupMorphism):
         li = np.linalg.inv(lift.entries)

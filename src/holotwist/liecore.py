@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm, logm
 
-from .errors import NonFinite, NotCentralFiber, NotSameFiber, SectionUndefined, TagMismatch
+from .errors import ConfigError, NonFinite, NotCentralFiber, NotSameFiber, SectionUndefined, TagMismatch
 
 # Pauli matrices, used by the U(2) -> SO(3) quotient.
 SIGMA = (
@@ -24,16 +24,7 @@ SIGMA = (
 )
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Numerical tolerances; defaults chosen for the built-in families."""
-
-    tol_grp: float = 1e-9
-    tol_fiber: float = 1e-7
-    tol_inv: float = 1e-6
-
-
-DEFAULT_TOL = Tolerances()
+TOL_FIBER = 1e-7   # default distance of e^-1 e' from the central subgroup
 
 
 def _freeze(a):
@@ -421,7 +412,8 @@ def make_extension(name):
     try:
         return BUILTIN_EXTENSIONS[name]()
     except KeyError:
-        raise TagMismatch(f"unknown extension family {name!r}") from None
+        raise ConfigError(f"unknown extension {name!r}; known: "
+                          f"{sorted(BUILTIN_EXTENSIONS)}") from None
 
 
 # --------------------------------------------------------------------------
@@ -511,7 +503,7 @@ def riemann_product_exp(field, a=0.0, b=1.0, factors=100000, tag="e"):
 
 
 def fiber_normalize(ext: CentralExtension, e: GroupElement, e_prime: GroupElement,
-                    tol_fiber=DEFAULT_TOL.tol_fiber) -> GroupElement:
+                    tol_fiber=TOL_FIBER) -> GroupElement:
     """The unique h in H with e_prime = e . include(h).
 
     Raises NotSameFiber when the two elements project to different base

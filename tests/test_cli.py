@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from holotwist.cli import main
+from holotwist.cli import COMMANDS, main
+from holotwist.liecore import make_extension
 
 TRIVIAL = {
     "bundle": {"family": "trivial", "params": {"model": "sphere"}},
@@ -190,3 +191,143 @@ def test_reconstruct_monopole(tmp_path):
                                    "cocycle_central"}
     assert all(v <= body["tol"] for v in body["checks"].values())
     assert "e_01" in body["values"]
+
+
+# --- one report contract for every command ----------------------------------
+
+TRIVIAL_BUNDLE = {"family": "trivial"}
+CAP = {"name": "cap-sweep", "params": {"alpha": 0.3}}
+LATITUDE = {"name": "latitude", "params": {"theta": 0.3}}
+COARSE = {"steps": 32, "order": 4, "edge_cells": 1, "face_tol": 1e-4}
+
+# Cheap configs; some commands pass and some fail at the default tol.
+CHEAP = {
+    "validate": {"bundle": MONOPOLE, "numerics": {"sample_count": 8}},
+    "hol0": {"bundle": MONOPOLE, "loop": LATITUDE,
+             "numerics": {"steps": 64}},
+    "hol1": {"bundle": MONOPOLE, "loop": LATITUDE,
+             "numerics": {"steps": 64}},
+    "surface": {"bundle": MONOPOLE, "cylinder": CAP, "numerics": COARSE},
+    "functor": {"bundle": MONOPOLE, "cylinder": CAP, "numerics": COARSE},
+    "trace": {"bundle": TRIVIAL_BUNDLE, "cylinder": CAP,
+              "numerics": COARSE},
+    "gauge": {"bundle": MONOPOLE, "numerics": {"sample_count": 8}},
+    "reconstruct": {"bundle": TRIVIAL_BUNDLE},
+    "roundtrip": {"bundle": TRIVIAL_BUNDLE,
+                  "reconstruct": {"samples_per_overlap": 1}},
+    "verify": {"bundle": TRIVIAL_BUNDLE, "cylinder": {"name": "constant"},
+               "numerics": {"sample_count": 8, **COARSE}},
+    "list-examples": None,
+}
+
+
+def test_cheap_configs_cover_every_command():
+    assert set(CHEAP) == set(COMMANDS)
+
+
+@pytest.mark.parametrize("command", sorted(CHEAP))
+def test_verdict_is_every_check_within_tol(command, tmp_path):
+    argv = [command, "--out", str(tmp_path / "rep.json")]
+    if CHEAP[command] is not None:
+        argv += ["--config", write_cfg(tmp_path, CHEAP[command])]
+    code = main(argv)
+    body = json.loads((tmp_path / "rep.json").read_text())["body"]
+    within = all(v <= body["tol"] for v in body["checks"].values())
+    assert body["verdict"] == ("pass" if within else "fail")
+    assert code == (0 if within else 1)
+
+
+BAD = {  # label -> (config, key path in the error)
+    "unknown-family": ({"bundle": {"family": "nope"}}, "bundle.family"),
+    "family-not-string": ({"bundle": {"family": 3}}, "bundle.family"),
+    "fractional-charge": (
+        {"bundle": {"family": "monopole", "params": {"n": 1.5}}},
+        "bundle.params"),
+    "string-charge": (
+        {"bundle": {"family": "monopole", "params": {"n": "x"}}},
+        "bundle.params"),
+    "unknown-bundle-param": (
+        {"bundle": {"family": "monopole", "params": {"m": 1}}},
+        "bundle.params"),
+    "params-list": ({"bundle": {"family": "monopole", "params": [1]}},
+                    "bundle.params"),
+    "torus-order-0": (
+        {"bundle": {"family": "torus-flat", "params": {"order": 0}}},
+        "bundle.params"),
+    "unknown-model": (
+        {"bundle": {"family": "trivial", "params": {"model": "cube"}}},
+        "bundle.params"),
+    "unknown-extension": (
+        {"bundle": {"family": "trivial", "params": {"extension": "nope"}}},
+        "bundle.params"),
+    "fractional-order": ({"bundle": MONOPOLE, "numerics": {"order": 0.5}},
+                         "numerics.order"),
+    "fractional-steps": ({"bundle": MONOPOLE, "numerics": {"steps": 2.5}},
+                         "numerics.steps"),
+    "bool-edge-cells": (
+        {"bundle": MONOPOLE, "numerics": {"edge_cells": True}},
+        "numerics.edge_cells"),
+    "string-sample-count": (
+        {"bundle": MONOPOLE, "numerics": {"sample_count": "40"}},
+        "numerics.sample_count"),
+    "negative-seed": ({"bundle": MONOPOLE, "numerics": {"seed": -1}},
+                      "numerics.seed"),
+    "unknown-loop-param": (
+        {"bundle": MONOPOLE,
+         "loop": {"name": "latitude", "params": {"thetaa": 1.0}}},
+        "loop.params"),
+    "fractional-winding": (
+        {"bundle": {"family": "torus-flat"},
+         "loop": {"name": "winding", "params": {"p": 1.5}}}, "loop.params"),
+    "loop-not-on-model": ({"bundle": MONOPOLE, "loop": {"name": "winding"}},
+                          "loop.name"),
+    "unknown-cylinder-param": (
+        {"bundle": MONOPOLE,
+         "cylinder": {"name": "cap-sweep", "params": {"alpah": 1.0}}},
+        "cylinder.params"),
+    "unknown-nested-loop": (
+        {"bundle": MONOPOLE,
+         "cylinder": {"name": "constant", "params": {"loop": "nope"}}},
+        "cylinder.params"),
+    "negative-gauge-seed": ({"bundle": MONOPOLE, "gauge": {"seed": -2}},
+                            "gauge.seed"),
+    "fractional-samples": (
+        {"bundle": MONOPOLE,
+         "reconstruct": {"samples_per_overlap": 0.5}},
+        "reconstruct.samples_per_overlap"),
+}
+
+
+@pytest.mark.parametrize("label", sorted(BAD))
+def test_bad_config_exits_two_with_key_path(label, tmp_path, capsys):
+    data, path = BAD[label]
+    command = {"loop": "hol0", "cylinder": "surface", "gauge": "gauge",
+               "reconstruct": "reconstruct"}.get(path.split(".")[0],
+                                                 "validate")
+    assert main([command, "--config", write_cfg(tmp_path, data)]) == 2
+    assert f"(at {path})" in capsys.readouterr().err
+
+
+def test_negative_seed_flag_is_usage_error(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, TRIVIAL)
+    assert main(["validate", "--config", cfg, "--seed", "-1"]) == 2
+    assert "--seed" in capsys.readouterr().err
+
+
+def test_sphere_pu2_through_the_cli(tmp_path):
+    pu2 = {"family": "sphere-pu2"}
+    out = tmp_path / "rep.json"
+    cfg = write_cfg(tmp_path, {"bundle": pu2})
+    assert main(["validate", "--config", cfg, "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["body"]["verdict"] == "pass"
+
+    cfg = write_cfg(tmp_path, {"bundle": pu2, "loop": {
+        "name": "latitude", "params": {"theta": 1.0}},
+        "numerics": {"steps": 1024}})
+    hol = {}
+    for command in ("hol0", "hol1"):
+        assert main([command, "--config", cfg, "--out", str(out)]) == 0
+        hol[command] = _matrix(
+            json.loads(out.read_text())["body"]["values"]["holonomy"])
+    projected = make_extension("u2-pu2").project_mat(hol["hol1"])
+    assert np.abs(projected - hol["hol0"]).max() <= 1e-9
