@@ -496,7 +496,8 @@ def _coeff_form(cfns, Y, coords, tag) -> LocalForm:
     Y = np.asarray(Y, dtype=complex)
 
     def _dot(c, p, d):
-        ph = c(_seeded_point(p, d))
+        """D_d c at one point, or at each point of an (N, n) stack."""
+        ph = c([Dual(x, y) for x, y in zip(p.T, d.T)])
         return ph.dot if isinstance(ph, Dual) else 0.0
 
     def evalfn(p, v):
@@ -508,8 +509,9 @@ def _coeff_form(cfns, Y, coords, tag) -> LocalForm:
     def d_eval(p, v, w):
         total = 0.0
         for k, c in enumerate(cfns):
-            total = total + _dot(c, p, v) * w[k] - _dot(c, p, w) * v[k]
-        return total * Y
+            total = total + _dot(c, p, v) * w[..., k] \
+                - _dot(c, p, w) * v[..., k]
+        return np.asarray(total)[..., None, None] * Y
 
     d = native_form(2, d_eval, Y.shape[0], coords, value_tag=tag)
     return native_form(1, evalfn, Y.shape[0], coords, value_tag=tag, d=d)

@@ -2,6 +2,8 @@
 
 Everything here is built from collar-warped smooth pieces, so all
 concatenations stay smooth and every object carries exact derivatives.
+Each map takes one parameter value or an array of nodes (see
+geometry.Loop); piecewise profiles run each piece only on its own nodes.
 """
 
 from __future__ import annotations
@@ -12,7 +14,8 @@ import numpy as np
 
 from . import dual as dm
 from .dual import value
-from .errors import ConfigError, DomainError, integer_setting
+from .errors import ConfigError, DomainError, float_setting, \
+    integer_setting
 from .geometry import (
     DEFAULT_COLLAR,
     Cylinder,
@@ -47,15 +50,23 @@ def _sphere_point(theta, phi):
             dm.cos(theta)]
 
 
+def _third(t):
+    """Which third of [0, 1] holds t: 0 up to 1/3, 1 up to 2/3, else 2."""
+    tv = value(t).real
+    return 1 * (tv > 1.0 / 3.0) + (tv > 2.0 / 3.0)
+
+
+_CAP_PIECES = (
+    lambda alpha, t: (alpha * _w(3.0 * t), 0.0 * t),
+    lambda alpha, t: (alpha + 0.0 * t, 2.0 * math.pi * _w(3.0 * t - 1.0)),
+    lambda alpha, t: (alpha * (1.0 - _w(3.0 * t - 2.0)), 0.0 * t),
+)
+
+
 def _cap_profile(alpha, t):
     """(theta, phi) of the three-piece loop: down the phi=0 meridian to
     polar angle alpha, once around the latitude, and back up."""
-    tv = value(t).real
-    if tv <= 1.0 / 3.0:
-        return alpha * _w(3.0 * t), 0.0 * t
-    if tv <= 2.0 / 3.0:
-        return alpha + 0.0 * t, 2.0 * math.pi * _w(3.0 * t - 1.0)
-    return alpha * (1.0 - _w(3.0 * t - 2.0)), 0.0 * t
+    return dm.piecewise(_third(t), _CAP_PIECES, alpha, t)
 
 
 def latitude_loop(theta0) -> Loop:
@@ -105,18 +116,12 @@ def spike_retraction_cylinder(alpha_max=math.pi) -> Cylinder:
     point once phi is irrelevant (exactly so at alpha_max = pi).
     """
     model = make_model("sphere")
-
-    def profile(t):
-        tv = value(t).real
-        if tv <= 1.0 / 3.0:
-            return _w(3.0 * t)
-        if tv <= 2.0 / 3.0:
-            return 1.0 + 0.0 * t
-        return 1.0 - _w(3.0 * t - 2.0)
+    pieces = (lambda t: (_w(3.0 * t),), lambda t: (1.0 + 0.0 * t,),
+              lambda t: (1.0 - _w(3.0 * t - 2.0),))
 
     def fn(s, t):
         depth = alpha_max * (1.0 - _w(s))
-        th = depth * profile(t)
+        th = depth * dm.piecewise(_third(t), pieces, t)[0]
         return _sphere_point(th, 0.0 * t)
 
     return Cylinder(model, fn, DEFAULT_COLLAR)
@@ -161,13 +166,12 @@ def perturb_loop(loop: Loop, amplitude, direction=None, center=0.5,
     the direction axis by a bump-profiled angle.  Collars are untouched.
     """
     model = loop.model
+    pieces = (lambda u: (0.0 * u,), lambda u: (_bump(u),))
 
     def bump(t):
         u = (t - center) / width + 0.5
         uv = value(u).real
-        if uv <= 0.0 or uv >= 1.0:
-            return 0.0 * t
-        return _bump(u)
+        return dm.piecewise((uv > 0.0) & (uv < 1.0), pieces, u)[0]
 
     if model.kind == "torus":
         direction = np.asarray(direction if direction is not None
@@ -209,17 +213,17 @@ def perturb_cylinder(cyl: Cylinder, amplitude, direction=None,
     """Interior-only smooth deformation of a cylinder (non-thin for
     amplitude != 0); boundary collars and boundary loops are unchanged."""
     model = cyl.model
+    pieces = (lambda bs, bt: (0.0 * bs * bt,),
+              lambda bs, bt: (_bump(bs) * _bump(bt),))
 
     def bump2(s, t):
         bs = (s - center[0]) / width + 0.5
         bt = (t - center[1]) / width + 0.5
-        out = 1.0
+        inside = True
         for u in (bs, bt):
             uv = value(u).real
-            if uv <= 0.0 or uv >= 1.0:
-                return 0.0 * s
-            out = out * _bump(u)
-        return out
+            inside = inside & (uv > 0.0) & (uv < 1.0)
+        return dm.piecewise(inside, pieces, bs, bt)[0]
 
     if model.kind == "torus":
         d = np.asarray(direction if direction is not None else [0.0, 1.0],
@@ -264,7 +268,7 @@ def morph_cylinder(l1: Loop, l2: Loop) -> Cylinder:
         a, b = l1.fn(t), l2.fn(t)
         mix = [(1.0 - w) * x + w * y for x, y in zip(a, b)]
         n2 = mix[0] * mix[0] + mix[1] * mix[1] + mix[2] * mix[2]
-        if value(n2).real < 1e-12:
+        if np.any(value(n2).real < 1e-12):
             raise DomainError("interpolated loops pass through antipodes")
         n = dm.sqrt(n2)
         return [m / n for m in mix]
@@ -293,15 +297,20 @@ def thin_fold_cylinder(loop: Loop, waypoints=(0.0, 0.7, 0.4, 1.0)) -> Cylinder:
 
 _ALL = ("sphere", "torus", "plane")
 
+
+def _real(params, key):
+    return float_setting(params[key], key)
+
+
 # name -> (model kinds, params with their defaults, builder(kind, params));
 # the params a config may set are exactly the keys of the defaults.
 _LOOPS = {
     "constant": (_ALL, {}, lambda kind, p: constant_loop(make_model(kind))),
     "latitude": (("sphere",), {"theta": math.pi / 2},
-                 lambda kind, p: latitude_loop(float(p["theta"]))),
+                 lambda kind, p: latitude_loop(_real(p, "theta"))),
     "equator": (("sphere",), {}, lambda kind, p: equator_loop()),
     "great-circle": (("sphere",), {"tilt": 0.0},
-                     lambda kind, p: great_circle_loop(float(p["tilt"]))),
+                     lambda kind, p: great_circle_loop(_real(p, "tilt"))),
     "winding": (("torus",), {"p": 1, "q": 0}, lambda kind, p: winding_loop(
         integer_setting(p["p"], "p"), integer_setting(p["q"], "q"))),
     "staircase": (("torus",), {"p": 1, "q": 1}, lambda kind, p:
@@ -316,7 +325,7 @@ def _loop(kind, p):
 
 def _morph(kind, p):
     l1 = _loop("torus", p)
-    return morph_cylinder(l1, perturb_loop(l1, float(p["amplitude"])))
+    return morph_cylinder(l1, perturb_loop(l1, _real(p, "amplitude")))
 
 
 _LOOP = {"loop": "constant", "loop_params": None}
@@ -331,11 +340,11 @@ _CYLINDERS = {
                    "amplitude": 0.1, "direction": None},
                   lambda kind, p: perturb_cylinder(
                       make_cylinder(kind, p["base"], p["base_params"]),
-                      float(p["amplitude"]), p["direction"])),
+                      _real(p, "amplitude"), p["direction"])),
     "cap-sweep": (("sphere",), {"alpha": math.pi},
-                  lambda kind, p: cap_sweep_cylinder(float(p["alpha"]))),
+                  lambda kind, p: cap_sweep_cylinder(_real(p, "alpha"))),
     "spike-retraction": (("sphere",), {"alpha": math.pi}, lambda kind, p:
-                         spike_retraction_cylinder(float(p["alpha"]))),
+                         spike_retraction_cylinder(_real(p, "alpha"))),
     "full-sphere": (("sphere",), {}, lambda kind, p: full_sphere_cylinder()),
     "morph": (("torus",), {"loop": "winding", "loop_params": {"p": 1, "q": 0},
                            "amplitude": 0.1}, _morph),

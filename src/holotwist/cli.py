@@ -20,7 +20,8 @@ import numpy as np
 from . import catalog
 from .bundle import gauge_transform, identity_gauge, random_gauge, validate
 from .catgroup import morphism_distance
-from .errors import ConfigError, HolotwistError, integer_setting
+from .errors import ConfigError, HolotwistError, float_setting, \
+    integer_setting
 from .families import FAMILY_NAMES, make_bundle
 from .formsexpr.forms import expr_form
 from .geometry import refine_rect
@@ -69,12 +70,7 @@ class Config:
         return Config(val, self._at(key))
 
     def positive(self, key, default):
-        val = self.get(key, default)
-        try:
-            val = float(val)
-        except (TypeError, ValueError):
-            raise ConfigError(f"expected float, got {val!r}",
-                              self._at(key)) from None
+        val = float_setting(self.get(key, default), key, self._at(key))
         if val <= 0.0:
             raise ConfigError(f"must be positive, got {val}", self._at(key))
         return val
@@ -111,7 +107,7 @@ def _numerics(cfg: Config, args, tol):
     if args.seed is not None:
         num["seed"] = integer_setting(args.seed, "--seed", 0, "--seed")
     if args.tol is not None:
-        if args.tol <= 0.0:
+        if float_setting(args.tol, "--tol", "--tol") <= 0.0:
             raise ConfigError("must be positive", "--tol")
         num["tol"] = args.tol
     return num

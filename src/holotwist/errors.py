@@ -1,5 +1,6 @@
 """Exception hierarchy shared by all holotwist modules."""
 
+import math
 import numbers
 
 
@@ -102,3 +103,13 @@ def integer_setting(x, what, least=None, path=""):
         raise ConfigError(f"{what} must be an integer{bound}, got {x!r}",
                           path)
     return int(x)
+
+
+def float_setting(x, what, path=""):
+    """x as a float if it is a finite real number, else ConfigError;
+    bools and strings are rejected, not converted."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real) \
+            or not math.isfinite(x):
+        raise ConfigError(f"{what} must be a finite number, got {x!r}",
+                          path)
+    return float(x)

@@ -16,7 +16,7 @@ import numpy as np
 from . import dual as dm
 from .bundle import GroupMap, TwistedBundleData, overlap_pairs, overlap_triples
 from .dual import Dual, value
-from .errors import ConfigError, DomainError, integer_setting
+from .errors import ConfigError, DomainError, float_setting, integer_setting
 from .formsexpr.forms import LocalForm, native_form, zero_form
 from .geometry import COVER_FOR_MODEL, SPHERE_CAP_AXES, make_cover
 from .liecore import make_extension
@@ -133,18 +133,17 @@ def _const_2form(scale_matrix, component, dim, coords, tag="h"):
     a, b = component
 
     def evalfn(p, v, w):
-        factor = v[a] * w[b] - v[b] * w[a]
-        return factor * scale_matrix
+        factor = v[..., a] * w[..., b] - v[..., b] * w[..., a]
+        return factor[..., None, None] * scale_matrix
 
-    f = native_form(2, evalfn, dim, coords, value_tag=tag)
-    return f
+    return native_form(2, evalfn, dim, coords, value_tag=tag)
 
 
 def sphere_area_form(scale, dim=1, tag="h") -> LocalForm:
     """scale times the round area form x . (v x w) on the unit sphere."""
     def evalfn(p, v, w):
-        tr = float(np.dot(p, np.cross(v, w)))
-        return scale * tr * np.eye(dim, dtype=complex)
+        tr = np.einsum("...i,...i->...", p, np.cross(v, w))
+        return scale * tr[..., None, None] * np.eye(dim, dtype=complex)
 
     return native_form(2, evalfn, dim, ("x", "y", "z"), value_tag=tag)
 
@@ -198,6 +197,7 @@ def torus_flat_bundle(k=1, order=3, flux=0.7) -> TwistedBundleData:
     that surface holonomy separates winding classes.
     """
     k, order = integer_setting(k, "k"), integer_setting(order, "order", 1)
+    flux = float_setting(flux, "flux")
     ext = make_extension("u1-squared")
     cover = make_cover("torus-4squares")
     n = len(cover)
@@ -280,6 +280,7 @@ def monopole_bundle(n=1, kappa=0.8, mu=0.5) -> TwistedBundleData:
     smooth antisymmetric phases tau_ij, making h_ijk nonconstant.
     """
     n = integer_setting(n, "monopole charge n")
+    kappa, mu = float_setting(kappa, "kappa"), float_setting(mu, "mu")
     ext = make_extension("u1-squared")
     cover = make_cover("sphere-3caps")
     nc = len(cover)
@@ -347,6 +348,8 @@ def pu2_bundle(kappa=0.8, mu=0.5, spin=0.6, flux=0.7) -> TwistedBundleData:
     U_i and adds the section's Maurer-Cartan term, so all gluing
     identities hold exactly.
     """
+    kappa, mu = float_setting(kappa, "kappa"), float_setting(mu, "mu")
+    spin, flux = float_setting(spin, "spin"), float_setting(flux, "flux")
     ext = make_extension("u2-pu2")
     cover = make_cover("sphere-3caps")
     nc = len(cover)

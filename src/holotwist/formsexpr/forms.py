@@ -7,9 +7,16 @@ when the form is built: expression-backed forms derive it exactly by
 forward AD, native callables carry the one their caller supplies, and
 sums and scalar multiples combine those of their parts.  A form built
 without `d` has none.
+
+Degree-2 forms are evaluated on stacks: points and tangents of shape
+(N, n) give an (N, d, d) stack of values (one point of shape (n,) gives
+one (d, d) value), so a quadrature cell takes one form call.  Degree-0
+and degree-1 forms are evaluated one point at a time.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -22,7 +29,8 @@ from .parser import Expr, parse
 
 class LocalForm:
     """A degree 0, 1 or 2 form with values in a matrix Lie algebra; `d`
-    is its exterior derivative (a LocalForm one degree up) or None."""
+    is its exterior derivative (a LocalForm one degree up) or None.
+    A degree-2 evalfn maps (N, n) stacks to (N, d, d) stacks."""
 
     def __init__(self, degree, dim, coord_names, evalfn, value_tag="h",
                  d=None):
@@ -63,6 +71,11 @@ class LocalForm:
     __rmul__ = __mul__
 
 
+def _nonzero(x):
+    """Whether a scalar, or any node of an array, is nonzero."""
+    return x.any() if isinstance(x, np.ndarray) else x != 0
+
+
 def _as_expr_matrix(mat, coords):
     rows = []
     for row in mat:
@@ -76,13 +89,15 @@ def _as_expr_matrix(mat, coords):
     return rows
 
 
-def _eval_expr_matrix(mat, env):
+def _eval_expr_matrix(mat, env, shape=()):
+    """The matrix at one point, or its (N, n, m) stack when the bound
+    coordinates are node arrays of shape (N,)."""
     n = len(mat)
-    out = np.empty((n, len(mat[0])), dtype=complex)
+    out = np.empty(shape + (n, len(mat[0])), dtype=complex)
     for r, row in enumerate(mat):
         for c, entry in enumerate(row):
             v = _eval(entry, env)
-            out[r, c] = v.val if isinstance(v, Dual) else v
+            out[..., r, c] = v.val if isinstance(v, Dual) else v
     return out
 
 
@@ -97,7 +112,15 @@ def expr_form(degree, components, coord_names, value_tag="h"):
     coord_names = tuple(coord_names)
     index = {c: k for k, c in enumerate(coord_names)}
 
+    def point_env(p):
+        cols = p.T if p.ndim > 1 else p
+        return {c: cols[index[c]] for c in coord_names}
+
     def dual_env(p, d):
+        if p.ndim > 1:
+            # complex node arrays, so that every node follows the
+            # complex arithmetic of a scalar Dual
+            p, d = p.T.astype(complex), d.T.astype(complex)
         return {c: Dual(p[index[c]], d[index[c]]) for c in coord_names}
 
     if degree == 0:
@@ -137,16 +160,16 @@ def expr_form(degree, components, coord_names, value_tag="h"):
         def derivative(p, d, v):
             """D_d A(v): the coefficients differentiated along d."""
             env = dual_env(p, d)
-            total = np.zeros((dim, dim), dtype=complex)
+            total = np.zeros(p.shape[:-1] + (dim, dim), dtype=complex)
             for c, mat in comp.items():
-                vc = v[index[c]]
-                if vc == 0:
+                vc = v.T[index[c]]
+                if not _nonzero(vc):
                     continue
                 for r, row in enumerate(mat):
                     for c2, entry in enumerate(row):
                         val = _eval(entry, env)
                         if isinstance(val, Dual):
-                            total[r, c2] += vc * val.dot
+                            total[..., r, c2] += vc * val.dot
             return total
 
         def curl(p, v, w):
@@ -164,12 +187,15 @@ def expr_form(degree, components, coord_names, value_tag="h"):
         dim = len(next(iter(comp.values())))
 
         def evalfn(p, v, w):
-            env = {c: p[index[c]] for c in coord_names}
-            total = np.zeros((dim, dim), dtype=complex)
+            env = point_env(p)
+            shape = p.shape[:-1]
+            total = np.zeros(shape + (dim, dim), dtype=complex)
             for (a, b), mat in comp.items():
-                factor = v[index[a]] * w[index[b]] - v[index[b]] * w[index[a]]
-                if factor != 0:
-                    total += factor * _eval_expr_matrix(mat, env)
+                ia, ib = index[a], index[b]
+                factor = v[..., ia] * w[..., ib] - v[..., ib] * w[..., ia]
+                if _nonzero(factor):
+                    total += factor[..., None, None] \
+                        * _eval_expr_matrix(mat, env, shape)
             return total
 
         d = None
@@ -186,10 +212,11 @@ def native_form(degree, fn, dim, coord_names, value_tag="h", d=None):
 
 
 def zero_form(degree, dim, coord_names, value_tag="h"):
-    z = np.zeros((dim, dim), dtype=complex)
     d = zero_form(degree + 1, dim, coord_names, value_tag) if degree < 2 \
         else None
-    return LocalForm(degree, dim, coord_names, lambda p, *t: z, value_tag, d)
+    return LocalForm(degree, dim, coord_names,
+                     lambda p, *t: np.zeros(np.shape(p)[:-1] + (dim, dim),
+                                            dtype=complex), value_tag, d)
 
 
 def exterior_derivative(form: LocalForm) -> LocalForm:
@@ -200,8 +227,16 @@ def exterior_derivative(form: LocalForm) -> LocalForm:
     return form.d
 
 
-def _gauss_nodes(a, b, order):
+@functools.lru_cache(maxsize=None)
+def _leggauss(order):
     x, w = np.polynomial.legendre.leggauss(order)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
+def _gauss_nodes(a, b, order):
+    x, w = _leggauss(order)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     return mid + half * x, half * w
 
@@ -210,18 +245,23 @@ def integrate_1form(form: LocalForm, segment, a=0.0, b=1.0, order=8,
                     cells=1) -> AlgebraElement:
     """Gauss-Legendre integral of the pullback of a 1-form.
 
-    segment(t) must return (point, tangent) with tangent the curve
-    velocity in ambient coordinates.
+    segment(ts) takes the array of all Gauss nodes of [a, b] and returns
+    (points, tangents), each of shape (N, n), with the tangents the
+    curve velocity in ambient coordinates; the form is then evaluated
+    node by node.
     """
     if form.degree != 1:
         raise DegreeUnsupported("integrate_1form needs a degree-1 form")
-    total = np.zeros((form.dim, form.dim), dtype=complex)
     edges = np.linspace(a, b, cells + 1)
-    for k in range(cells):
-        ts, ws = _gauss_nodes(edges[k], edges[k + 1], order)
-        for t, w in zip(ts, ws):
-            point, tangent = segment(t)
-            total += w * form(point, np.asarray(tangent, dtype=float))
+    nodes = [_gauss_nodes(edges[k], edges[k + 1], order)
+             for k in range(cells)]
+    ts = np.concatenate([t for t, _ in nodes])
+    ws = np.concatenate([w for _, w in nodes])
+    points, tangents = segment(ts)
+    total = np.zeros((form.dim, form.dim), dtype=complex)
+    for point, tangent, w in zip(points, np.asarray(tangents, dtype=float),
+                                 ws):
+        total += w * form(point, tangent)
     return AlgebraElement(total, form.value_tag)
 
 
@@ -230,7 +270,9 @@ def integrate_2form(form: LocalForm, patch, s_range=(0.0, 1.0),
                     cells=(1, 1)) -> AlgebraElement:
     """Tensor-product Gauss integral of F(d_s patch, d_t patch) ds dt.
 
-    patch(s, t) must return (point, dpds, dpdt).
+    patch(S, T) takes the node arrays of one cell (N = order^2 nodes)
+    and returns stacks (points, dpds, dpdt), each of shape (N, n); the
+    form is evaluated once per cell on those stacks.
     """
     if form.degree != 2:
         raise DegreeUnsupported("integrate_2form needs a degree-2 form")
@@ -241,10 +283,8 @@ def integrate_2form(form: LocalForm, patch, s_range=(0.0, 1.0),
         ss, sw = _gauss_nodes(s_edges[i], s_edges[i + 1], order)
         for j in range(cells[1]):
             ts, tw = _gauss_nodes(t_edges[j], t_edges[j + 1], order)
-            for s, wsv in zip(ss, sw):
-                for t, wtv in zip(ts, tw):
-                    point, dps, dpt = patch(s, t)
-                    total += wsv * wtv * form(point,
-                                              np.asarray(dps, dtype=float),
-                                              np.asarray(dpt, dtype=float))
+            point, dps, dpt = patch(np.repeat(ss, order), np.tile(ts, order))
+            vals = form(point, np.asarray(dps, dtype=float),
+                        np.asarray(dpt, dtype=float))
+            total += np.einsum("n,nij->ij", np.outer(sw, tw).ravel(), vals)
     return AlgebraElement(total, form.value_tag)

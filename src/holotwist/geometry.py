@@ -3,6 +3,9 @@ and the subdivision machinery that assigns charts to parameter cells.
 
 Curves and surfaces are stored as closed-form maps that accept dual
 numbers in their parameters, so velocities and partials are exact.
+The maps take one parameter value or an array of nodes; piecewise maps
+(collar steps, folds, concatenations, stacked cylinders) evaluate each
+piece only on the nodes that fall in it (see dual.piecewise).
 """
 
 from __future__ import annotations
@@ -30,13 +33,18 @@ STACK_TOL = 1e-10   # boundary mismatch allowed when stacking cylinders
 # Smooth C-infinity steps and warps (all dual-capable)
 # --------------------------------------------------------------------------
 
+def _exp_neg_recip(u):
+    if isinstance(u, (Dual, np.ndarray)):
+        return (dm.exp(-1.0 / u),)
+    return (math.exp(-1.0 / float(u)),)
+
+
+_BUMP_PIECES = (lambda u: (0.0 * u,), _exp_neg_recip)
+
+
 def _bump(u):
     """exp(-1/u) for u > 0, else 0; smooth and flat at 0."""
-    if value(u).real <= 0.0:
-        return 0.0 * u if isinstance(u, Dual) else 0.0
-    if isinstance(u, Dual):
-        return dm.exp(-1.0 / u)
-    return math.exp(-1.0 / float(value(u).real))
+    return dm.piecewise(value(u).real > 0.0, _BUMP_PIECES, u)[0]
 
 
 def smooth_step(u):
@@ -92,14 +100,13 @@ def monotone_warp(delta=DEFAULT_COLLAR, power=2):
 def fold_reparam(waypoints=(0.0, 0.7, 0.4, 1.0)):
     """Piecewise smooth map visiting the waypoints; flat at every joint,
     so the pieces glue to a C-infinity self-map of [0,1]."""
-    pts = [float(p) for p in waypoints]
+    pts = np.array([float(p) for p in waypoints])
     if pts[0] != 0.0 or pts[-1] != 1.0:
         raise InvalidReparam("fold must start at 0 and end at 1")
     n = len(pts) - 1
 
     def fn(t):
-        tv = min(max(value(t).real, 0.0), 1.0)
-        k = min(int(tv * n), n - 1)
+        k = dm.cell_index(value(t).real, n)
         u = (t - k / n) * n
         return pts[k] + (pts[k + 1] - pts[k]) * smooth_step(u)
 
@@ -305,20 +312,36 @@ COVER_FOR_MODEL = {"sphere": "sphere-3caps", "torus": "torus-4squares",
 # Loops and cylinders
 # --------------------------------------------------------------------------
 
-def _components(values):
-    return np.array([value(v).real for v in values], dtype=float)
+def _nodes(*params):
+    """Scalar parameters as floats, else float arrays of one node shape."""
+    if all(np.ndim(x) == 0 for x in params):
+        return [float(x) for x in params]
+    return np.broadcast_arrays(*[np.asarray(x, dtype=float) for x in params])
 
 
-def _dots(values):
-    return np.array([v.dot.real if isinstance(v, Dual) else 0.0
-                     for v in values], dtype=float)
+def _components(values, shape):
+    if not shape:
+        return np.array([value(v).real for v in values], dtype=float)
+    return np.stack([np.broadcast_to(np.real(value(v)), shape)
+                     for v in values], axis=-1)
+
+
+def _dots(values, shape):
+    dots = [v.dot if isinstance(v, Dual) else 0.0 for v in values]
+    if not shape:
+        return np.array([d.real for d in dots], dtype=float)
+    return np.stack([np.broadcast_to(np.real(d), shape) for d in dots],
+                    axis=-1)
 
 
 class Loop:
     """A smooth based loop with sitting collars.
 
-    fn(t) maps a scalar (float or Dual) to a sequence of coordinate
-    scalars; velocities come from evaluating fn on dual numbers.
+    fn(t) maps a parameter (a float or a float array over nodes, either
+    possibly inside a Dual) to a sequence of coordinates of the same
+    kind; velocities come from evaluating fn on dual numbers.  eval,
+    deriv and eval_with_deriv take a scalar t and return (dim,) arrays,
+    or an array of nodes and return (N, dim) stacks.
     """
 
     def __init__(self, model, fn, collar_width=DEFAULT_COLLAR, check=True):
@@ -344,18 +367,26 @@ class Loop:
                 raise BoundaryMismatch("loop does not sit on its end collar")
 
     def eval(self, t):
-        return _components(self.fn(float(t)))
+        t, = _nodes(t)
+        return _components(self.fn(t), np.shape(t))
 
     def deriv(self, t):
-        return _dots(self.fn(Dual(float(t), 1.0)))
+        t, = _nodes(t)
+        return _dots(self.fn(Dual(t, 1.0)), np.shape(t))
 
     def eval_with_deriv(self, t):
-        out = self.fn(Dual(float(t), 1.0))
-        return _components(out), _dots(out)
+        t, = _nodes(t)
+        out = self.fn(Dual(t, 1.0))
+        return _components(out, np.shape(t)), _dots(out, np.shape(t))
 
 
 class Cylinder:
-    """A smooth based homotopy c(s, t) sitting on its whole boundary."""
+    """A smooth based homotopy c(s, t) sitting on its whole boundary.
+
+    fn(s, t) follows the Loop contract in both parameters; eval and
+    eval_with_partials broadcast s against t and return (dim,) arrays
+    for scalars, (N, dim) stacks for node arrays.
+    """
 
     def __init__(self, model, fn, collar_width=DEFAULT_COLLAR, check=True):
         self.model = model
@@ -384,12 +415,16 @@ class Cylinder:
                     raise BoundaryMismatch("cylinder moves inside its t-collar")
 
     def eval(self, s, t):
-        return _components(self.fn(float(s), float(t)))
+        s, t = _nodes(s, t)
+        return _components(self.fn(s, t), np.shape(s))
 
     def eval_with_partials(self, s, t):
-        out_s = self.fn(Dual(float(s), 1.0), float(t))
-        out_t = self.fn(float(s), Dual(float(t), 1.0))
-        return _components(out_s), _dots(out_s), _dots(out_t)
+        s, t = _nodes(s, t)
+        out_s = self.fn(Dual(s, 1.0), t)
+        out_t = self.fn(s, Dual(t, 1.0))
+        shape = np.shape(s)
+        return (_components(out_s, shape), _dots(out_s, shape),
+                _dots(out_t, shape))
 
     def bottom_loop(self) -> Loop:
         return Loop(self.model, lambda t: self.fn(0.0, t),
@@ -425,14 +460,16 @@ def concat_loops(l1: Loop, l2: Loop) -> Loop:
     model = l1.model
     offset = l1.eval(1.0) - l2.eval(0.0) if model.periodic else None
 
-    def fn(t):
-        tv = value(t).real
-        if tv <= 0.5:
-            return l1.fn(2.0 * t)
+    def second(t):
         out = l2.fn(2.0 * t - 1.0)
         if offset is not None:
             return [c + o for c, o in zip(out, offset)]
         return out
+
+    pieces = (lambda t: l1.fn(2.0 * t), second)
+
+    def fn(t):
+        return dm.piecewise(value(t).real > 0.5, pieces, t)
 
     return Loop(model, fn, min(l1.collar_width, l2.collar_width) / 2.0,
                 check=False)
@@ -456,14 +493,16 @@ def compose_cylinders_vertical(c1: Cylinder, c2: Cylinder) -> Cylinder:
             raise BoundaryMismatch(
                 f"end loop of first cylinder differs from start of second at t={t}")
 
-    def fn(s, t):
-        sv = value(s).real
-        if sv <= 0.5:
-            return c1.fn(2.0 * s, t)
+    def second(s, t):
         out = c2.fn(2.0 * s - 1.0, t)
         if offset is not None:
             return [c + o for c, o in zip(out, offset)]
         return out
+
+    pieces = (lambda s, t: c1.fn(2.0 * s, t), second)
+
+    def fn(s, t):
+        return dm.piecewise(value(s).real > 0.5, pieces, s, t)
 
     return Cylinder(model, fn, min(c1.collar_width, c2.collar_width) / 2.0,
                     check=False)
@@ -473,15 +512,18 @@ def compose_cylinders_horizontal(c1: Cylinder, c2: Cylinder) -> Cylinder:
     """Concatenate in the loop direction: each slice is slice1 * slice2."""
     model = c1.model
 
-    def fn(s, t):
-        tv = value(t).real
-        if tv <= 0.5:
-            return c1.fn(s, 2.0 * t)
+    def second(s, t):
         out = c2.fn(s, 2.0 * t - 1.0)
         if model.periodic:
-            off = c1.eval(value(s).real, 1.0) - c2.eval(value(s).real, 0.0)
-            return [c + o for c, o in zip(out, off)]
+            sv = value(s).real
+            off = c1.eval(sv, 1.0) - c2.eval(sv, 0.0)
+            return [c + o for c, o in zip(out, np.moveaxis(off, -1, 0))]
         return out
+
+    pieces = (lambda s, t: c1.fn(s, 2.0 * t), second)
+
+    def fn(s, t):
+        return dm.piecewise(value(t).real > 0.5, pieces, s, t)
 
     return Cylinder(model, fn, min(c1.collar_width, c2.collar_width) / 2.0,
                     check=False)

@@ -66,9 +66,9 @@ def _line_product(loop, sub, forms, trans, tag, dim, steps):
     for k, ((a, b), chart) in enumerate(zip(sub.cells, charts)):
         form = forms[chart]
 
-        def fld(t, form=form):
-            p, v = loop.eval_with_deriv(t)
-            return form(p, v)
+        def fld(ts, form=form):
+            points, vels = loop.eval_with_deriv(ts)
+            return np.array([form(p, v) for p, v in zip(points, vels)])
 
         ncell = max(4, int(round(steps * (b - a))))
         u = path_ordered_exp(fld, a, b, steps=ncell, tag=tag.lower()).entries
@@ -118,19 +118,25 @@ def hol1(bundle, loop, subdivision=None, steps=96,
 
 def _adaptive_face(form, patch, s0, s1, t0, t1, order, tol, depth):
     """Face integral with error control: compare two Gauss orders and
-    split the cell in four while they disagree."""
+    split the cell in four while they disagree.
+
+    Returns (integral, error): the error is the sum of |hi - lo| over
+    the accepted cells, including any accepted at depth 0 above its
+    tolerance."""
     lo = integrate_2form(form, patch, (s0, s1), (t0, t1), order=order).entries
     hi = integrate_2form(form, patch, (s0, s1), (t0, t1),
                          order=order + 5).entries
-    if depth == 0 or mat_norm(hi - lo) <= tol:
-        return hi
+    gap = mat_norm(hi - lo)
+    if depth == 0 or gap <= tol:
+        return hi, gap
     sm, tm = 0.5 * (s0 + s1), 0.5 * (t0 + t1)
     q = tol / 4.0
-    return (_adaptive_face(form, patch, s0, sm, t0, tm, order, q, depth - 1)
-            + _adaptive_face(form, patch, s0, sm, tm, t1, order, q, depth - 1)
-            + _adaptive_face(form, patch, sm, s1, t0, tm, order, q, depth - 1)
-            + _adaptive_face(form, patch, sm, s1, tm, t1, order, q,
-                             depth - 1))
+    total, err = 0.0, 0.0
+    for (a, b), (c, d) in (((s0, sm), (t0, tm)), ((s0, sm), (tm, t1)),
+                           ((sm, s1), (t0, tm)), ((sm, s1), (tm, t1))):
+        val, e = _adaptive_face(form, patch, a, b, c, d, order, q, depth - 1)
+        total, err = total + val, err + e
+    return total, err
 
 
 def epsilon(bundle, cylinder, rect=None, order=8, edge_cells=4,
@@ -139,7 +145,9 @@ def epsilon(bundle, cylinder, rect=None, order=8, edge_cells=4,
 
     Continuous contributions are accumulated in L(H) and exponentiated
     once; when the kernel H is discrete the vertex cocycle values are
-    multiplied exactly in the component group instead.
+    multiplied exactly in the component group instead.  The error
+    estimate is the sum of |hi - lo| over the accepted face cells; it
+    does not cover the edge quadrature.
     """
     ext = bundle.extension
     if rect is None:
@@ -155,18 +163,16 @@ def epsilon(bundle, cylinder, rect=None, order=8, edge_cells=4,
     sb, tb = rect.s_breaks, rect.t_breaks
 
     # faces
+    face_err = 0.0
     for r in range(rows):
         for c in range(cols):
             a = rect.charts[r][c]
-
-            def patch(s, t):
-                return cylinder.eval_with_partials(s, t)
-
-            val = -_adaptive_face(
-                bundle.F[a], patch, sb[r], sb[r + 1], tb[c], tb[c + 1],
-                order, face_tol, max_split)
-            acc = acc + val
-            cells.append((f"face[{r},{c}] chart {a}", val))
+            val, err = _adaptive_face(
+                bundle.F[a], cylinder.eval_with_partials, sb[r], sb[r + 1],
+                tb[c], tb[c + 1], order, face_tol, max_split)
+            acc = acc - val
+            face_err += err
+            cells.append((f"face[{r},{c}] chart {a}", -val))
 
     # interior horizontal edges (+t, A_{north,south})
     for r in range(1, rows):
@@ -175,8 +181,8 @@ def epsilon(bundle, cylinder, rect=None, order=8, edge_cells=4,
             if south == north:
                 continue
 
-            def seg(t, s=sb[r]):
-                p, _, dt = cylinder.eval_with_partials(s, t)
+            def seg(ts, s=sb[r]):
+                p, _, dt = cylinder.eval_with_partials(s, ts)
                 return p, dt
 
             val = integrate_1form(
@@ -192,8 +198,8 @@ def epsilon(bundle, cylinder, rect=None, order=8, edge_cells=4,
             if west == east:
                 continue
 
-            def seg(s, t=tb[c]):
-                p, ds, _ = cylinder.eval_with_partials(s, t)
+            def seg(ss, t=tb[c]):
+                p, ds, _ = cylinder.eval_with_partials(ss, t)
                 return p, ds
 
             val = integrate_1form(
@@ -231,7 +237,7 @@ def epsilon(bundle, cylinder, rect=None, order=8, edge_cells=4,
     total = scipy.linalg.expm(acc) @ vert_prod
     if not np.all(np.isfinite(total)):
         raise NonFinite("surface factor diverged")
-    return HolonomyResult(GroupElement(total, "H"), rect, cells, 0.0)
+    return HolonomyResult(GroupElement(total, "H"), rect, cells, face_err)
 
 
 # --------------------------------------------------------------------------
@@ -262,7 +268,7 @@ def holonomy_functor(bundle, cylinder, bottom_sub=None, top_sub=None,
     cells = [("H1(bottom)", h1b.value.entries),
              ("epsilon", eps.value.entries),
              ("H1(top)", h1t.value.entries)]
-    err = h1b.error_estimate + h1t.error_estimate
+    err = h1b.error_estimate + h1t.error_estimate + eps.error_estimate
     return HolonomyResult(morphism, (bot, top, rect), cells, err)
 
 

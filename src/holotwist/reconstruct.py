@@ -97,16 +97,22 @@ def _chain_cylinder(model, waypoints) -> Cylinder:
         k = collar_warp(s, SEG_COLLAR)
         return [b + (k * scale) * v for b, v in zip(base, vec)]
 
+    def segment(piece):
+        def piece_fn(s, t):
+            w = collar_warp(t * n - float(piece), SEG_COLLAR)
+            a, b = at(ends[piece], s), at(ends[piece + 1], s)
+            comps = [av + w * (bv - av) for av, bv in zip(a, b)]
+            if model.kind == "sphere":
+                inv = 1.0 / dm.sqrt(sum(c * c for c in comps))
+                comps = [c * inv for c in comps]
+            return comps
+
+        return piece_fn
+
+    pieces = [segment(piece) for piece in range(n)]
+
     def fn(s, t):
-        tv = min(max(value(t).real, 0.0), 1.0)
-        piece = min(int(tv * n), n - 1)
-        w = collar_warp(t * n - float(piece), SEG_COLLAR)
-        a, b = at(ends[piece], s), at(ends[piece + 1], s)
-        comps = [av + w * (bv - av) for av, bv in zip(a, b)]
-        if model.kind == "sphere":
-            inv = 1.0 / dm.sqrt(sum(c * c for c in comps))
-            comps = [c * inv for c in comps]
-        return comps
+        return dm.piecewise(dm.cell_index(value(t).real, n), pieces, s, t)
 
     return Cylinder(model, fn, collar_width=SEG_COLLAR / n, check=False)
 
@@ -513,15 +519,20 @@ def holonomy_from_samples(oracle, scaffold, bases, loop):
     dim = oracle.extension.E.dim
     total = np.eye(dim, dtype=complex)
     charts = sub.charts
+
+    def connection(ck, p, vel):
+        if np.linalg.norm(vel) < 1e-12:
+            return np.zeros((dim, dim), dtype=complex)
+        return reconstruct_connection(
+            oracle, scaffold, ck, scaffold.model.reduce(p), vel).entries
+
     for k, (a, b) in enumerate(sub.cells):
         ck = charts[k]
 
-        def field(t, ck=ck):
-            p, vel = loop.eval_with_deriv(t)
-            if np.linalg.norm(vel) < 1e-12:
-                return np.zeros((dim, dim), dtype=complex)
-            return reconstruct_connection(
-                oracle, scaffold, ck, scaffold.model.reduce(p), vel).entries
+        def field(ts, ck=ck):
+            points, vels = loop.eval_with_deriv(ts)
+            return np.array([connection(ck, p, v)
+                             for p, v in zip(points, vels)])
 
         steps = max(3, math.ceil(18.0 * (b - a)))
         total = total @ path_ordered_exp(field, a, b, steps).entries

@@ -88,19 +88,28 @@ def test_criterion_01_categorical_group_laws():
 # 2. Path-ordered integrator contract
 # --------------------------------------------------------------------------
 
+def _matrix_stack(rows):
+    """[[a, b], [c, d]] of scalars or (N,) arrays -> (2, 2) or (N, 2, 2)."""
+    return np.moveaxis(np.array(rows), (0, 1), (-2, -1))
+
+
 def _field_su(t):
-    return np.array([[1j * np.cos(3 * t), np.sin(t) + 0.4j],
-                     [-np.sin(t) + 0.4j, -1j * np.cos(3 * t)]])
+    t = np.asarray(t)
+    return _matrix_stack([[1j * np.cos(3 * t), np.sin(t) + 0.4j],
+                          [-np.sin(t) + 0.4j, -1j * np.cos(3 * t)]])
 
 
 def test_criterion_02_integrator_contract():
     def frame(t):
-        return np.array([[np.exp(1j * np.sin(t)), 0.0],
-                         [0.0, np.exp(-1j * t * t)]])
+        t = np.asarray(t)
+        return _matrix_stack([[np.exp(1j * np.sin(t)), 0.0 * t],
+                              [0.0 * t, np.exp(-1j * t * t)]])
 
     def frame_dot(t):
-        return np.array([[1j * np.cos(t) * np.exp(1j * np.sin(t)), 0.0],
-                         [0.0, -2j * t * np.exp(-1j * t * t)]])
+        t = np.asarray(t)
+        return _matrix_stack([[1j * np.cos(t) * np.exp(1j * np.sin(t)),
+                               0.0 * t],
+                              [0.0 * t, -2j * t * np.exp(-1j * t * t)]])
 
     def transformed(t):
         e = frame(t)

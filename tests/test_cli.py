@@ -295,6 +295,45 @@ BAD = {  # label -> (config, key path in the error)
         {"bundle": MONOPOLE,
          "reconstruct": {"samples_per_overlap": 0.5}},
         "reconstruct.samples_per_overlap"),
+    "bool-tol": ({"bundle": MONOPOLE, "numerics": {"tol": True}},
+                 "numerics.tol"),
+    "string-tol": ({"bundle": MONOPOLE, "numerics": {"tol": "1e-3"}},
+                   "numerics.tol"),
+    "nan-face-tol": ({"bundle": MONOPOLE,
+                      "numerics": {"face_tol": float("nan")}},
+                     "numerics.face_tol"),
+    "infinite-gauge-scale": ({"bundle": MONOPOLE,
+                              "gauge": {"scale": float("inf")}},
+                             "gauge.scale"),
+    "bool-tol-rec": ({"bundle": MONOPOLE, "reconstruct": {"tol_rec": True}},
+                     "reconstruct.tol_rec"),
+    "string-theta": (
+        {"bundle": MONOPOLE,
+         "loop": {"name": "latitude", "params": {"theta": "1.0"}}},
+        "loop.params"),
+    "bool-tilt": (
+        {"bundle": MONOPOLE,
+         "loop": {"name": "great-circle", "params": {"tilt": True}}},
+        "loop.params"),
+    "string-alpha": (
+        {"bundle": MONOPOLE,
+         "cylinder": {"name": "cap-sweep", "params": {"alpha": "2"}}},
+        "cylinder.params"),
+    "nan-amplitude": (
+        {"bundle": {"family": "torus-flat"},
+         "cylinder": {"name": "morph", "params": {"amplitude": float("nan")}}},
+        "cylinder.params"),
+    "string-kappa": (
+        {"bundle": {"family": "monopole", "params": {"kappa": "0.8"}}},
+        "bundle.params"),
+    "bool-mu": ({"bundle": {"family": "sphere-pu2", "params": {"mu": False}}},
+                "bundle.params"),
+    "infinite-spin": (
+        {"bundle": {"family": "sphere-pu2", "params": {"spin": float("inf")}}},
+        "bundle.params"),
+    "string-flux": (
+        {"bundle": {"family": "torus-flat", "params": {"flux": "0.7"}}},
+        "bundle.params"),
 }
 
 

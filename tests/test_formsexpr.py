@@ -193,21 +193,21 @@ def test_zero_form_chain():
 
 def test_integrate_dt():
     one = expr_form(1, {"x": [["1"]]}, ("x",))
-    seg = lambda t: (np.array([t]), np.array([1.0]))
+    seg = lambda t: (t[:, None], np.ones((len(t), 1)))
     assert integrate_1form(one, seg).entries[0, 0] == pytest.approx(1.0,
                                                                    abs=1e-13)
 
 
 def test_integrate_u_du():
     udu = expr_form(1, {"x": [["x"]]}, ("x",))
-    seg = lambda t: (np.array([2.0 * t]), np.array([2.0]))
+    seg = lambda t: (2.0 * t[:, None], np.full((len(t), 1), 2.0))
     assert integrate_1form(udu, seg).entries[0, 0] == pytest.approx(2.0,
                                                                    abs=1e-12)
 
 
 def test_sitting_segment_integrates_to_zero():
     a = expr_form(1, {"x": [["exp(x)"]], "y": [["x"]]}, ("x", "y"))
-    seg = lambda t: (np.array([0.3, 0.4]), np.zeros(2))
+    seg = lambda t: (np.tile([0.3, 0.4], (len(t), 1)), np.zeros((len(t), 2)))
     assert abs(integrate_1form(a, seg).entries[0, 0]) < 1e-15
 
 
@@ -216,8 +216,8 @@ def test_circle_area_integral():
 
     def circ(t):
         th = 2 * math.pi * t
-        return (np.array([math.cos(th), math.sin(th)]),
-                2 * math.pi * np.array([-math.sin(th), math.cos(th)]))
+        return (np.stack([np.cos(th), np.sin(th)], axis=-1),
+                2 * math.pi * np.stack([-np.sin(th), np.cos(th)], axis=-1))
 
     val = integrate_1form(a1, circ, order=12, cells=8).entries[0, 0]
     assert val == pytest.approx(math.pi, abs=1e-10)
@@ -225,12 +225,12 @@ def test_circle_area_integral():
 
 def _sphere_patch(s, t):
     th, ph = math.pi * s, 2 * math.pi * t
-    p = np.array([math.sin(th) * math.cos(ph),
-                  math.sin(th) * math.sin(ph), math.cos(th)])
-    dps = math.pi * np.array([math.cos(th) * math.cos(ph),
-                              math.cos(th) * math.sin(ph), -math.sin(th)])
-    dpt = 2 * math.pi * np.array([-math.sin(th) * math.sin(ph),
-                                  math.sin(th) * math.cos(ph), 0.0])
+    p = np.stack([np.sin(th) * np.cos(ph),
+                  np.sin(th) * np.sin(ph), np.cos(th)], axis=-1)
+    dps = math.pi * np.stack([np.cos(th) * np.cos(ph),
+                              np.cos(th) * np.sin(ph), -np.sin(th)], axis=-1)
+    dpt = 2 * math.pi * np.stack([-np.sin(th) * np.sin(ph),
+                                  np.sin(th) * np.cos(ph), 0.0 * th], axis=-1)
     return p, dps, dpt
 
 
@@ -255,8 +255,8 @@ def test_swapping_patch_roles_negates():
 def test_rank_one_patch_integrates_to_zero():
     def thin(s, t):
         u = s + 2.0 * t
-        p = np.array([math.cos(u), math.sin(u), 0.5])
-        du = np.array([-math.sin(u), math.cos(u), 0.0])
+        p = np.stack([np.cos(u), np.sin(u), 0.5 + 0.0 * u], axis=-1)
+        du = np.stack([-np.sin(u), np.cos(u), 0.0 * u], axis=-1)
         return p, du, 2.0 * du
 
     val = integrate_2form(AREA_FORM, thin, order=8, cells=(3, 3)).entries[0, 0]

@@ -162,10 +162,15 @@ def test_roots_of_unity_extension():
 
 # --- path-ordered exponential ----------------------------------------------
 
+def _matrix_stack(rows):
+    """[[a, b], [c, d]] of scalars or (N,) arrays -> (2, 2) or (N, 2, 2)."""
+    return np.moveaxis(np.array(rows), (0, 1), (-2, -1))
+
+
 def _field_su(t):
-    m = np.array([[1j * np.cos(3 * t), np.sin(t) + 0.4j],
-                  [-np.sin(t) + 0.4j, -1j * np.cos(3 * t)]])
-    return m
+    t = np.asarray(t)
+    return _matrix_stack([[1j * np.cos(3 * t), np.sin(t) + 0.4j],
+                          [-np.sin(t) + 0.4j, -1j * np.cos(3 * t)]])
 
 
 def test_path_ordered_matches_riemann_oracle():
@@ -194,7 +199,7 @@ def test_path_ordered_concatenation():
 
 def test_path_ordered_commuting_field_is_plain_exp():
     base = 1j * np.array([[0.0, 1.0], [1.0, 0.0]])
-    field = lambda t: np.sin(t) * base
+    field = lambda t: np.sin(t)[:, None, None] * base
     got = path_ordered_exp(field, steps=256).entries
     from scipy.linalg import expm
     want = expm((1.0 - np.cos(1.0)) * base)
@@ -215,12 +220,15 @@ def test_transformation_rule_under_conjugation():
     gen = 1j * np.array([[0.0, 1.0], [1.0, 0.0]])
 
     def frame(t):
-        return np.array([[np.exp(1j * np.sin(t)), 0.0],
-                         [0.0, np.exp(-1j * t * t)]])
+        t = np.asarray(t)
+        return _matrix_stack([[np.exp(1j * np.sin(t)), 0.0 * t],
+                              [0.0 * t, np.exp(-1j * t * t)]])
 
     def frame_dot(t):
-        return np.array([[1j * np.cos(t) * np.exp(1j * np.sin(t)), 0.0],
-                         [0.0, -2j * t * np.exp(-1j * t * t)]])
+        t = np.asarray(t)
+        return _matrix_stack([[1j * np.cos(t) * np.exp(1j * np.sin(t)),
+                               0.0 * t],
+                              [0.0 * t, -2j * t * np.exp(-1j * t * t)]])
 
     def transformed(t):
         e = frame(t)
