@@ -1,12 +1,12 @@
 """Twisted principal bundles with connection, stored as local data over a
 cover: transition maps, the fiber 2-cocycle, and the three layers of
-connection forms, plus validation, gauge transformation and flatness.
+connection forms, plus validation and gauge transformation.
 
 Group-valued local maps are carried by GroupMap, whose jets are exact:
-defining functions are evaluated on dual numbers, products and inverses
-follow the product rule, and a map pushed through a homomorphism of
-the extension is differentiated through that homomorphism's
-differential.  Forms carry their exterior derivatives (see
+defining functions are evaluated on dual numbers over stacks of points,
+products and inverses follow the product rule, and a map pushed through
+a homomorphism of the extension is differentiated through that
+homomorphism's differential.  Forms carry their exterior derivatives (see
 formsexpr.forms), so no identity checked here involves a finite
 difference.
 """
@@ -21,75 +21,71 @@ import numpy as np
 import scipy.linalg
 
 from . import dual as dm
-from .dual import Dual, value
+from .dual import value
 from .errors import ChartMismatch, MissingField, TagMismatch
 from .formsexpr.forms import LocalForm, exterior_derivative, native_form, zero_form
-from .liecore import CentralExtension, GroupElement, mat_norm
+from .liecore import CentralExtension, GroupElement
 
 
-def _seeded_point(point, direction):
-    return [Dual(float(p), float(d)) for p, d in zip(point, direction)]
-
-
-def _split(matrix_rows):
-    """Nested Dual/complex entries -> (value matrix, derivative matrix)."""
-    rows = list(matrix_rows)
-    n = len(rows)
-    m = len(rows[0])
-    val = np.empty((n, m), dtype=complex)
-    dot = np.empty((n, m), dtype=complex)
-    for r in range(n):
-        for c in range(m):
-            entry = rows[r][c]
-            if isinstance(entry, Dual):
-                val[r, c] = entry.val
-                dot[r, c] = entry.dot
-            else:
-                val[r, c] = entry
-                dot[r, c] = 0.0
+def _stack_entries(rows, shape):
+    """Nested matrix entries (node arrays of the given shape, Duals over
+    them, or constants) -> (value stack, derivative stack), each of
+    shape + (d, d)."""
+    val = np.empty(shape + (len(rows), len(rows[0])), dtype=complex)
+    dot = np.empty_like(val)
+    for r, row in enumerate(rows):
+        for c, entry in enumerate(row):
+            val[..., r, c] = value(entry)
+            dot[..., r, c] = dm.derivative(entry)
     return val, dot
 
 
 class GroupMap:
     """A smooth group-valued map on (part of) the model, with exact jets.
 
-    jet(point, direction) returns the pair (g(p), derivative of g at p
-    along the ambient direction).
+    value(point) is g(p) and jet(point, direction) the pair (g(p),
+    derivative of g at p along the ambient direction).  Both take one
+    point of shape (n,) and give (d, d) matrices, or an (N, n) stack and
+    give (N, d, d) stacks, through the same code: value_fn maps a
+    (..., n) stack to its (..., d, d) values, jet_fn a point stack and a
+    direction stack to the pair of stacks.
     """
 
-    def __init__(self, jet_fn, tag, value_fn=None):
+    def __init__(self, jet_fn, tag, value_fn):
         self._jet = jet_fn
         self.tag = tag
         self._value = value_fn
 
     @classmethod
     def from_dual_fn(cls, fn, tag):
-        """fn maps a list of coordinate scalars (floats or Duals) to a
-        nested-list/array square matrix."""
+        """fn maps the list of coordinate node arrays of a stack (plain,
+        or Duals over the nodes) to a nested-list square matrix whose
+        entries are node arrays, Duals or constants."""
 
-        def jet(point, direction):
-            return _split(fn(_seeded_point(point, direction)))
+        def jet(p, d):
+            return _stack_entries(fn(dm.seeded(p, d)), p.shape[:-1])
 
-        def val(point):
-            v, _ = _split(fn([float(p) for p in point]))
-            return v
+        def val(p):
+            return _stack_entries(fn(dm.columns(p)), p.shape[:-1])[0]
 
         return cls(jet, tag, val)
 
     @classmethod
     def constant(cls, matrix, tag):
         m = np.array(matrix, dtype=complex)
-        z = np.zeros_like(m)
-        return cls(lambda p, d: (m, z), tag, lambda p: m)
+
+        def val(p):
+            return np.broadcast_to(m, p.shape[:-1] + m.shape)
+
+        return cls(lambda p, d: (val(p), np.zeros_like(val(p))), tag, val)
 
     def value(self, point) -> GroupElement:
-        if self._value is not None:
-            return GroupElement(self._value(point), self.tag)
-        v, _ = self._jet(point, np.zeros(len(point)))
-        return GroupElement(v, self.tag)
+        return GroupElement(self._value(np.asarray(point, dtype=float)),
+                            self.tag)
 
     def jet(self, point, direction):
-        return self._jet(point, direction)
+        return self._jet(np.asarray(point, dtype=float),
+                         np.asarray(direction, dtype=float))
 
     # --- combinators (all propagate exact derivatives) ------------------
 
@@ -103,7 +99,7 @@ class GroupMap:
             return a @ b, da @ b + a @ db
 
         return GroupMap(jet, self.tag,
-                        lambda p: self.value(p).entries @ other.value(p).entries)
+                        lambda p: self._value(p) @ other._value(p))
 
     def inv(self) -> "GroupMap":
         def jet(p, d):
@@ -112,7 +108,7 @@ class GroupMap:
             return ai, -ai @ da @ ai
 
         return GroupMap(jet, self.tag,
-                        lambda p: np.linalg.inv(self.value(p).entries))
+                        lambda p: np.linalg.inv(self._value(p)))
 
     def power(self, n: int) -> "GroupMap":
         if n == 0:
@@ -133,7 +129,7 @@ class GroupMap:
             v = hom(a)
             return v, v @ alg_hom(np.linalg.inv(a) @ da)
 
-        return GroupMap(jet, tag, lambda p: hom(self.value(p).entries))
+        return GroupMap(jet, tag, lambda p: hom(self._value(p)))
 
     # --- derived forms --------------------------------------------------
 
@@ -148,9 +144,9 @@ class GroupMap:
 
     def conjugated_form(self, form: LocalForm) -> LocalForm:
         """(p, v) -> g(p)^-1 form(p, v) g(p)."""
-        def evalfn(p, v):
-            a = self.value(p).entries
-            return np.linalg.inv(a) @ form(p, v) @ a
+        def evalfn(p, *t):
+            a = self._value(p)
+            return np.linalg.inv(a) @ form(p, *t) @ a
 
         return LocalForm(form.degree, form.dim, form.coord_names, evalfn,
                          form.value_tag)
@@ -261,32 +257,27 @@ class ValidationReport:
         return max(self.residuals, key=self.residuals.get)
 
 
-@dataclass
-class CurvatureReport:
-    h_constancy: float        # max deviation of any h_ijk from its mean
-    curvature_norm: float     # max |dF_i| sample (0 by degree on surfaces)
-    tol: float
-
-    @property
-    def flat_bundle(self):
-        return self.h_constancy <= self.tol
-
-    @property
-    def flat_connection(self):
-        return self.curvature_norm <= self.tol
-
-
 # --------------------------------------------------------------------------
 # Validation
 # --------------------------------------------------------------------------
 
-def _rand_tangent(cover, rng, p):
-    return cover.model.random_tangent(rng, p)
+def _tangents(cover, rng, pts, count):
+    """`count` random tangents at each point, drawn point by point, as
+    `count` (N, n) stacks."""
+    return np.array([[cover.model.random_tangent(rng, p)
+                      for _ in range(count)] for p in pts]).swapaxes(0, 1)
+
+
+def _worst(stack):
+    """The largest Frobenius norm in an (N, d, d) stack."""
+    return float(np.linalg.norm(stack, axis=(-2, -1)).max())
 
 
 def validate(bundle: TwistedBundleData, sample_count=40, tol=1e-8,
              seed=0) -> ValidationReport:
-    """Numerically check every local identity at random region samples."""
+    """Numerically check every local identity at random region samples,
+    each identity evaluated once per region on the stack of its
+    samples."""
     bundle.check_structure()
     cover, ext = bundle.cover, bundle.extension
     rng = np.random.default_rng(seed)
@@ -297,75 +288,64 @@ def validate(bundle: TwistedBundleData, sample_count=40, tol=1e-8,
         "A_gluing", "abelian_cocycle", "D_gluing", "D_projection",
         "curving_gluing")}
 
-    def bump(key, v):
-        res[key] = max(res[key], float(v))
+    def bump(key, stack):
+        res[key] = max(res[key], _worst(stack))
 
-    unit_e = np.eye(ext.E.dim)
+    unit_e, unit_g = np.eye(ext.E.dim), np.eye(ext.G.dim)
     for (i, j) in overlap_pairs(n):
         if i > j:
             continue
-        pts = sample_region(cover, (i, j), rng, sample_count)
-        for p in pts:
-            v = _rand_tangent(cover, rng, p)
-            eij, deij = bundle.e[(i, j)].jet(p, v)
-            eji = bundle.e[(j, i)].value(p).entries
-            gij = bundle.g[(i, j)].value(p).entries
-            gji = bundle.g[(j, i)].value(p).entries
-            bump("antisymmetry_e", mat_norm(eij @ eji - unit_e))
-            bump("antisymmetry_g", mat_norm(gij @ gji - np.eye(ext.G.dim)))
-            bump("antisymmetry_Aij",
-                 mat_norm(bundle.Aij[(i, j)](p, v) + bundle.Aij[(j, i)](p, v)))
-            bump("projection", mat_norm(ext.project_mat(eij) - gij))
-            # 0-connection gluing across the overlap
-            ai = bundle.A[i](p, v)
-            aj = bundle.A[j](p, v)
-            eij_inv = np.linalg.inv(eij)
-            glue = aj - eij_inv @ ai @ eij - eij_inv @ deij \
-                - ext.alg_include_mat(bundle.Aij[(i, j)](p, v))
-            bump("A_gluing", mat_norm(glue))
-            # plain G-connection gluing
-            gmap = bundle.g[(i, j)]
-            gv, dgv = gmap.jet(p, v)
-            gv_inv = np.linalg.inv(gv)
-            dglue = bundle.D[j](p, v) - gv_inv @ bundle.D[i](p, v) @ gv \
-                - gv_inv @ dgv
-            bump("D_gluing", mat_norm(dglue))
-            bump("D_projection",
-                 mat_norm(ext.alg_project_mat(ai) - bundle.D[i](p, v)))
-            # 1-connection gluing needs a tangent pair
-            w = _rand_tangent(cover, rng, p)
-            dAij = exterior_derivative(bundle.Aij[(i, j)])
-            bump("curving_gluing",
-                 mat_norm(bundle.F[j](p, v, w) - bundle.F[i](p, v, w)
-                          - dAij(p, v, w)))
+        p = np.array(sample_region(cover, (i, j), rng, sample_count))
+        v, w = _tangents(cover, rng, p, 2)
+        eij, deij = bundle.e[(i, j)].jet(p, v)
+        eji = bundle.e[(j, i)].value(p).entries
+        gij, dgij = bundle.g[(i, j)].jet(p, v)
+        gji = bundle.g[(j, i)].value(p).entries
+        aij = bundle.Aij[(i, j)](p, v)
+        bump("antisymmetry_e", eij @ eji - unit_e)
+        bump("antisymmetry_g", gij @ gji - unit_g)
+        bump("antisymmetry_Aij", aij + bundle.Aij[(j, i)](p, v))
+        bump("projection", ext.project_mat(eij) - gij)
+        # 0-connection gluing across the overlap
+        ai, aj = bundle.A[i](p, v), bundle.A[j](p, v)
+        eij_inv = np.linalg.inv(eij)
+        bump("A_gluing", aj - eij_inv @ ai @ eij - eij_inv @ deij
+             - ext.alg_include_mat(aij))
+        # plain G-connection gluing
+        di = bundle.D[i](p, v)
+        gij_inv = np.linalg.inv(gij)
+        bump("D_gluing", bundle.D[j](p, v) - gij_inv @ di @ gij
+             - gij_inv @ dgij)
+        bump("D_projection", ext.alg_project_mat(ai) - di)
+        # 1-connection gluing needs a tangent pair
+        dAij = exterior_derivative(bundle.Aij[(i, j)])
+        bump("curving_gluing", bundle.F[j](p, v, w) - bundle.F[i](p, v, w)
+             - dAij(p, v, w))
 
     for (i, j, k) in overlap_triples(n):
         if not (i < j and j < k):
             continue
-        pts = sample_region(cover, (i, j, k), rng,
-                            max(4, sample_count // 4))
-        for p in pts:
-            v = _rand_tangent(cover, rng, p)
-            eij = bundle.e[(i, j)].value(p).entries
-            ejk = bundle.e[(j, k)].value(p).entries
-            eki = bundle.e[(k, i)].value(p).entries
-            hijk, dhijk = bundle.h[(i, j, k)].jet(p, v)
-            bump("cocycle",
-                 mat_norm(eij @ ejk @ eki - ext.include_mat(hijk)))
-            total = (bundle.Aij[(i, j)](p, v) + bundle.Aij[(j, k)](p, v)
-                     + bundle.Aij[(k, i)](p, v))
-            bump("abelian_cocycle",
-                 mat_norm(total + np.linalg.inv(hijk) @ dhijk))
+        p = np.array(sample_region(cover, (i, j, k), rng,
+                                   max(4, sample_count // 4)))
+        v, = _tangents(cover, rng, p, 1)
+        eij = bundle.e[(i, j)].value(p).entries
+        ejk = bundle.e[(j, k)].value(p).entries
+        eki = bundle.e[(k, i)].value(p).entries
+        hijk, dhijk = bundle.h[(i, j, k)].jet(p, v)
+        bump("cocycle", eij @ ejk @ eki - ext.include_mat(hijk))
+        total = (bundle.Aij[(i, j)](p, v) + bundle.Aij[(j, k)](p, v)
+                 + bundle.Aij[(k, i)](p, v))
+        bump("abelian_cocycle", total + np.linalg.inv(hijk) @ dhijk)
 
     for quad in itertools.combinations(range(n), 4):
         i, j, k, l = quad
-        pts = sample_region(cover, quad, rng, max(3, sample_count // 8))
-        for p in pts:
-            hv = {t: bundle.h[t].value(p).entries
-                  for t in ((j, k, l), (i, k, l), (i, j, l), (i, j, k))}
-            delta = hv[(j, k, l)] @ np.linalg.inv(hv[(i, k, l)]) \
-                @ hv[(i, j, l)] @ np.linalg.inv(hv[(i, j, k)])
-            bump("h_coboundary", mat_norm(delta - np.eye(ext.H.dim)))
+        p = np.array(sample_region(cover, quad, rng,
+                                   max(3, sample_count // 8)))
+        hv = {t: bundle.h[t].value(p).entries
+              for t in ((j, k, l), (i, k, l), (i, j, l), (i, j, k))}
+        delta = hv[(j, k, l)] @ np.linalg.inv(hv[(i, k, l)]) \
+            @ hv[(i, j, l)] @ np.linalg.inv(hv[(i, j, k)])
+        bump("h_coboundary", delta - np.eye(ext.H.dim))
     if n < 4:
         res.pop("h_coboundary")
 
@@ -456,14 +436,14 @@ def one_parameter_map(gen_matrix, phi_fn, tag) -> GroupMap:
     Vd = V.conj().T
 
     def jet(p, d):
-        ph = phi_fn(_seeded_point(p, d))
-        pv, pd = (ph.val, ph.dot) if isinstance(ph, Dual) else (ph, 0.0)
-        ex = np.exp(-1j * lam * pv)
-        return (V * ex) @ Vd, (V * (-1j * lam * ex * pd)) @ Vd
+        ph = phi_fn(dm.seeded(p, d))
+        ex = np.exp(-1j * lam * np.asarray(ph.val)[..., None])
+        dex = -1j * lam * ex * np.asarray(ph.dot)[..., None]
+        return (V * ex[..., None, :]) @ Vd, (V * dex[..., None, :]) @ Vd
 
     def val(p):
-        ph = phi_fn([float(c) for c in p])
-        return (V * np.exp(-1j * lam * complex(ph))) @ Vd
+        ex = np.exp(-1j * lam * np.asarray(phi_fn(dm.columns(p)))[..., None])
+        return (V * ex[..., None, :]) @ Vd
 
     return GroupMap(jet, tag, val)
 
@@ -496,15 +476,14 @@ def _coeff_form(cfns, Y, coords, tag) -> LocalForm:
     Y = np.asarray(Y, dtype=complex)
 
     def _dot(c, p, d):
-        """D_d c at one point, or at each point of an (N, n) stack."""
-        ph = c([Dual(x, y) for x, y in zip(p.T, d.T)])
-        return ph.dot if isinstance(ph, Dual) else 0.0
+        """D_d c at each point of a (..., n) stack."""
+        return c(dm.seeded(p, d)).dot
 
     def evalfn(p, v):
         s = 0.0
         for k, c in enumerate(cfns):
-            s = s + value(c([float(x) for x in p])) * v[k]
-        return s * Y
+            s = s + c(dm.columns(p)) * v[..., k]
+        return np.asarray(s)[..., None, None] * Y
 
     def d_eval(p, v, w):
         total = 0.0
@@ -572,24 +551,3 @@ def random_gauge(bundle: TwistedBundleData, seed=0, scale=0.4,
             B_i[i] = _coeff_form(cfns, alg_gen("H"), coords, "h")
 
     return GaugeData(e_i=e_i, h_ij=h_ij, B_i=B_i)
-
-
-# --------------------------------------------------------------------------
-# Flatness
-# --------------------------------------------------------------------------
-
-def is_flat(bundle: TwistedBundleData, sample_count=40, tol=1e-6,
-            seed=0) -> CurvatureReport:
-    """h-constancy per triple overlap; dF is zero by degree on surfaces."""
-    cover = bundle.cover
-    rng = np.random.default_rng(seed)
-    n = bundle.nc
-    worst = 0.0
-    for (i, j, k) in overlap_triples(n):
-        if not (i < j and j < k):
-            continue
-        pts = sample_region(cover, (i, j, k), rng, sample_count)
-        vals = np.array([bundle.h[(i, j, k)].value(p).entries for p in pts])
-        mean = vals.mean(axis=0)
-        worst = max(worst, float(max(mat_norm(v - mean) for v in vals)))
-    return CurvatureReport(h_constancy=worst, curvature_norm=0.0, tol=tol)

@@ -2,8 +2,8 @@
 
 Everything here is built from collar-warped smooth pieces, so all
 concatenations stay smooth and every object carries exact derivatives.
-Each map takes one parameter value or an array of nodes (see
-geometry.Loop); piecewise profiles run each piece only on its own nodes.
+Each map takes arrays of nodes (see geometry.Loop); piecewise profiles
+run each piece only on its own nodes.
 """
 
 from __future__ import annotations
@@ -65,7 +65,9 @@ _CAP_PIECES = (
 
 def _cap_profile(alpha, t):
     """(theta, phi) of the three-piece loop: down the phi=0 meridian to
-    polar angle alpha, once around the latitude, and back up."""
+    polar angle alpha (one angle, or one per node), once around the
+    latitude, and back up."""
+    alpha = alpha + np.zeros(np.shape(value(t)))
     return dm.piecewise(_third(t), _CAP_PIECES, alpha, t)
 
 

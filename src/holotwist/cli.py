@@ -218,9 +218,9 @@ def _cmd_functor(cfg, num, bundle):
 
 def _cmd_trace(cfg, num, bundle):
     cyl = _cylinder(cfg, bundle)
-    tr = kapustin_trace(bundle, cyl, steps=num["steps"], order=num["order"])
+    tr = kapustin_trace(bundle, cyl, steps=num["steps"], **_quadrature(num))
     tr2 = kapustin_trace(bundle, cyl, steps=2 * num["steps"],
-                         order=num["order"])
+                         **_quadrature(num))
     return ({"refinement_invariance": abs(tr - tr2)},
             {"trace": [tr.real, tr.imag]}, num["tol"])
 

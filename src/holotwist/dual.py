@@ -1,20 +1,17 @@
-"""First-order dual numbers over complex scalars or numpy arrays.
+"""First-order dual numbers over numpy node arrays.
 
 Used for exact derivatives of expression ASTs along a direction and of
 the closed-form curves/cylinders in the geometry catalog.  Only the function
 set needed by the expression grammar is provided.
 
-A Dual holds either two scalars (coerced to complex, evaluated with
-math/cmath) or two arrays over a batch of nodes (evaluated with numpy,
-real arrays staying real).  Domain errors are raised when any node of a
-batch leaves the domain.  `piecewise` evaluates a piecewise map on a
-batch with each piece run only on the nodes that fall in it.
+A Dual holds two arrays over a batch of nodes, evaluated with numpy
+(real arrays staying real); numpy scalars pass through the same code.
+Domain errors are raised when any node of a batch leaves the domain.
+`piecewise` evaluates a piecewise map on a batch with each piece run
+only on the nodes that fall in it.
 """
 
 from __future__ import annotations
-
-import math
-import cmath
 
 import numpy as np
 
@@ -24,8 +21,8 @@ _NUM = (int, float, complex, np.ndarray)
 
 
 def _any(cond):
-    """A scalar condition, or whether it holds at any node."""
-    return cond if cond is True or cond is False else bool(cond.any())
+    """Whether a condition holds at any node."""
+    return bool(np.asarray(cond).any())
 
 
 _new = object.__new__
@@ -40,16 +37,13 @@ def _dual(val, dot):
 
 
 class Dual:
-    """a + b*eps with eps^2 = 0; a, b complex scalars or node arrays."""
+    """a + b*eps with eps^2 = 0; a, b node arrays."""
 
     __slots__ = ("val", "dot")
     __array_ufunc__ = None      # numpy defers to the reflected operators
 
     def __init__(self, val, dot=0.0):
-        if isinstance(val, np.ndarray) or isinstance(dot, np.ndarray):
-            self.val, self.dot = val, dot
-        else:
-            self.val, self.dot = complex(val), complex(dot)
+        self.val, self.dot = val, dot
 
     def __repr__(self):
         return f"Dual({self.val!r}, {self.dot!r})"
@@ -110,22 +104,18 @@ class Dual:
             return exp(other * log(self))
         if isinstance(other, _NUM):
             if other == 0:
-                return Dual(1.0 + 0.0 * self.val, 0.0 * self.dot) \
-                    if isinstance(self.val, np.ndarray) else Dual(1.0, 0.0)
-            if _any(self.val == 0):
-                # only nonnegative integer powers are smooth at 0
-                if not (isinstance(other, int) and other > 0):
-                    raise DomainError("0 raised to non-positive-integer power")
-                if not isinstance(self.val, np.ndarray):
-                    return Dual(0.0, self.dot if other == 1 else 0.0)
+                return _dual(1.0 + 0.0 * self.val, 0.0 * self.dot)
+            # only nonnegative integer powers are smooth at 0
+            if _any(self.val == 0) and not (isinstance(other, int)
+                                            and other > 0):
+                raise DomainError("0 raised to non-positive-integer power")
             return _dual(self.val ** other,
                          other * self.val ** (other - 1) * self.dot)
         return NotImplemented
 
     def __rpow__(self, other):
-        return exp(self * math.log(other) if (isinstance(other, (int, float))
-                                              and other > 0)
-                   else self * cmath.log(other))
+        real = isinstance(other, (int, float)) and other > 0
+        return exp(self * np.log(other if real else other + 0j))
 
 
 def _as_dual(x):
@@ -133,59 +123,52 @@ def _as_dual(x):
 
 
 def value(x):
-    """Primal part of a Dual, array or plain scalar."""
-    if isinstance(x, Dual):
-        return x.val
-    return x if isinstance(x, np.ndarray) else complex(x)
+    """Primal part of a Dual, else x itself."""
+    return x.val if isinstance(x, Dual) else x
 
 
-def _lib(x):
-    return np if isinstance(x, np.ndarray) else cmath
+def derivative(x):
+    """Derivative part of a Dual, else 0."""
+    return x.dot if isinstance(x, Dual) else 0.0
 
 
 def sin(x):
     if isinstance(x, Dual):
-        lib = _lib(x.val)
-        return _dual(lib.sin(x.val), lib.cos(x.val) * x.dot)
-    return _lib(x).sin(x)
+        return _dual(np.sin(x.val), np.cos(x.val) * x.dot)
+    return np.sin(x)
 
 
 def cos(x):
     if isinstance(x, Dual):
-        lib = _lib(x.val)
-        return _dual(lib.cos(x.val), -lib.sin(x.val) * x.dot)
-    return _lib(x).cos(x)
+        return _dual(np.cos(x.val), -np.sin(x.val) * x.dot)
+    return np.cos(x)
 
 
 def exp(x):
     if isinstance(x, Dual):
-        e = _lib(x.val).exp(x.val)
+        e = np.exp(x.val)
         return _dual(e, e * x.dot)
-    return _lib(x).exp(x)
+    return np.exp(x)
 
 
 def _check_log(v):
     if _any(v == 0):
         raise DomainError("log of zero")
-    if _any((v.imag == 0) & (v.real < 0)):
+    if _any((np.imag(v) == 0) & (np.real(v) < 0)):
         raise DomainError("log of negative real")
 
 
 def log(x):
     if isinstance(x, Dual):
         _check_log(x.val)
-        return _dual(_lib(x.val).log(x.val), x.dot / x.val)
+        return _dual(np.log(x.val), x.dot / x.val)
     if _any(x == 0):
         raise DomainError("log of zero")
-    if isinstance(x, np.ndarray):
-        return np.log(x.astype(complex))
-    return cmath.log(x)
+    return np.log(x + 0j)
 
 
 def _sqrt(v):
-    if isinstance(v, np.ndarray):
-        return np.sqrt(v.astype(complex) if np.any(v.real < 0) else v)
-    return cmath.sqrt(v)
+    return np.sqrt(v + 0j if _any(np.real(v) < 0) else v)
 
 
 def sqrt(x):
@@ -200,14 +183,12 @@ def sqrt(x):
 def atan2(y, x):
     """Two-argument arctangent; real parts only (smooth away from origin)."""
     y, x = _as_dual(y), _as_dual(x)
-    yv, xv = y.val.real, x.val.real
+    yv, xv = np.real(y.val), np.real(x.val)
     if _any((yv == 0) & (xv == 0)):
         raise DomainError("atan2 at origin")
-    v = np.arctan2(yv, xv) if isinstance(yv, np.ndarray) \
-        else math.atan2(yv, xv)
     r2 = xv * xv + yv * yv
-    dot = (xv * y.dot.real - yv * x.dot.real) / r2
-    return Dual(v, dot)
+    dot = (xv * np.real(y.dot) - yv * np.real(x.dot)) / r2
+    return Dual(np.arctan2(yv, xv), dot)
 
 
 # --------------------------------------------------------------------------
@@ -217,16 +198,14 @@ def atan2(y, x):
 def cell_index(x, n):
     """Index k of the cell [k/n, (k+1)/n] of [0, 1] that holds x, with x
     clamped to [0, 1] and the right end in the last cell."""
-    if isinstance(x, np.ndarray):
-        return np.minimum((np.clip(x, 0.0, 1.0) * n).astype(int), n - 1)
-    return min(int(min(max(x, 0.0), 1.0) * n), n - 1)
+    return np.minimum((np.clip(x, 0.0, 1.0) * n).astype(int), n - 1)
 
 
 def take(x, idx):
-    """x restricted to the nodes idx; scalars are shared by every node."""
+    """x restricted to the nodes idx."""
     if isinstance(x, Dual):
-        return _dual(take(x.val, idx), take(x.dot, idx))
-    return x[idx] if isinstance(x, np.ndarray) else x
+        return _dual(x.val[idx], x.dot[idx])
+    return x[idx]
 
 
 def _fill(parts, n):
@@ -245,16 +224,14 @@ def _fill(parts, n):
 def piecewise(index, pieces, *args):
     """pieces[k](*args) on the nodes where index == k.
 
-    Each piece returns a sequence of components.  With scalar arguments
-    `index` is an int (or bool) and one piece runs.  Over a batch it is
-    an integer array with one entry per node: each piece runs on the
-    arguments restricted to its own nodes, and the components are
-    scattered back into arrays over the whole batch.
+    Each piece returns a sequence of components.  `index` holds one
+    piece number (an integer or a bool) per node.  When every node falls
+    in one piece, that piece runs on the arguments as given; otherwise
+    each piece runs on the arguments restricted to its own nodes, and
+    the components are scattered back into arrays over the whole batch.
     """
-    if not isinstance(index, np.ndarray) or not index.ndim:
-        return pieces[int(index)](*args)
-    index = index.astype(int, copy=False)
-    first = index[0]
+    index = np.asarray(index).astype(int, copy=False)
+    first = index.flat[0]
     if (index == first).all():
         return pieces[first](*args)
     parts = []
@@ -264,3 +241,14 @@ def piecewise(index, pieces, *args):
             parts.append((idx, piece(*[take(a, idx) for a in args])))
     return [_fill([(idx, out[c]) for idx, out in parts], index.size)
             for c in range(len(parts[0][1]))]
+
+
+def columns(points):
+    """The coordinates of a (..., n) stack of points, one array each."""
+    return [points[..., k] for k in range(points.shape[-1])]
+
+
+def seeded(points, directions):
+    """The coordinates of a (..., n) stack of points as Duals along a
+    (..., n) stack of directions."""
+    return [Dual(x, y) for x, y in zip(columns(points), columns(directions))]

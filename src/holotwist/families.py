@@ -5,6 +5,10 @@ The two sphere families are built from quaternion sections of the unit
 point along a great circle, then a fixed rotation aligns the reference
 axis k with p.  All transition phases, connection forms and cocycles
 derive from those sections, so every local identity holds exactly.
+
+Every map and form here is evaluated on stacks of points: coordinates
+are node arrays (or Duals over them), and forms map (..., n) point and
+tangent stacks to (..., d, d) value stacks.
 """
 
 from __future__ import annotations
@@ -15,15 +19,15 @@ import numpy as np
 
 from . import dual as dm
 from .bundle import GroupMap, TwistedBundleData, overlap_pairs, overlap_triples
-from .dual import Dual, value
+from .dual import value
 from .errors import ConfigError, DomainError, float_setting, integer_setting
 from .formsexpr.forms import LocalForm, native_form, zero_form
 from .geometry import COVER_FOR_MODEL, SPHERE_CAP_AXES, make_cover
-from .liecore import make_extension
+from .liecore import SIGMA, diag_stack, make_extension
 
 
 # --------------------------------------------------------------------------
-# Quaternions as 4-tuples of scalars (floats or Duals)
+# Quaternions as 4-tuples of node arrays (or Duals over them)
 # --------------------------------------------------------------------------
 
 def qmul(a, b):
@@ -43,7 +47,7 @@ def rotor_to(p, x):
     """Unit quaternion rotating the unit vector p onto the point x along
     the shorter great circle; undefined at the antipode of p."""
     d = p[0] * x[0] + p[1] * x[1] + p[2] * x[2]
-    if value(d).real <= -1.0 + 1e-12:
+    if np.any(np.real(value(d)) <= -1.0 + 1e-12):
         raise DomainError("rotor undefined at the antipode of the cap axis")
     c = dm.sqrt((1.0 + d) / 2.0)
     cross = (p[1] * x[2] - p[2] * x[1],
@@ -67,6 +71,12 @@ def su2_matrix(q):
     w, x, y, z = q
     return [[w - 1j * z, -1j * x - y],
             [-1j * x + y, w + 1j * z]]
+
+
+def _su2_stack(q):
+    """su2_matrix of a quaternion of node arrays, as a (..., 2, 2) stack."""
+    return np.moveaxis(np.array(su2_matrix(q), dtype=complex), (0, 1),
+                       (-2, -1))
 
 
 def stabilizer_phase(q):
@@ -100,7 +110,7 @@ def _sphere_fiber_layer(nc, coords, kappa, mu):
         taus[(i, j)], coeff = _linear_tau(axes[i], axes[j], kappa, mu)
 
         def aij_eval(p, v, coeff=coeff):
-            return np.array([[-1j * float(np.dot(coeff, v))]])
+            return -1j * (v @ coeff)[..., None, None]
 
         aij_forms[(i, j)] = native_form(
             1, aij_eval, 1, coords, value_tag="h",
@@ -120,11 +130,11 @@ def _sphere_fiber_layer(nc, coords, kappa, mu):
 
 
 def _section_jet(axis, p, v):
-    """The cap section at p and its derivative along v, as quaternions."""
-    seeded = [Dual(float(c), float(d)) for c, d in zip(p, v)]
-    q = section_rotor(axis, tuple(seeded))
-    return (tuple(value(c) for c in q),
-            tuple((c.dot if isinstance(c, Dual) else 0.0) for c in q))
+    """The cap section at each point of a (..., 3) stack and its
+    derivative along the matching tangent, as quaternions."""
+    q = section_rotor(axis, tuple(dm.seeded(p, v)))
+    return tuple(c.val for c in q), tuple(c.dot for c in q)
+
 
 
 def _const_2form(scale_matrix, component, dim, coords, tag="h"):
@@ -221,12 +231,12 @@ def torus_flat_bundle(k=1, order=3, flux=0.7) -> TwistedBundleData:
     d1, d2 = 1.3, 0.55
 
     def a_eval(p, v):
-        lam_part = 1j * (a1 * v[0] + a2 * v[1])
-        g_part = 1j * (d1 * v[0] + d2 * v[1])
-        return np.diag([lam_part, g_part])
+        lam_part = 1j * (a1 * v[..., 0] + a2 * v[..., 1])
+        g_part = 1j * (d1 * v[..., 0] + d2 * v[..., 1])
+        return diag_stack([lam_part, g_part])
 
     def d_eval(p, v):
-        return np.array([[1j * (d1 * v[0] + d2 * v[1])]])
+        return 1j * (d1 * v[..., 0] + d2 * v[..., 1])[..., None, None]
 
     a_form = native_form(1, a_eval, 2, coords, value_tag="e",
                          d=zero_form(2, 2, coords, value_tag="e"))
@@ -318,10 +328,10 @@ def monopole_bundle(n=1, kappa=0.8, mu=0.5) -> TwistedBundleData:
         vert = _vertical_component(axes[i])
 
         def d_eval(p, v, vert=vert):
-            return np.array([[-1j * n * vert(p, v)]])
+            return -1j * n * np.asarray(vert(p, v))[..., None, None]
 
         def a_eval(p, v, vert=vert):
-            return np.diag([0.0 + 0.0j, -1j * n * vert(p, v)])
+            return diag_stack([0.0, -1j * n * vert(p, v)])
 
         d_forms[i] = native_form(1, d_eval, 1, coords, value_tag="g")
         a_forms[i] = native_form(1, a_eval, 2, coords, value_tag="e")
@@ -380,10 +390,8 @@ def pu2_bundle(kappa=0.8, mu=0.5, spin=0.6, flux=0.7) -> TwistedBundleData:
 
     def global_su2(p, v):
         """(i spin / 2) sigma . (x cross v): a global su(2) 1-form."""
-        c = np.cross(p, v)
-        return 0.5j * spin * (c[0] * np.array([[0, 1], [1, 0]], complex)
-                              + c[1] * np.array([[0, -1j], [1j, 0]], complex)
-                              + c[2] * np.array([[1, 0], [0, -1]], complex))
+        return 0.5j * spin * np.einsum("...k,kab->...ab", np.cross(p, v),
+                                       SIGMA)
 
     a_forms, d_forms = {}, {}
     for i in range(nc):
@@ -391,8 +399,8 @@ def pu2_bundle(kappa=0.8, mu=0.5, spin=0.6, flux=0.7) -> TwistedBundleData:
 
         def a_eval(p, v, axis=axis):
             qval, qdot = _section_jet(axis, p, v)
-            u = np.array(su2_matrix(qval), dtype=complex)
-            du = np.array(su2_matrix(qdot), dtype=complex)
+            u = _su2_stack(qval)
+            du = _su2_stack(qdot)
             ui = np.linalg.inv(u)
             return ui @ global_su2(p, v) @ u + ui @ du
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import numpy as np
+
 from .. import dual
 from ..dual import Dual
 from ..errors import DomainError, UnknownIdentifier
@@ -48,9 +50,20 @@ def _eval(node, env):
     return -_eval(node.arg, env)
 
 
+def evaluate(node, env):
+    """The value of an expression at a binding of its coordinates to
+    scalars, node arrays or Duals.  A node where the value divides by
+    zero, overflows or is undefined raises DomainError."""
+    try:
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            return _eval(node, env)
+    except FloatingPointError as exc:
+        raise DomainError(str(exc)) from None
+
+
 def eval_expr(node, point):
     """Evaluate at a coordinate binding {name: scalar}; returns complex."""
-    return complex(dual.value(_eval(node, point)))
+    return complex(dual.value(evaluate(node, point)))
 
 
 def eval_ad(node, point, seed):
@@ -60,7 +73,7 @@ def eval_ad(node, point, seed):
     taken in the direction seed.  Returns (value, derivative).
     """
     env = {name: Dual(val, seed.get(name, 0.0)) for name, val in point.items()}
-    out = _eval(node, env)
+    out = evaluate(node, env)
     if isinstance(out, Dual):
         return out.val, out.dot
     return complex(out), 0.0 + 0.0j

@@ -8,10 +8,11 @@ forward AD, native callables carry the one their caller supplies, and
 sums and scalar multiples combine those of their parts.  A form built
 without `d` has none.
 
-Degree-2 forms are evaluated on stacks: points and tangents of shape
-(N, n) give an (N, d, d) stack of values (one point of shape (n,) gives
-one (d, d) value), so a quadrature cell takes one form call.  Degree-0
-and degree-1 forms are evaluated one point at a time.
+Forms of every degree are evaluated on stacks: points and tangents of
+shape (N, n) give an (N, d, d) stack of values, and one point of shape
+(n,) gives one (d, d) value, through the same code (evaluators index
+coordinates from the last axis).  So a quadrature cell, an edge or a
+line cell takes one form call.
 """
 
 from __future__ import annotations
@@ -20,17 +21,18 @@ import functools
 
 import numpy as np
 
-from ..dual import Dual
+from .. import dual as dm
 from ..errors import DegreeUnsupported
 from ..liecore import AlgebraElement
-from .evaluate import _eval
+from .evaluate import evaluate
 from .parser import Expr, parse
 
 
 class LocalForm:
     """A degree 0, 1 or 2 form with values in a matrix Lie algebra; `d`
     is its exterior derivative (a LocalForm one degree up) or None.
-    A degree-2 evalfn maps (N, n) stacks to (N, d, d) stacks."""
+    evalfn maps a (..., n) point stack and `degree` (..., n) tangent
+    stacks to a (..., d, d) stack."""
 
     def __init__(self, degree, dim, coord_names, evalfn, value_tag="h",
                  d=None):
@@ -47,8 +49,9 @@ class LocalForm:
         if len(tangents) != self.degree:
             raise TypeError(
                 f"degree-{self.degree} form takes {self.degree} tangent(s)")
-        return np.asarray(self._evalfn(np.asarray(point, dtype=float), *tangents),
-                          dtype=complex)
+        return np.asarray(self._evalfn(
+            np.asarray(point, dtype=float),
+            *[np.asarray(t, dtype=float) for t in tangents]), dtype=complex)
 
     def __add__(self, other):
         if not isinstance(other, LocalForm):
@@ -71,11 +74,6 @@ class LocalForm:
     __rmul__ = __mul__
 
 
-def _nonzero(x):
-    """Whether a scalar, or any node of an array, is nonzero."""
-    return x.any() if isinstance(x, np.ndarray) else x != 0
-
-
 def _as_expr_matrix(mat, coords):
     rows = []
     for row in mat:
@@ -89,15 +87,13 @@ def _as_expr_matrix(mat, coords):
     return rows
 
 
-def _eval_expr_matrix(mat, env, shape=()):
-    """The matrix at one point, or its (N, n, m) stack when the bound
-    coordinates are node arrays of shape (N,)."""
-    n = len(mat)
-    out = np.empty(shape + (n, len(mat[0])), dtype=complex)
+def _eval_expr_matrix(mat, env, shape, part=dm.value):
+    """The shape + (d, d) stack of part(value) of every entry, with the
+    coordinates bound to node arrays (or Duals) of that shape."""
+    out = np.empty(shape + (len(mat), len(mat[0])), dtype=complex)
     for r, row in enumerate(mat):
         for c, entry in enumerate(row):
-            v = _eval(entry, env)
-            out[..., r, c] = v.val if isinstance(v, Dual) else v
+            out[..., r, c] = part(evaluate(entry, env))
     return out
 
 
@@ -112,34 +108,25 @@ def expr_form(degree, components, coord_names, value_tag="h"):
     coord_names = tuple(coord_names)
     index = {c: k for k, c in enumerate(coord_names)}
 
-    def point_env(p):
-        cols = p.T if p.ndim > 1 else p
-        return {c: cols[index[c]] for c in coord_names}
-
-    def dual_env(p, d):
-        if p.ndim > 1:
-            # complex node arrays, so that every node follows the
-            # complex arithmetic of a scalar Dual
-            p, d = p.T.astype(complex), d.T.astype(complex)
-        return {c: Dual(p[index[c]], d[index[c]]) for c in coord_names}
+    def env(p, d=None):
+        """The coordinates of a (..., n) stack as complex node arrays, so
+        that every node follows complex arithmetic; as Duals along the
+        directions d when they are given."""
+        p = p.astype(complex)
+        cols = dm.columns(p) if d is None else dm.seeded(p, d.astype(complex))
+        return dict(zip(coord_names, cols))
 
     if degree == 0:
         mat = _as_expr_matrix(components, coord_names)
         dim = len(mat)
 
         def evalfn(p):
-            env = {c: p[index[c]] for c in coord_names}
-            return _eval_expr_matrix(mat, env)
+            return _eval_expr_matrix(mat, env(p), p.shape[:-1])
 
         def grad(p, v):
             """(p, v) -> D_v f."""
-            env = dual_env(p, v)
-            out = np.empty((dim, dim), dtype=complex)
-            for r, row in enumerate(mat):
-                for c2, entry in enumerate(row):
-                    val = _eval(entry, env)
-                    out[r, c2] = val.dot if isinstance(val, Dual) else 0.0
-            return out
+            return _eval_expr_matrix(mat, env(p, v), p.shape[:-1],
+                                     dm.derivative)
 
         d = LocalForm(1, dim, coord_names, grad, value_tag,
                       zero_form(2, dim, coord_names, value_tag))
@@ -148,32 +135,21 @@ def expr_form(degree, components, coord_names, value_tag="h"):
         comp = {c: _as_expr_matrix(m, coord_names) for c, m in components.items()}
         dim = len(next(iter(comp.values())))
 
-        def evalfn(p, v):
-            env = {c: p[index[c]] for c in coord_names}
-            total = np.zeros((dim, dim), dtype=complex)
+        def contract(e, v, part=dm.value):
+            """sum_c v_c part(A_c) over the components."""
+            total = np.zeros(v.shape[:-1] + (dim, dim), dtype=complex)
             for c, mat in comp.items():
-                vc = v[index[c]]
-                if vc != 0:
-                    total += vc * _eval_expr_matrix(mat, env)
+                total += v[..., index[c], None, None] \
+                    * _eval_expr_matrix(mat, e, v.shape[:-1], part)
             return total
 
-        def derivative(p, d, v):
-            """D_d A(v): the coefficients differentiated along d."""
-            env = dual_env(p, d)
-            total = np.zeros(p.shape[:-1] + (dim, dim), dtype=complex)
-            for c, mat in comp.items():
-                vc = v.T[index[c]]
-                if not _nonzero(vc):
-                    continue
-                for r, row in enumerate(mat):
-                    for c2, entry in enumerate(row):
-                        val = _eval(entry, env)
-                        if isinstance(val, Dual):
-                            total[..., r, c2] += vc * val.dot
-            return total
+        def evalfn(p, v):
+            return contract(env(p), v)
 
         def curl(p, v, w):
-            return derivative(p, v, w) - derivative(p, w, v)
+            """D_v A(w) - D_w A(v): the coefficients differentiated."""
+            return contract(env(p, v), w, dm.derivative) \
+                - contract(env(p, w), v, dm.derivative)
 
         d = LocalForm(2, dim, coord_names, curl, value_tag)
 
@@ -187,15 +163,13 @@ def expr_form(degree, components, coord_names, value_tag="h"):
         dim = len(next(iter(comp.values())))
 
         def evalfn(p, v, w):
-            env = point_env(p)
-            shape = p.shape[:-1]
+            e, shape = env(p), p.shape[:-1]
             total = np.zeros(shape + (dim, dim), dtype=complex)
             for (a, b), mat in comp.items():
                 ia, ib = index[a], index[b]
                 factor = v[..., ia] * w[..., ib] - v[..., ib] * w[..., ia]
-                if _nonzero(factor):
-                    total += factor[..., None, None] \
-                        * _eval_expr_matrix(mat, env, shape)
+                total += factor[..., None, None] \
+                    * _eval_expr_matrix(mat, e, shape)
             return total
 
         d = None
@@ -247,8 +221,8 @@ def integrate_1form(form: LocalForm, segment, a=0.0, b=1.0, order=8,
 
     segment(ts) takes the array of all Gauss nodes of [a, b] and returns
     (points, tangents), each of shape (N, n), with the tangents the
-    curve velocity in ambient coordinates; the form is then evaluated
-    node by node.
+    curve velocity in ambient coordinates; the form is evaluated once on
+    those stacks.
     """
     if form.degree != 1:
         raise DegreeUnsupported("integrate_1form needs a degree-1 form")
@@ -258,11 +232,8 @@ def integrate_1form(form: LocalForm, segment, a=0.0, b=1.0, order=8,
     ts = np.concatenate([t for t, _ in nodes])
     ws = np.concatenate([w for _, w in nodes])
     points, tangents = segment(ts)
-    total = np.zeros((form.dim, form.dim), dtype=complex)
-    for point, tangent, w in zip(points, np.asarray(tangents, dtype=float),
-                                 ws):
-        total += w * form(point, tangent)
-    return AlgebraElement(total, form.value_tag)
+    vals = form(points, np.asarray(tangents, dtype=float))
+    return AlgebraElement(np.einsum("n,nij->ij", ws, vals), form.value_tag)
 
 
 def integrate_2form(form: LocalForm, patch, s_range=(0.0, 1.0),

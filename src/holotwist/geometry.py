@@ -3,13 +3,17 @@ and the subdivision machinery that assigns charts to parameter cells.
 
 Curves and surfaces are stored as closed-form maps that accept dual
 numbers in their parameters, so velocities and partials are exact.
-The maps take one parameter value or an array of nodes; piecewise maps
-(collar steps, folds, concatenations, stacked cylinders) evaluate each
-piece only on the nodes that fall in it (see dual.piecewise).
+The maps run on arrays of nodes; a scalar parameter is evaluated as a
+batch of one node.  Piecewise maps (collar steps, folds,
+concatenations, stacked cylinders) evaluate each piece only on the
+nodes that fall in it (see dual.piecewise).  Chart membership and the
+point tests of a model take one point of shape (n,) or a stack of
+shape (N, n).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -33,13 +37,7 @@ STACK_TOL = 1e-10   # boundary mismatch allowed when stacking cylinders
 # Smooth C-infinity steps and warps (all dual-capable)
 # --------------------------------------------------------------------------
 
-def _exp_neg_recip(u):
-    if isinstance(u, (Dual, np.ndarray)):
-        return (dm.exp(-1.0 / u),)
-    return (math.exp(-1.0 / float(u)),)
-
-
-_BUMP_PIECES = (lambda u: (0.0 * u,), _exp_neg_recip)
+_BUMP_PIECES = (lambda u: (0.0 * u,), lambda u: (dm.exp(-1.0 / u),))
 
 
 def _bump(u):
@@ -70,11 +68,11 @@ class Reparam:
     def __init__(self, fn, label=""):
         self.fn = fn
         self.label = label
-        f0, f1 = value(fn(0.0)).real, value(fn(1.0)).real
-        if abs(f0) > 1e-9 or abs(f1 - 1.0) > 1e-9:
-            raise InvalidReparam(f"endpoints map to ({f0}, {f1})")
-        for t in np.linspace(0.0, 1.0, 97):
-            v = value(fn(float(t))).real
+        ts = np.linspace(0.0, 1.0, 97)
+        vs = np.broadcast_to(np.real(value(fn(ts))), ts.shape)
+        if abs(vs[0]) > 1e-9 or abs(vs[-1] - 1.0) > 1e-9:
+            raise InvalidReparam(f"endpoints map to ({vs[0]}, {vs[-1]})")
+        for t, v in zip(ts, vs):
             if v < -1e-9 or v > 1.0 + 1e-9:
                 raise InvalidReparam(f"value {v} at t={t} leaves [0,1]")
 
@@ -143,10 +141,11 @@ class ManifoldModel:
         return np.mod(p, 1.0) if self.periodic else p
 
     def same_point(self, a, b, tol=BASEPOINT_TOL):
+        """Whether a and b agree, at one point or at each of a stack."""
         d = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
         if self.periodic:
             d = d - np.round(d)
-        return bool(np.linalg.norm(d) <= tol)
+        return np.linalg.norm(d, axis=-1) <= tol
 
     def is_basepoint(self, p, tol=BASEPOINT_TOL):
         return self.same_point(p, self.basepoint, tol)
@@ -183,11 +182,14 @@ def make_model(kind) -> ManifoldModel:
 # --------------------------------------------------------------------------
 
 class Chart:
-    """A labelled open region with a margin used for robust containment."""
+    """A labelled open region with a margin used for robust containment.
+
+    contains takes one point of shape (n,) and returns a bool, or a stack
+    of shape (N, n) and returns one bool per point."""
 
     def __init__(self, label, member, margin):
         self.label = label
-        self._member = member          # (point, shrink) -> bool
+        self._member = member          # (points, shrink) -> bools
         self.margin = margin
 
     def contains(self, point, with_margin=False):
@@ -203,7 +205,7 @@ def cap_chart(label, axis, cos_threshold, margin=0.05):
     axis = axis / np.linalg.norm(axis)
 
     def member(p, shrink):
-        return float(np.dot(p, axis)) > cos_threshold + shrink
+        return p @ axis > cos_threshold + shrink
 
     return Chart(label, member, margin)
 
@@ -213,7 +215,7 @@ def square_chart(label, center, half_width, margin=0.02):
 
     def member(p, shrink):
         d = np.mod(p - center + 0.5, 1.0) - 0.5
-        return bool(np.all(np.abs(d) < half_width - shrink))
+        return np.all(np.abs(d) < half_width - shrink, axis=-1)
 
     return Chart(label, member, margin)
 
@@ -223,7 +225,7 @@ def box_chart(label, lo, hi, margin=0.02):
     hi = np.asarray(hi, dtype=float)
 
     def member(p, shrink):
-        return bool(np.all(p > lo + shrink) and np.all(p < hi - shrink))
+        return np.all((p > lo + shrink) & (p < hi - shrink), axis=-1)
 
     return Chart(label, member, margin)
 
@@ -247,13 +249,11 @@ class Cover:
         return len(self.charts)
 
     def fitting_charts(self, points):
-        """Indices of charts whose margin-shrunk region holds every point."""
-        pts = [self.model.reduce(p) for p in points]
-        out = []
-        for idx, chart in enumerate(self.charts):
-            if all(chart.contains(p, with_margin=True) for p in pts):
-                out.append(idx)
-        return out
+        """Indices of charts whose margin-shrunk region holds every point
+        of the (N, n) stack."""
+        pts = self.model.reduce(points)
+        return [idx for idx, chart in enumerate(self.charts)
+                if chart.contains(pts, with_margin=True).all()]
 
 
 # Cap axes at polar angle 82 degrees, azimuths 120 degrees apart: the caps
@@ -283,7 +283,7 @@ def make_cover(name) -> Cover:
         charts = (
             cap_chart("north", [0, 0, 1], 0.15),
             cap_chart("south", [0, 0, -1], 0.15),
-            Chart("band", lambda p, s: abs(float(p[2])) < 0.55 - s, 0.05),
+            Chart("band", lambda p, s: np.abs(p[..., 2]) < 0.55 - s, 0.05),
         )
         return Cover(name, model, charts)
     if name == "torus-4squares":
@@ -312,36 +312,49 @@ COVER_FOR_MODEL = {"sphere": "sphere-3caps", "torus": "torus-4squares",
 # Loops and cylinders
 # --------------------------------------------------------------------------
 
-def _nodes(*params):
-    """Scalar parameters as floats, else float arrays of one node shape."""
-    if all(np.ndim(x) == 0 for x in params):
-        return [float(x) for x in params]
-    return np.broadcast_arrays(*[np.asarray(x, dtype=float) for x in params])
+def _on_nodes(method):
+    """Run a Loop or Cylinder evaluator on float node arrays of one shape
+    (the parameters broadcast); scalar parameters run as one node and
+    give one point."""
+    @functools.wraps(method)
+    def wrapper(self, *params):
+        out = method(self, *np.broadcast_arrays(
+            *[np.atleast_1d(np.asarray(x, dtype=float)) for x in params]))
+        if any(np.ndim(x) for x in params):
+            return out
+        return tuple(o[0] for o in out) if isinstance(out, tuple) else out[0]
+
+    return wrapper
+
+
+def _seed(t):
+    """t as a Dual with unit derivative at every node."""
+    return Dual(t, np.ones_like(t))
+
+
+def _like(c, t):
+    """The constant c at every node of t (a node array or a Dual)."""
+    return np.full(np.shape(value(t)), c)
 
 
 def _components(values, shape):
-    if not shape:
-        return np.array([value(v).real for v in values], dtype=float)
     return np.stack([np.broadcast_to(np.real(value(v)), shape)
                      for v in values], axis=-1)
 
 
 def _dots(values, shape):
-    dots = [v.dot if isinstance(v, Dual) else 0.0 for v in values]
-    if not shape:
-        return np.array([d.real for d in dots], dtype=float)
-    return np.stack([np.broadcast_to(np.real(d), shape) for d in dots],
-                    axis=-1)
+    return np.stack([np.broadcast_to(np.real(dm.derivative(v)), shape)
+                     for v in values], axis=-1)
 
 
 class Loop:
     """A smooth based loop with sitting collars.
 
-    fn(t) maps a parameter (a float or a float array over nodes, either
-    possibly inside a Dual) to a sequence of coordinates of the same
-    kind; velocities come from evaluating fn on dual numbers.  eval,
-    deriv and eval_with_deriv take a scalar t and return (dim,) arrays,
-    or an array of nodes and return (N, dim) stacks.
+    fn(t) maps a float array over nodes (possibly inside a Dual) to a
+    sequence of coordinates of the same kind; velocities come from
+    evaluating fn on dual numbers.  eval, deriv and eval_with_deriv take
+    an array of nodes and return (N, dim) stacks, or a scalar t and
+    return (dim,) arrays.
     """
 
     def __init__(self, model, fn, collar_width=DEFAULT_COLLAR, check=True):
@@ -352,40 +365,40 @@ class Loop:
             self._validate()
 
     def _validate(self):
-        for t in (0.0, 1.0):
-            if not self.model.is_basepoint(self.eval(t), tol=1e-10):
-                raise BoundaryMismatch(f"loop not based at t={t}")
         d = self.collar_width
-        ref0, ref1 = self.eval(0.0), self.eval(1.0)
-        for t in (d * 0.25, d * 0.75):
-            if not self.model.same_point(self.eval(t), ref0, tol=1e-10) \
-               or np.linalg.norm(self.deriv(t)) > 1e-10:
-                raise BoundaryMismatch("loop does not sit on its start collar")
-            t2 = 1.0 - t
-            if not self.model.same_point(self.eval(t2), ref1, tol=1e-10) \
-               or np.linalg.norm(self.deriv(t2)) > 1e-10:
-                raise BoundaryMismatch("loop does not sit on its end collar")
+        # the ends, then collar nodes alternating start and end
+        ts = np.array([0.0, 1.0, d * 0.25, 1.0 - d * 0.25, d * 0.75,
+                       1.0 - d * 0.75])
+        p, v = self.eval_with_deriv(ts)
+        for k in (0, 1):
+            if not self.model.is_basepoint(p[k], tol=1e-10):
+                raise BoundaryMismatch(f"loop not based at t={ts[k]}")
+        for k in range(2, 6):
+            if not self.model.same_point(p[k], p[k % 2], tol=1e-10) \
+               or np.linalg.norm(v[k]) > 1e-10:
+                raise BoundaryMismatch("loop does not sit on its "
+                                       f"{('start', 'end')[k % 2]} collar")
 
+    @_on_nodes
     def eval(self, t):
-        t, = _nodes(t)
-        return _components(self.fn(t), np.shape(t))
+        return _components(self.fn(t), t.shape)
 
+    @_on_nodes
     def deriv(self, t):
-        t, = _nodes(t)
-        return _dots(self.fn(Dual(t, 1.0)), np.shape(t))
+        return _dots(self.fn(_seed(t)), t.shape)
 
+    @_on_nodes
     def eval_with_deriv(self, t):
-        t, = _nodes(t)
-        out = self.fn(Dual(t, 1.0))
-        return _components(out, np.shape(t)), _dots(out, np.shape(t))
+        out = self.fn(_seed(t))
+        return _components(out, t.shape), _dots(out, t.shape)
 
 
 class Cylinder:
     """A smooth based homotopy c(s, t) sitting on its whole boundary.
 
     fn(s, t) follows the Loop contract in both parameters; eval and
-    eval_with_partials broadcast s against t and return (dim,) arrays
-    for scalars, (N, dim) stacks for node arrays.
+    eval_with_partials broadcast s against t and return (N, dim) stacks
+    for node arrays, (dim,) arrays for scalars.
     """
 
     def __init__(self, model, fn, collar_width=DEFAULT_COLLAR, check=True):
@@ -396,42 +409,41 @@ class Cylinder:
             self._validate()
 
     def _validate(self):
-        for s in (0.0, 0.3, 0.77, 1.0):
-            for t in (0.0, 1.0):
-                if not self.model.is_basepoint(self.eval(s, t), tol=1e-10):
-                    raise BoundaryMismatch(
-                        f"cylinder not based at (s,t)=({s},{t})")
+        s, t = np.repeat([0.0, 0.3, 0.77, 1.0], 2), np.tile([0.0, 1.0], 4)
+        based = self.model.is_basepoint(self.eval(s, t), tol=1e-10)
+        for sk, tk, ok in zip(s, t, based):
+            if not ok:
+                raise BoundaryMismatch(
+                    f"cylinder not based at (s,t)=({sk},{tk})")
         # constancy on the boundary collar, probed along each side
-        for u in (0.2, 0.8):
-            for s, t in ((self.collar_width * 0.3, u),
-                         (1.0 - self.collar_width * 0.3, u)):
-                _, ds, _ = self.eval_with_partials(s, t)
-                if np.linalg.norm(ds) > 1e-9:
-                    raise BoundaryMismatch("cylinder moves inside its s-collar")
-            for s, t in ((u, self.collar_width * 0.3),
-                         (u, 1.0 - self.collar_width * 0.3)):
-                _, _, dt = self.eval_with_partials(s, t)
-                if np.linalg.norm(dt) > 1e-9:
-                    raise BoundaryMismatch("cylinder moves inside its t-collar")
+        c = self.collar_width * 0.3
+        probes = [(axis, (edge, u) if axis == 0 else (u, edge))
+                  for u in (0.2, 0.8) for axis in (0, 1)
+                  for edge in (c, 1.0 - c)]
+        s, t = np.array([st for _, st in probes]).T
+        _, ds, dt = self.eval_with_partials(s, t)
+        for (axis, _), dsk, dtk in zip(probes, ds, dt):
+            if np.linalg.norm((dsk, dtk)[axis]) > 1e-9:
+                raise BoundaryMismatch(
+                    f"cylinder moves inside its {'st'[axis]}-collar")
 
+    @_on_nodes
     def eval(self, s, t):
-        s, t = _nodes(s, t)
-        return _components(self.fn(s, t), np.shape(s))
+        return _components(self.fn(s, t), s.shape)
 
+    @_on_nodes
     def eval_with_partials(self, s, t):
-        s, t = _nodes(s, t)
-        out_s = self.fn(Dual(s, 1.0), t)
-        out_t = self.fn(s, Dual(t, 1.0))
-        shape = np.shape(s)
-        return (_components(out_s, shape), _dots(out_s, shape),
-                _dots(out_t, shape))
+        out_s = self.fn(_seed(s), t)
+        out_t = self.fn(s, _seed(t))
+        return (_components(out_s, s.shape), _dots(out_s, s.shape),
+                _dots(out_t, s.shape))
 
     def bottom_loop(self) -> Loop:
-        return Loop(self.model, lambda t: self.fn(0.0, t),
+        return Loop(self.model, lambda t: self.fn(_like(0.0, t), t),
                     self.collar_width, check=False)
 
     def top_loop(self) -> Loop:
-        return Loop(self.model, lambda t: self.fn(1.0, t),
+        return Loop(self.model, lambda t: self.fn(_like(1.0, t), t),
                     self.collar_width, check=False)
 
 
@@ -485,9 +497,10 @@ def compose_cylinders_vertical(c1: Cylinder, c2: Cylinder) -> Cylinder:
     offset = None
     if model.periodic:
         offset = c1.eval(1.0, 0.5) - c2.eval(0.0, 0.5)
-    for t in np.linspace(0.0, 1.0, 17):
-        a = c1.eval(1.0, float(t))
-        b = c2.eval(0.0, float(t)) + (offset if offset is not None else 0.0)
+    ts = np.linspace(0.0, 1.0, 17)
+    ends = c1.eval(1.0, ts)
+    starts = c2.eval(0.0, ts) + (offset if offset is not None else 0.0)
+    for t, a, b in zip(ts, ends, starts):
         if not model.same_point(a, b, tol=STACK_TOL) \
                 or np.linalg.norm(a - b) > STACK_TOL:
             raise BoundaryMismatch(
@@ -575,6 +588,14 @@ def _cell_samples(a, b, n):
     return np.linspace(a, b, n)
 
 
+def _cell_grid(s0, s1, t0, t1, n):
+    """The n x n sample grid of a cell as flat (s, t) node arrays, s
+    major."""
+    s, t = np.meshgrid(_cell_samples(s0, s1, n), _cell_samples(t0, t1, n),
+                       indexing="ij")
+    return s.ravel(), t.ravel()
+
+
 def _pick_chart(cover, pts, touches_basepoint):
     fits = cover.fitting_charts(pts)
     if not fits:
@@ -592,10 +613,9 @@ def assign_charts_interval(loop: Loop, cover: Cover, max_depth=14,
     done = []
     while cells:
         a, b, depth = cells.pop()
-        ts = _cell_samples(a, b, samples_per_cell)
-        pts = [loop.eval(float(t)) for t in ts]
+        pts = loop.eval(_cell_samples(a, b, samples_per_cell))
         touches = (a <= 1e-12 or b >= 1.0 - 1e-12
-                   or any(model.is_basepoint(p, tol=1e-9) for p in pts))
+                   or model.is_basepoint(pts, tol=1e-9).any())
         chart = _pick_chart(cover, pts, touches)
         if chart is None:
             if depth >= max_depth:
@@ -617,11 +637,12 @@ def assign_charts_interval(loop: Loop, cover: Cover, max_depth=14,
 def certify_interval(loop: Loop, cover: Cover, sub: IntervalSubdivision):
     """Re-check containment at 4x the sampling; ChartMismatch on failure."""
     for (a, b), chart in zip(sub.cells, sub.charts):
-        for t in _cell_samples(a, b, sub.sample_density * 4):
-            p = cover.model.reduce(loop.eval(float(t)))
-            if not cover.charts[chart].contains(p, with_margin=True):
-                raise ChartMismatch(
-                    f"cell [{a},{b}] leaves chart {chart} at t={t}")
+        ts = _cell_samples(a, b, sub.sample_density * 4)
+        inside = cover.charts[chart].contains(
+            cover.model.reduce(loop.eval(ts)), with_margin=True)
+        if not inside.all():
+            raise ChartMismatch(f"cell [{a},{b}] leaves chart {chart} at "
+                                f"t={ts[np.argmin(inside)]}")
     return True
 
 
@@ -667,11 +688,9 @@ def assign_charts_rect(cylinder: Cylinder, cover: Cover, max_depth=12,
         bad = []
         for i in range(ns):
             for j in range(nt):
-                s0, s1 = s_breaks[i], s_breaks[i + 1]
                 t0, t1 = t_breaks[j], t_breaks[j + 1]
-                pts = [cylinder.eval(float(s), float(t))
-                       for s in _cell_samples(s0, s1, samples_per_cell)
-                       for t in _cell_samples(t0, t1, samples_per_cell)]
+                pts = cylinder.eval(*_cell_grid(
+                    s_breaks[i], s_breaks[i + 1], t0, t1, samples_per_cell))
                 forced = None
                 if i == 0 and bottom is not None:
                     forced = _interval_chart_at(bottom, t0, t1)
@@ -684,7 +703,7 @@ def assign_charts_rect(cylinder: Cylinder, cover: Cover, max_depth=12,
                         # boundary rows keep their charts: thin the row only
                         bad.append((i, j, "s"))
                     continue
-                touches = any(model.is_basepoint(p, tol=1e-9) for p in pts)
+                touches = model.is_basepoint(pts, tol=1e-9).any()
                 chart = _pick_chart(cover, pts, touches)
                 if chart is None:
                     bad.append((i, j, "st"))
@@ -712,16 +731,15 @@ def certify_rect(cylinder: Cylinder, cover: Cover, sub: RectSubdivision):
     ns, nt = sub.shape
     for i in range(ns):
         for j in range(nt):
-            chart = cover.charts[sub.charts[i][j]]
-            for s in _cell_samples(sub.s_breaks[i], sub.s_breaks[i + 1],
-                                   sub.sample_density * 4):
-                for t in _cell_samples(sub.t_breaks[j], sub.t_breaks[j + 1],
-                                       sub.sample_density * 4):
-                    p = cover.model.reduce(cylinder.eval(float(s), float(t)))
-                    if not chart.contains(p, with_margin=True):
-                        raise ChartMismatch(
-                            f"rect cell ({i},{j}) leaves its chart at "
-                            f"(s,t)=({s},{t})")
+            s, t = _cell_grid(sub.s_breaks[i], sub.s_breaks[i + 1],
+                              sub.t_breaks[j], sub.t_breaks[j + 1],
+                              sub.sample_density * 4)
+            inside = cover.charts[sub.charts[i][j]].contains(
+                cover.model.reduce(cylinder.eval(s, t)), with_margin=True)
+            if not inside.all():
+                k = np.argmin(inside)
+                raise ChartMismatch(f"rect cell ({i},{j}) leaves its chart "
+                                    f"at (s,t)=({s[k]},{t[k]})")
     return True
 
 

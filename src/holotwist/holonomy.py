@@ -48,10 +48,17 @@ def _transition(store, a, b, point, dim):
     return store[(a, b)].value(point).entries
 
 
-def _h_at(bundle, a, b, c, point):
-    if a == b or b == c or a == c:
-        return np.eye(bundle.extension.H.dim, dtype=complex)
-    return bundle.h[(a, b, c)].value(point).entries
+def _h_values(bundle, triples, points):
+    """h_abc at each point of an (N, n) stack, one chart triple per
+    point; the unit where two charts agree.  Each map is evaluated once,
+    on all of its points."""
+    dim = bundle.extension.H.dim
+    out = np.tile(np.eye(dim, dtype=complex), (len(triples), 1, 1))
+    for key in dict.fromkeys(triples):
+        if len(set(key)) == 3:
+            idx = [k for k, t in enumerate(triples) if t == key]
+            out[idx] = bundle.h[key].value(points[idx]).entries
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -63,20 +70,19 @@ def _line_product(loop, sub, forms, trans, tag, dim, steps):
     cells = []
     charts = sub.charts
     n = len(charts)
+    ends = loop.eval(np.array(sub.breakpoints[1:]))
     for k, ((a, b), chart) in enumerate(zip(sub.cells, charts)):
         form = forms[chart]
 
         def fld(ts, form=form):
-            points, vels = loop.eval_with_deriv(ts)
-            return np.array([form(p, v) for p, v in zip(points, vels)])
+            return form(*loop.eval_with_deriv(ts))
 
         ncell = max(4, int(round(steps * (b - a))))
         u = path_ordered_exp(fld, a, b, steps=ncell, tag=tag.lower()).entries
         total = total @ u
         cells.append((f"cell[{k}] chart {chart}", u))
         nxt = charts[(k + 1) % n]
-        point = loop.eval(b)
-        tmat = _transition(trans, chart, nxt, point, dim)
+        tmat = _transition(trans, chart, nxt, ends[k], dim)
         if chart != nxt:
             cells.append((f"transition {chart}->{nxt}", tmat))
         total = total @ tmat
@@ -211,28 +217,28 @@ def epsilon(bundle, cylinder, rect=None, order=8, edge_cells=4,
     # basepoint for t in the collars, so the pullback of A_{west,east}
     # along the seam is zero)
 
-    # interior vertices, including the seam t=0 ~ t=1
-    def vertex(r, c_left, c_right, point):
-        nonlocal acc, vert_prod
-        a = rect.charts[r - 1][c_left]
-        b = rect.charts[r - 1][c_right]
-        cc = rect.charts[r][c_right]
-        d = rect.charts[r][c_left]
-        first = _h_at(bundle, a, b, cc, point)
-        second = _h_at(bundle, a, d, cc, point)
-        if discrete:
-            step = first @ np.linalg.inv(second)
-            vert_prod[:] = vert_prod @ step
-            cells.append((f"vertex[{r},{c_right}]", step))
-        else:
-            val = log_principal(first) - log_principal(second)
-            acc = acc + val
-            cells.append((f"vertex[{r},{c_right}]", val))
-
-    for r in range(1, rows):
-        for c in range(1, cols):
-            vertex(r, c - 1, c, cylinder.eval(sb[r], tb[c]))
-        vertex(r, cols - 1, 0, cylinder.eval(sb[r], 0.0))
+    # interior vertices, row by row, each row ending at the seam
+    # t=0 ~ t=1 (column 0, whose west faces wrap around to column -1);
+    # a vertex with lower-left, lower-right, upper-right and upper-left
+    # charts a, b, c, d contributes h_abc . h_adc^-1
+    verts = [(r, c) for r in range(1, rows) for c in (*range(1, cols), 0)]
+    if verts:
+        points = cylinder.eval(np.array([sb[r] for r, _ in verts]),
+                               np.array([tb[c] for _, c in verts]))
+        ch = rect.charts
+        triples = [(ch[r - 1][c - 1], ch[r - 1][c], ch[r][c])
+                   for r, c in verts] \
+            + [(ch[r - 1][c - 1], ch[r][c - 1], ch[r][c]) for r, c in verts]
+        hs = _h_values(bundle, triples, np.concatenate([points, points]))
+        for (r, c), first, second in zip(verts, hs, hs[len(verts):]):
+            if discrete:
+                step = first @ np.linalg.inv(second)
+                vert_prod = vert_prod @ step
+                cells.append((f"vertex[{r},{c}]", step))
+            else:
+                val = log_principal(first) - log_principal(second)
+                acc = acc + val
+                cells.append((f"vertex[{r},{c}]", val))
 
     total = scipy.linalg.expm(acc) @ vert_prod
     if not np.all(np.isfinite(total)):
@@ -293,15 +299,16 @@ def conjugate_functor(result, g: GroupElement, lift: GroupElement,
     return GroupElement(gi @ result.entries @ g.entries, result.group_tag)
 
 
-def kapustin_trace(bundle, cylinder, steps=256, order=8) -> complex:
+def kapustin_trace(bundle, cylinder, steps=256, order=8, edge_cells=4,
+                   face_tol=2e-9) -> complex:
     """tr(iota(epsilon(c)) . H1(top)) for a cylinder whose bottom
-    boundary is the constant loop at the basepoint."""
-    bot = cylinder.bottom_loop()
-    model = bundle.cover.model
-    for t in np.linspace(0.0, 1.0, 33):
-        if not model.is_basepoint(bot.eval(float(t))):
-            raise PreconditionViolated(
-                "Kapustin trace needs a constant start boundary")
+    boundary is the constant loop at the basepoint, with the functor's
+    quadrature settings."""
+    bot = cylinder.bottom_loop().eval(np.linspace(0.0, 1.0, 33))
+    if not bundle.cover.model.is_basepoint(bot).all():
+        raise PreconditionViolated(
+            "Kapustin trace needs a constant start boundary")
     res = holonomy_functor(bundle, cylinder, steps=steps, order=order,
+                           edge_cells=edge_cells, face_tol=face_tol,
                            with_error=False)
     return complex(np.trace(res.value.rep_target.entries))

@@ -3,7 +3,9 @@
 Everything downstream (the categorical group, holonomy, reconstruction)
 consumes the types defined here: tagged matrix elements, group families
 with membership predicates, and central extensions H -> E -> G given by
-explicit include/project maps between matrix groups.
+explicit include/project maps between matrix groups.  The include and
+project maps and their differentials act on one (d, d) matrix or on an
+(..., d, d) stack of them.
 """
 
 from __future__ import annotations
@@ -17,12 +19,14 @@ from scipy.linalg import expm, logm
 from .errors import ConfigError, NonFinite, NotCentralFiber, NotSameFiber, SectionUndefined, TagMismatch
 
 # Pauli matrices, used by the U(2) -> SO(3) quotient.
-SIGMA = (
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-)
+SIGMA = np.array([[[0, 1], [1, 0]],
+                  [[0, -1j], [1j, 0]],
+                  [[1, 0], [0, -1]]], dtype=complex)
 
+
+# tr(sigma_k [x, sigma_l]) / 2 = sum_bc x_cb T_klbc
+_ALG_PROJECT = 0.5 * np.array([[SIGMA[l] @ SIGMA[k] - SIGMA[k] @ SIGMA[l]
+                                for l in range(3)] for k in range(3)])
 
 TOL_FIBER = 1e-7   # default distance of e^-1 e' from the central subgroup
 
@@ -42,6 +46,15 @@ def mat_norm(a):
     return float(np.linalg.norm(np.asarray(a, dtype=complex)))
 
 
+def diag_stack(entries):
+    """(..., d, d) diagonal matrices from d node arrays (or constants)."""
+    out = np.zeros(np.broadcast(*entries).shape + (len(entries),) * 2,
+                   dtype=complex)
+    for k, e in enumerate(entries):
+        out[..., k, k] = e
+    return out
+
+
 @dataclass(frozen=True)
 class AlgebraElement:
     """Square complex matrix tagged with the Lie algebra it lives in."""
@@ -59,7 +72,8 @@ class AlgebraElement:
 
 @dataclass(frozen=True)
 class GroupElement:
-    """Square complex matrix tagged with the group it lives in."""
+    """Square complex matrix (or an (N, d, d) stack of them) tagged with
+    the group it lives in."""
 
     entries: np.ndarray
     group_tag: str  # one of "H", "E", "G"
@@ -69,7 +83,7 @@ class GroupElement:
 
     @property
     def dim(self):
-        return self.entries.shape[0]
+        return self.entries.shape[-1]
 
 
 class GroupFamily:
@@ -171,7 +185,7 @@ class CentralExtension:
         self.G = G
         self.families = {"H": H, "E": E, "G": G}
 
-    # --- maps on raw matrices, supplied by subclasses -------------------
+    # --- maps on raw (..., d, d) matrices, supplied by subclasses -------
     def include_mat(self, h):
         raise NotImplementedError
 
@@ -257,19 +271,19 @@ class DiagPairExtension(CentralExtension):
         super().__init__(unitary_family(1), torus_family(2), unitary_family(1))
 
     def include_mat(self, h):
-        return np.diag([complex(h[0, 0]), 1.0])
+        return diag_stack([h[..., 0, 0], 1.0])
 
     def project_mat(self, e):
-        return np.array([[e[1, 1]]], dtype=complex)
+        return np.array(e[..., 1:, 1:], dtype=complex)
 
     def alg_include_mat(self, x):
-        return np.diag([complex(x[0, 0]), 0.0])
+        return diag_stack([x[..., 0, 0], 0.0])
 
     def alg_project_mat(self, x):
-        return np.array([[x[1, 1]]], dtype=complex)
+        return np.array(x[..., 1:, 1:], dtype=complex)
 
     def section_mat(self, g):
-        return np.diag([1.0, complex(g[0, 0])])
+        return diag_stack([1.0, g[..., 0, 0]])
 
     def central_fit_mat(self, x):
         h = np.array([[x[0, 0]]], dtype=complex)
@@ -299,25 +313,21 @@ class ScalarU2Extension(CentralExtension):
         super().__init__(unitary_family(1), unitary_family(2), rotation3_family())
 
     def include_mat(self, h):
-        return complex(h[0, 0]) * np.eye(2, dtype=complex)
+        return h[..., :1, :1] * np.eye(2, dtype=complex)
 
     def project_mat(self, e):
-        r = np.empty((3, 3), dtype=complex)
-        edag = e.conj().T
-        for k in range(3):
-            for l in range(3):
-                r[k, l] = 0.5 * np.trace(SIGMA[k] @ e @ SIGMA[l] @ edag)
-        return np.real(r).astype(complex)
+        """r_kl = tr(sigma_k e sigma_l e^dagger) / 2, all k, l at once."""
+        e = np.asarray(e)[..., None, None, :, :]
+        m = SIGMA[:, None] @ e @ SIGMA @ np.conj(np.swapaxes(e, -1, -2))
+        return np.real(0.5 * np.trace(m, axis1=-2, axis2=-1)).astype(complex)
 
     def alg_include_mat(self, x):
-        return complex(x[0, 0]) * np.eye(2, dtype=complex)
+        return x[..., :1, :1] * np.eye(2, dtype=complex)
 
     def alg_project_mat(self, x):
-        r = np.empty((3, 3), dtype=complex)
-        for k in range(3):
-            for l in range(3):
-                r[k, l] = 0.5 * np.trace(SIGMA[k] @ (x @ SIGMA[l] - SIGMA[l] @ x))
-        return np.real(r).astype(complex)
+        """r_kl = tr(sigma_k [x, sigma_l]) / 2."""
+        return np.real(np.einsum("klbc,...cb->...kl", _ALG_PROJECT, x)) \
+            .astype(complex)
 
     def section_mat(self, g):
         r = np.real(g)
@@ -367,10 +377,10 @@ class RootsOfUnityExtension(CentralExtension):
         return np.array(h, dtype=complex)
 
     def project_mat(self, e):
-        return np.array([[complex(e[0, 0]) ** self.n]], dtype=complex)
+        return np.array(e, dtype=complex) ** self.n
 
     def alg_include_mat(self, x):
-        return np.zeros((1, 1), dtype=complex)
+        return np.zeros(np.shape(x), dtype=complex)
 
     def alg_project_mat(self, x):
         return self.n * np.array(x, dtype=complex)
@@ -454,10 +464,6 @@ def exp_matrix(a: AlgebraElement) -> GroupElement:
     return GroupElement(expm(np.array(a.entries)), _TAG_TO_GROUP[a.algebra_tag])
 
 
-def _field_entries(field, t):
-    return np.asarray(field(t), dtype=complex)
-
-
 # Gauss-Legendre nodes for the one-step Magnus method
 _C1 = 0.5 - math.sqrt(3.0) / 6.0
 _C2 = 0.5 + math.sqrt(3.0) / 6.0
@@ -481,7 +487,7 @@ def path_ordered_exp(field, a=0.0, b=1.0, steps=64, tag="e"):
     h = (b - a) / steps
     t0 = a + np.arange(steps) * h
     nodes = np.stack([t0 + _C1 * h, t0 + _C2 * h], axis=1).ravel()
-    values = _field_entries(field, nodes)
+    values = np.asarray(field(nodes), dtype=complex)
     check_finite(values)
     a1, a2 = values[0::2], values[1::2]
     omega = (h / 2.0) * (a1 + a2) \
@@ -494,14 +500,13 @@ def path_ordered_exp(field, a=0.0, b=1.0, steps=64, tag="e"):
 
 def riemann_product_exp(field, a=0.0, b=1.0, factors=100000, tag="e"):
     """Dense midpoint Riemann product; slow test oracle for path_ordered_exp.
-    Unlike path_ordered_exp it calls field at one parameter value at a
-    time."""
+    field maps the array of all midpoints to the stack of its values."""
     h = (b - a) / factors
-    probe = _field_entries(field, a + 0.5 * h)
-    u = np.eye(probe.shape[0], dtype=complex)
-    for k in range(factors):
-        m = _field_entries(field, a + (k + 0.5) * h)
-        u = u @ expm(m * h)
+    values = np.asarray(field(a + (np.arange(factors) + 0.5) * h),
+                        dtype=complex)
+    u = np.eye(values.shape[-1], dtype=complex)
+    for factor in expm(values * h):
+        u = u @ factor
     return GroupElement(u, _TAG_TO_GROUP[tag])
 
 

@@ -225,6 +225,11 @@ class BasepointScaffold:
             bp, xi, p, corner, (corner, rho, w), (p, rho, w), p, xi, bp])
 
 
+# Ray lengths probed by _central_point: steps of 0.02 summed one by one,
+# up to the first length at or past 1.5.
+_RAY_LENGTHS = np.add.accumulate(np.full(75, 0.02))
+
+
 def _central_point(cover, indices, rng):
     """A well-inside point of the (multi-)overlap: of 64 sampled points,
     the one maximizing the distance to the region boundary along rays."""
@@ -244,16 +249,13 @@ def _central_point(cover, indices, rng):
                 ray = math.cos(ang) * t1 + math.sin(ang) * t2
             else:
                 ray = np.array([math.cos(ang), math.sin(ang)])
-            r = 0.0
-            while r < 1.5:
-                r += 0.02
-                q = p + r * ray
-                if model.kind == "sphere":
-                    q = q / np.linalg.norm(q)
-                if not all(c.contains(model.reduce(q), with_margin=True)
-                           for c in charts):
-                    break
-            best = min(best, r)
+            q = p + _RAY_LENGTHS[:, None] * ray
+            if model.kind == "sphere":
+                q = q / np.linalg.norm(q, axis=-1, keepdims=True)
+            inside = np.all([c.contains(model.reduce(q), with_margin=True)
+                             for c in charts], axis=0)
+            best = min(best, _RAY_LENGTHS[np.argmin(inside)]
+                       if not inside.all() else _RAY_LENGTHS[-1])
         return best
 
     return max(pts, key=depth)
@@ -580,14 +582,12 @@ def _battery_loops(model):
 
 
 def round_trip_check(bundle, seed=0, samples_per_overlap=2,
-                     tol_rec=1e-4, conjugator=None) -> EquivalenceReport:
+                     tol_rec=1e-4) -> EquivalenceReport:
     """Rebuild the bundle's local data from its own functor and compare
     recomputed holonomies of a battery against the functor directly.
 
     Passes when the worst morphism-class deviation over the battery and
-    every rebuild check are at most 10 * tol_rec; an optional fixed conjugator (a lift in E of
-    an overall group conjugation) is applied to the recomputed values
-    before comparing.
+    every rebuild check are at most 10 * tol_rec.
     """
     ext = bundle.extension
     oracle = FunctorOracle(bundle)
@@ -604,9 +604,6 @@ def round_trip_check(bundle, seed=0, samples_per_overlap=2,
     items = []
     for label, loop in _battery_loops(bundle.cover.model):
         h_rec = holonomy_from_samples(oracle, scaffold, trans.bases, loop)
-        if conjugator is not None:
-            h_rec = group_mul(group_mul(conjugator, h_rec),
-                              group_inv(conjugator))
         m_rec = CatGroupMorphism(h_rec, h_rec, ext)
         m_ref = oracle(constant_cylinder(loop))
         items.append((label, morphism_distance(m_rec, m_ref)))

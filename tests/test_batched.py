@@ -1,6 +1,8 @@
-"""The batched evaluation path: node arrays against one point at a time,
-domain errors inside a batch, calls per quadrature cell, and the face
-error estimate."""
+"""The batched evaluation path: node arrays and point stacks against one
+point at a time (geometry, forms, group maps, gauges, extension maps),
+domain errors inside a batch, calls per quadrature cell, line cell,
+edge, chart-assignment cell and validation region, and the face error
+estimate."""
 
 import math
 
@@ -8,14 +10,27 @@ import numpy as np
 import pytest
 
 from holotwist import catalog as C, geometry as G, holonomy as H
+from holotwist.bundle import (
+    gauge_transform,
+    identity_gauge,
+    random_gauge,
+    sample_region,
+    validate,
+)
 from holotwist.errors import DomainError
-from holotwist.families import monopole_bundle
+from holotwist.families import make_bundle, monopole_bundle
 from holotwist.formsexpr.forms import (
+    LocalForm,
+    expr_form,
     integrate_1form,
     integrate_2form,
     native_form,
 )
-from holotwist.liecore import path_ordered_exp
+from holotwist.liecore import (
+    BUILTIN_EXTENSIONS,
+    make_extension,
+    path_ordered_exp,
+)
 from holotwist.reconstruct import SEG_COLLAR, BasepointScaffold
 
 # Joints of the three-piece and two-piece maps, collar edges of the
@@ -162,9 +177,10 @@ def test_one_patch_and_form_call_per_cell():
 
 
 def test_one_segment_call_per_edge_and_one_field_call_per_path():
-    seg_calls = []
-    form = native_form(1, lambda p, v: np.array([[p[0] * v[1]]], complex), 1,
-                       ("x", "y"))
+    seg_calls, form_calls = [], []
+    form = native_form(1, _counting(
+        lambda p, v: (p[..., 0] * v[..., 1])[..., None, None] + 0j,
+        form_calls), 1, ("x", "y"))
 
     def circle(t):
         th = 2.0 * math.pi * t
@@ -174,6 +190,7 @@ def test_one_segment_call_per_edge_and_one_field_call_per_path():
     val = integrate_1form(form, _counting(circle, seg_calls), order=12,
                           cells=8).entries[0, 0]
     assert seg_calls == [(96,)]
+    assert form_calls == [(96, 2)]
     assert val == pytest.approx(math.pi, abs=1e-10)
 
     field_calls = []
@@ -195,6 +212,197 @@ def test_line_holonomy_evaluates_loop_jets_once_per_cell():
     H.hol0(bundle, loop, sub, steps=64, with_error=False)
     assert len(calls) == len(sub.cells) > 1
     assert all(len(shape) == 1 and shape[0] % 2 == 0 for shape in calls)
+
+
+def _recording(form, calls):
+    """The form with every evaluation's point-stack shape recorded."""
+    return LocalForm(form.degree, form.dim, form.coord_names,
+                     _counting(form._evalfn, calls), form.value_tag, form.d)
+
+
+def test_one_form_call_per_line_cell_and_per_edge():
+    bundle = monopole_bundle(1)
+    loop = C.latitude_loop(1.0)
+    sub = G.assign_charts_interval(loop, bundle.cover)
+    calls = []
+    bundle.D = {i: _recording(f, calls) for i, f in bundle.D.items()}
+    H.hol0(bundle, loop, sub, steps=64, with_error=False)
+    assert len(calls) == len(sub.cells) > 1
+    assert all(len(shape) == 2 and shape[1] == 3 for shape in calls)
+
+    cyl = C.cap_sweep_cylinder(2.0)
+    rect = H.epsilon(bundle, cyl, order=4).subdivision
+    calls.clear()
+    bundle.Aij = {ij: _recording(f, calls) for ij, f in bundle.Aij.items()}
+    res = H.epsilon(bundle, cyl, rect=rect, order=4, edge_cells=3)
+    edges = [label for label, _ in res.cells if "edge" in label]
+    assert len(calls) == len(edges) > 0
+    assert set(calls) == {(12, 3)}
+
+
+def test_one_cylinder_eval_for_all_vertices():
+    """One cylinder evaluation for all vertices, and each vertex term
+    equal to log h_abc - log h_adc at its own point.  The grid's charts
+    are laid out so that the same h_abc is met at several vertices (the
+    monopole cocycle is defined on the whole sphere)."""
+    bundle = monopole_bundle(1)
+    cyl = C.cap_sweep_cylinder(2.0)
+    rect = G.RectSubdivision((0.0, 0.3, 0.6, 1.0), (0.0, 0.2, 0.5, 0.7, 1.0),
+                             ((0, 1, 0, 1), (0, 2, 0, 2), (1, 2, 1, 2)), 5)
+    rows, cols = rect.shape
+    calls = []
+    cyl.eval = _counting(cyl.eval, calls)
+    res = H.epsilon(bundle, cyl, rect=rect, order=4)
+    assert calls == [((rows - 1) * cols,)]
+    vertices = {label: v for label, v in res.cells
+                if label.startswith("vertex")}
+    assert len(vertices) == (rows - 1) * cols
+
+    def log_h(a, b, c, p):
+        if len({a, b, c}) < 3:
+            return np.zeros((1, 1))
+        return np.log(bundle.h[(a, b, c)].value(p).entries)
+
+    ch = rect.charts
+    for r in range(1, rows):
+        for c in (*range(1, cols), 0):
+            p = cyl.eval(rect.s_breaks[r], rect.t_breaks[c])
+            want = log_h(ch[r - 1][c - 1], ch[r - 1][c], ch[r][c], p) \
+                - log_h(ch[r - 1][c - 1], ch[r][c - 1], ch[r][c], p)
+            assert _close(vertices[f"vertex[{r},{c}]"], want), (r, c)
+    assert any(np.abs(v).max() > 0.0 for v in vertices.values())
+
+
+def test_one_evaluation_per_chart_assignment_cell():
+    cover = G.make_cover("sphere-3caps")
+    loop = C.latitude_loop(1.0)
+    calls = []
+    loop.eval = _counting(loop.eval, calls)
+    sub = G.assign_charts_interval(loop, cover, samples_per_cell=17)
+    assert len(calls) == 2 * len(sub.cells) - 1     # a binary split tree
+    assert set(calls) == {(17,)}
+    calls.clear()
+    G.certify_interval(loop, cover, sub)
+    assert calls == [(68,)] * len(sub.cells)
+
+    cyl = C.make_cylinder("sphere", "constant", {"loop": "latitude"})
+    calls = []
+    cyl.eval = _counting(cyl.eval, calls)
+    bottom = G.assign_charts_interval(cyl.bottom_loop(), cover)
+    rect = G.assign_charts_rect(cyl, cover, samples_per_cell=5,
+                                bottom=bottom, top=bottom)
+    assert rect.shape[0] == 1 and calls == [(25,)] * rect.shape[1]
+    calls.clear()
+    G.certify_rect(cyl, cover, rect)
+    assert calls == [(400,)] * rect.shape[1]
+
+
+def test_one_evaluation_per_validation_region():
+    bundle = monopole_bundle(1)
+    calls = []
+    bundle.F = {i: _recording(f, calls) for i, f in bundle.F.items()}
+    validate(bundle, sample_count=12)
+    # F_j and F_i once on each of the three pair regions
+    assert calls == [(12, 3)] * 6
+
+
+# Families at default params, a trivial bundle over the torus with the
+# nonabelian extension, and gauged bundles: random gauges, and an
+# expression gauge B = 0.3 y dx - 0.1 x z dy.
+def _expression_gauged(bundle):
+    gauge = identity_gauge(bundle)
+    form = expr_form(1, {"x": [["0.3*y"]], "y": [["-0.1*x*z"]]},
+                     bundle.cover.model.coord_names)
+    gauge.B_i = {i: form for i in range(bundle.nc)}
+    return gauge_transform(bundle, gauge)
+
+
+BUNDLES = {
+    "trivial": lambda: make_bundle("trivial"),
+    "trivial torus u2-pu2": lambda: make_bundle(
+        "trivial", {"model": "torus", "extension": "u2-pu2"}),
+    "torus-flat": lambda: make_bundle("torus-flat"),
+    "monopole": lambda: make_bundle("monopole"),
+    "sphere-pu2": lambda: make_bundle("sphere-pu2"),
+    **{f"{name} random gauge": (lambda name=name: gauge_transform(
+        make_bundle(name), random_gauge(make_bundle(name), seed=3)))
+       for name in ("monopole", "sphere-pu2", "torus-flat")},
+    "monopole expression gauge": lambda: _expression_gauged(
+        make_bundle("monopole")),
+}
+N_POINTS = 5
+
+
+def _region_stack(bundle, region, rng, tangents):
+    """Points of a chart region and random tangents at them, as stacks."""
+    p = np.array(sample_region(bundle.cover, region, rng, N_POINTS))
+    return p, [np.array([bundle.cover.model.random_tangent(rng, x)
+                         for x in p]) for _ in range(tangents)]
+
+
+def _stack_matches_points(fn, *stacks):
+    out = fn(*stacks)
+    outs = out if isinstance(out, tuple) else (out,)
+    for k in range(N_POINTS):
+        one = fn(*[s[k] for s in stacks])
+        for o, ok in zip(outs, one if isinstance(one, tuple) else (one,)):
+            assert o.shape == (N_POINTS,) + ok.shape and _close(o[k], ok), k
+
+
+@pytest.mark.parametrize("name", list(BUNDLES))
+def test_bundle_forms_on_stacks_match_points(name):
+    bundle = BUNDLES[name]()
+    rng = np.random.default_rng(0)
+    for store in (bundle.D, bundle.A, bundle.Aij, bundle.F):
+        for key, form in store.items():
+            region = key if isinstance(key, tuple) else (key,)
+            for f in (form, form.d):
+                if f is None:
+                    continue
+                p, tangents = _region_stack(bundle, region, rng, f.degree)
+                assert f(p, *tangents).shape == (N_POINTS, f.dim, f.dim)
+                _stack_matches_points(f, p, *tangents)
+
+
+@pytest.mark.parametrize("name", list(BUNDLES))
+def test_group_maps_on_stacks_match_points(name):
+    bundle = BUNDLES[name]()
+    rng = np.random.default_rng(1)
+    for store in (bundle.g, bundle.e, bundle.h):
+        for key, gmap in store.items():
+            p, (v,) = _region_stack(bundle, key, rng, 1)
+            _stack_matches_points(lambda x: gmap.value(x).entries, p)
+            _stack_matches_points(gmap.jet, p, v)
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2])
+def test_expression_forms_on_stacks_match_points(degree):
+    entries = [["sin(x)*y + 2", "exp(z)/(2 + x)"], ["sqrt(1 + y*y)", "x*z"]]
+    components = {0: entries, 1: {"x": entries, "z": entries},
+                  2: {("x", "y"): entries, ("y", "z"): entries}}[degree]
+    form = expr_form(degree, components, ("x", "y", "z"))
+    rng = np.random.default_rng(2)
+    stacks = rng.normal(size=(3, N_POINTS, 3))
+    for f in (form, form.d):
+        if f is not None:
+            _stack_matches_points(f, *stacks[:f.degree + 1])
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_EXTENSIONS))
+def test_extension_maps_on_stacks_match_matrices(name):
+    ext = make_extension(name)
+    rng = np.random.default_rng(3)
+
+    def alg(dim):
+        return rng.normal(size=(N_POINTS, dim, dim)) \
+            + 1j * rng.normal(size=(N_POINTS, dim, dim))
+
+    h = np.array([ext.random_mat("H", rng) for _ in range(N_POINTS)])
+    e = np.array([ext.random_mat("E", rng) for _ in range(N_POINTS)])
+    for fn, stack in ((ext.include_mat, h), (ext.project_mat, e),
+                      (ext.alg_include_mat, alg(ext.H.dim)),
+                      (ext.alg_project_mat, alg(ext.E.dim))):
+        _stack_matches_points(fn, stack)
 
 
 def _face_sum(res):

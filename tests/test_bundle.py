@@ -1,4 +1,4 @@
-"""Group-valued maps, bundle validation, gauge moves, flatness."""
+"""Group-valued maps, bundle validation and gauge moves."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from holotwist.bundle import (
     GroupMap,
     gauge_transform,
     identity_gauge,
-    is_flat,
     one_parameter_map,
     overlap_pairs,
     random_gauge,
@@ -161,13 +160,6 @@ def test_discrete_kernel_gauge_has_constant_h():
     assert abs(val ** 3 - 1.0) < 1e-12
     assert np.allclose(g.B_i[0](p1, np.array([1.0, 0.0])), 0.0)
     assert ext.H.dim == 1
-
-
-def test_flatness_report():
-    assert is_flat(torus_flat_bundle(), sample_count=8).flat_bundle
-    rep = is_flat(monopole_bundle(1), sample_count=8)
-    assert not rep.flat_bundle          # h_ijk varies over the overlap
-    assert rep.flat_connection          # no 3-form curvature on a surface
 
 
 def _so3_derivative_by_hand(e, de):

@@ -182,6 +182,23 @@ def test_functor_monopole_cap_sweep_invariant(tmp_path):
     assert np.abs(inv - expected).max() <= body["tol"]
 
 
+def test_trace_uses_the_functor_quadrature(tmp_path):
+    """trace is tr(rep_target) of functor on the same config, also when
+    the config coarsens the edge and face quadrature."""
+    data = {"bundle": MONOPOLE,
+            "cylinder": {"name": "cap-sweep", "params": {"alpha": 2.0}},
+            "numerics": {"face_tol": 1e-2, "edge_cells": 1}}
+    cfg = write_cfg(tmp_path, data)
+    bodies = {}
+    for command in ("trace", "functor"):
+        out = tmp_path / f"{command}.json"
+        main([command, "--config", cfg, "--out", str(out)])
+        bodies[command] = json.loads(out.read_text())["body"]
+    re, im = bodies["trace"]["values"]["trace"]
+    target = _matrix(bodies["functor"]["values"]["rep_target"])
+    assert abs(complex(re, im) - np.trace(target)) <= 1e-12
+
+
 def test_reconstruct_monopole(tmp_path):
     cfg = write_cfg(tmp_path, {"bundle": MONOPOLE})
     out = tmp_path / "rep.json"
