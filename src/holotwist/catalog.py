@@ -2,8 +2,9 @@
 
 Everything here is built from collar-warped smooth pieces, so all
 concatenations stay smooth and every object carries exact derivatives.
-Each map takes arrays of nodes (see geometry.Loop); piecewise profiles
-run each piece only on its own nodes.
+Each map takes arrays of nodes (see geometry.Loop); the three-piece
+profiles are tables of segment ends read per node
+(geometry._segment_path).
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .geometry import (
     DEFAULT_COLLAR,
     Cylinder,
     Loop,
+    _segment_path,
     collar_warp,
     compose_cylinders_vertical,
     constant_cylinder,
@@ -50,25 +52,17 @@ def _sphere_point(theta, phi):
             dm.cos(theta)]
 
 
-def _third(t):
-    """Which third of [0, 1] holds t: 0 up to 1/3, 1 up to 2/3, else 2."""
-    tv = value(t).real
-    return 1 * (tv > 1.0 / 3.0) + (tv > 2.0 / 3.0)
-
-
-_CAP_PIECES = (
-    lambda alpha, t: (alpha * _w(3.0 * t), 0.0 * t),
-    lambda alpha, t: (alpha + 0.0 * t, 2.0 * math.pi * _w(3.0 * t - 1.0)),
-    lambda alpha, t: (alpha * (1.0 - _w(3.0 * t - 2.0)), 0.0 * t),
-)
+# (theta / alpha, phi / 2 pi) at the ends of the three segments of the
+# cap profile: down the meridian, around the latitude, back up.
+_CAP_SEGMENTS = (((0, 0), (1, 0)), ((1, 0), (1, 1)), ((1, 0), (0, 0)))
 
 
 def _cap_profile(alpha, t):
     """(theta, phi) of the three-piece loop: down the phi=0 meridian to
     polar angle alpha (one angle, or one per node), once around the
     latitude, and back up."""
-    alpha = alpha + np.zeros(np.shape(value(t)))
-    return dm.piecewise(_third(t), _CAP_PIECES, alpha, t)
+    depth, turn = _segment_path(t, _CAP_SEGMENTS, PIECE_COLLAR)
+    return alpha * depth, 2.0 * math.pi * turn
 
 
 def latitude_loop(theta0) -> Loop:
@@ -118,12 +112,10 @@ def spike_retraction_cylinder(alpha_max=math.pi) -> Cylinder:
     point once phi is irrelevant (exactly so at alpha_max = pi).
     """
     model = make_model("sphere")
-    pieces = (lambda t: (_w(3.0 * t),), lambda t: (1.0 + 0.0 * t,),
-              lambda t: (1.0 - _w(3.0 * t - 2.0),))
 
     def fn(s, t):
         depth = alpha_max * (1.0 - _w(s))
-        th = depth * dm.piecewise(_third(t), pieces, t)[0]
+        th, _ = _cap_profile(depth, t)
         return _sphere_point(th, 0.0 * t)
 
     return Cylinder(model, fn, DEFAULT_COLLAR)
@@ -168,12 +160,9 @@ def perturb_loop(loop: Loop, amplitude, direction=None, center=0.5,
     the direction axis by a bump-profiled angle.  Collars are untouched.
     """
     model = loop.model
-    pieces = (lambda u: (0.0 * u,), lambda u: (_bump(u),))
 
     def bump(t):
-        u = (t - center) / width + 0.5
-        uv = value(u).real
-        return dm.piecewise((uv > 0.0) & (uv < 1.0), pieces, u)[0]
+        return _bump((t - center) / width + 0.5)
 
     if model.kind == "torus":
         direction = np.asarray(direction if direction is not None
@@ -215,17 +204,10 @@ def perturb_cylinder(cyl: Cylinder, amplitude, direction=None,
     """Interior-only smooth deformation of a cylinder (non-thin for
     amplitude != 0); boundary collars and boundary loops are unchanged."""
     model = cyl.model
-    pieces = (lambda bs, bt: (0.0 * bs * bt,),
-              lambda bs, bt: (_bump(bs) * _bump(bt),))
 
     def bump2(s, t):
-        bs = (s - center[0]) / width + 0.5
-        bt = (t - center[1]) / width + 0.5
-        inside = True
-        for u in (bs, bt):
-            uv = value(u).real
-            inside = inside & (uv > 0.0) & (uv < 1.0)
-        return dm.piecewise(inside, pieces, bs, bt)[0]
+        return (_bump((s - center[0]) / width + 0.5)
+                * _bump((t - center[1]) / width + 0.5))
 
     if model.kind == "torus":
         d = np.asarray(direction if direction is not None else [0.0, 1.0],

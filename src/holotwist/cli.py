@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import time
 
@@ -20,10 +21,11 @@ import numpy as np
 from . import catalog
 from .bundle import gauge_transform, identity_gauge, random_gauge, validate
 from .catgroup import morphism_distance
-from .errors import ConfigError, HolotwistError, float_setting, \
-    integer_setting
+from .errors import ConfigError, ExprSyntaxError, HolotwistError, \
+    UnknownIdentifier, float_setting, integer_setting
 from .families import FAMILY_NAMES, make_bundle
 from .formsexpr.forms import expr_form
+from .formsexpr.parser import parse
 from .geometry import refine_rect
 from .holonomy import epsilon, hol0, hol1, holonomy_functor, kapustin_trace
 from .liecore import BUILTIN_EXTENSIONS
@@ -44,14 +46,37 @@ _MISSING = object()
 # Config access with key paths
 # --------------------------------------------------------------------------
 
+# The keys each config object takes, by key path ("" is the top level).
+_KEYS = {
+    "": ("bundle", "loop", "cylinder", "gauge", "reconstruct", "numerics"),
+    "bundle": ("family", "params"),
+    "loop": ("name", "params"),
+    "cylinder": ("name", "params"),
+    "numerics": ("steps", "order", "edge_cells", "face_tol", "sample_count",
+                 "tol", "seed"),
+    "gauge": ("seed", "scale", "based", "B"),
+    "reconstruct": ("samples_per_overlap", "tol_rec"),
+}
+
+
 class Config:
-    """A dict wrapper whose errors carry the dotted path of the key."""
+    """A dict wrapper whose errors carry the dotted path of the key.
+
+    An object listed in _KEYS, and every listed object inside it, takes
+    exactly its keys; any other key is a ConfigError at its path."""
 
     def __init__(self, data, path=""):
         if not isinstance(data, dict):
             raise ConfigError("expected an object", path or "<root>")
         self.data = data
         self.path = path
+        keys = _KEYS.get(path)
+        for key, val in data.items():
+            if keys is not None and key not in keys:
+                raise ConfigError(f"unknown key; expected one of {list(keys)}",
+                                  self._at(key))
+            if self._at(key) in _KEYS and isinstance(val, dict):
+                Config(val, self._at(key))      # checks its keys
 
     def _at(self, key):
         return f"{self.path}.{key}" if self.path else str(key)
@@ -152,13 +177,26 @@ def _build_gauge(cfg: Config, bundle, seed):
                 f"expected a mapping from coordinates {coords} to "
                 "expression strings", gc._at("B"))
         gauge = identity_gauge(bundle)
-        form = expr_form(1, {c: [[src]] for c, src in exprs.items()},
+        form = expr_form(1, {c: [[_parsed(src, coords, gc._at(f"B.{c}"))]]
+                             for c, src in exprs.items()},
                          coords, value_tag="h")
         gauge.B_i = {i: form for i in range(bundle.nc)}
         return gauge
+    based = gc.get("based", True)
+    if not isinstance(based, bool):
+        raise ConfigError(f"expected true or false, got {based!r}",
+                          gc._at("based"))
     return random_gauge(bundle, seed=gc.integer("seed", seed, least=0),
-                        scale=gc.positive("scale", 0.4),
-                        based=bool(gc.get("based", True)))
+                        scale=gc.positive("scale", 0.4), based=based)
+
+
+def _parsed(src, coords, path):
+    """The expression src over the coordinates; a ConfigError at path
+    when it does not parse."""
+    try:
+        return parse(str(src), coords=set(coords))
+    except (ExprSyntaxError, UnknownIdentifier) as exc:
+        raise ConfigError(str(exc), path) from None
 
 
 def _quadrature(num):
@@ -368,6 +406,10 @@ def main(argv=None) -> int:
 
     started = time.time()
     try:
+        if args.out and not os.path.isdir(
+                os.path.dirname(os.path.abspath(args.out))):
+            raise ConfigError("the directory of the report does not exist",
+                              "--out")
         config = _load_config(args.config)
         report = run(args.command, config, args)
     except ConfigError as exc:

@@ -7,8 +7,8 @@ set needed by the expression grammar is provided.
 A Dual holds two arrays over a batch of nodes, evaluated with numpy
 (real arrays staying real); numpy scalars pass through the same code.
 Domain errors are raised when any node of a batch leaves the domain.
-`piecewise` evaluates a piecewise map on a batch with each piece run
-only on the nodes that fall in it.
+`choose` selects one of several values per node, so that a piecewise
+map is evaluated as one batch.
 """
 
 from __future__ import annotations
@@ -192,7 +192,7 @@ def atan2(y, x):
 
 
 # --------------------------------------------------------------------------
-# Piecewise evaluation over node batches
+# Selection over node batches
 # --------------------------------------------------------------------------
 
 def cell_index(x, n):
@@ -201,46 +201,15 @@ def cell_index(x, n):
     return np.minimum((np.clip(x, 0.0, 1.0) * n).astype(int), n - 1)
 
 
-def take(x, idx):
-    """x restricted to the nodes idx."""
-    if isinstance(x, Dual):
-        return _dual(x.val[idx], x.dot[idx])
-    return x[idx]
-
-
-def _fill(parts, n):
-    """Scatter (nodes, component) pairs into one array over n nodes."""
-    if any(isinstance(c, Dual) for _, c in parts):
-        return _dual(_fill([(i, c.val if isinstance(c, Dual) else c)
-                            for i, c in parts], n),
-                     _fill([(i, c.dot if isinstance(c, Dual) else 0.0)
-                            for i, c in parts], n))
-    out = np.zeros(n, dtype=np.result_type(*(c for _, c in parts)))
-    for i, c in parts:
-        out[i] = c
-    return out
-
-
-def piecewise(index, pieces, *args):
-    """pieces[k](*args) on the nodes where index == k.
-
-    Each piece returns a sequence of components.  `index` holds one
-    piece number (an integer or a bool) per node.  When every node falls
-    in one piece, that piece runs on the arguments as given; otherwise
-    each piece runs on the arguments restricted to its own nodes, and
-    the components are scattered back into arrays over the whole batch.
-    """
-    index = np.asarray(index).astype(int, copy=False)
-    first = index.flat[0]
-    if (index == first).all():
-        return pieces[first](*args)
-    parts = []
-    for k, piece in enumerate(pieces):
-        idx = np.flatnonzero(index == k)
-        if idx.size:
-            parts.append((idx, piece(*[take(a, idx) for a in args])))
-    return [_fill([(idx, out[c]) for idx, out in parts], index.size)
-            for c in range(len(parts[0][1]))]
+def choose(index, options):
+    """options[index] at every node: np.choose over the values and the
+    derivatives of constants, node arrays and Duals (a constant or a node
+    array has derivative 0).  `index` holds one option number (an
+    integer or a bool) per node."""
+    if any(isinstance(o, Dual) for o in options):
+        return _dual(np.choose(index, [value(o) for o in options]),
+                     np.choose(index, [derivative(o) for o in options]))
+    return np.choose(index, options)
 
 
 def columns(points):

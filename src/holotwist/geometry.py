@@ -4,11 +4,12 @@ and the subdivision machinery that assigns charts to parameter cells.
 Curves and surfaces are stored as closed-form maps that accept dual
 numbers in their parameters, so velocities and partials are exact.
 The maps run on arrays of nodes; a scalar parameter is evaluated as a
-batch of one node.  Piecewise maps (collar steps, folds,
-concatenations, stacked cylinders) evaluate each piece only on the
-nodes that fall in it (see dual.piecewise).  Chart membership and the
-point tests of a model take one point of shape (n,) or a stack of
-shape (N, n).
+batch of one node.  Piecewise maps select per node (dual.choose):
+segment paths gather the ends of each node's segment from a table,
+gluings run each half with the other half's nodes pinned at the seam,
+and a batch that falls in one piece runs that piece alone.  Chart
+membership and the point tests of a model take one point of shape (n,)
+or a stack of shape (N, n).
 """
 
 from __future__ import annotations
@@ -37,12 +38,15 @@ STACK_TOL = 1e-10   # boundary mismatch allowed when stacking cylinders
 # Smooth C-infinity steps and warps (all dual-capable)
 # --------------------------------------------------------------------------
 
-_BUMP_PIECES = (lambda u: (0.0 * u,), lambda u: (dm.exp(-1.0 / u),))
-
-
 def _bump(u):
-    """exp(-1/u) for u > 0, else 0; smooth and flat at 0."""
-    return dm.piecewise(value(u).real > 0.0, _BUMP_PIECES, u)[0]
+    """exp(-1/u) for u > 0, else 0; smooth and flat at 0.  exp only sees
+    the positive nodes."""
+    pos = np.asarray(value(u).real > 0.0)
+    if pos.all():
+        return dm.exp(-1.0 / u)
+    if not pos.any():
+        return 0.0 * u
+    return dm.choose(pos, [0.0 * u, dm.exp(-1.0 / dm.choose(pos, [1.0, u]))])
 
 
 def smooth_step(u):
@@ -55,6 +59,30 @@ def smooth_step(u):
 def collar_warp(t, delta=DEFAULT_COLLAR):
     """[0,1] -> [0,1], constant 0 on [0, delta], constant 1 on [1-delta, 1]."""
     return smooth_step((t - delta) / (1.0 - 2.0 * delta))
+
+
+def _segment_path(t, segments, delta):
+    """The path glued from n = len(segments) collared straight segments
+    of equal parameter length, at the nodes t.
+
+    segments[k] = (a, b) holds the two end points of segment k as
+    sequences of components (constants, node arrays or Duals).  A node in
+    cell k = cell_index(t, n) sits at a + w * (b - a), with
+    w = collar_warp(t * n - k, delta); the ends of its segment are
+    gathered per node, or taken as given when every node falls in one
+    cell.
+    """
+    n = len(segments)
+    k = dm.cell_index(value(t).real, n)
+    first = int(k.flat[0])
+    if (k == first).all():
+        a, b = segments[first]
+        k = first
+    else:
+        a, b = ([dm.choose(k, [seg[end][c] for seg in segments])
+                 for c in range(len(segments[0][0]))] for end in (0, 1))
+    w = collar_warp(t * n - k, delta)
+    return [ac + w * (bc - ac) for ac, bc in zip(a, b)]
 
 
 class Reparam:
@@ -465,6 +493,27 @@ def constant_cylinder(loop: Loop) -> Cylinder:
 # Compositions
 # --------------------------------------------------------------------------
 
+def _glued(x, first, second):
+    """first(x) on the nodes with x <= 1/2 and second(x) beyond.
+
+    A batch on one side of the seam runs that half alone.  A mixed batch
+    runs each half with the other half's nodes pinned at the seam 1/2,
+    where both halves sit on their shared boundary, and selects per
+    node.
+    """
+    right = value(x).real > 0.5
+    if not right.any():
+        return first(x)
+    if right.all():
+        return second(x)
+    return [dm.choose(right, pair) for pair in zip(
+        first(dm.choose(right, [x, 0.5])), second(dm.choose(right, [0.5, x])))]
+
+
+def _shifted(out, offset):
+    return out if offset is None else [c + o for c, o in zip(out, offset)]
+
+
 def concat_loops(l1: Loop, l2: Loop) -> Loop:
     """First l1 then l2, rescaled to [0,1]; smooth thanks to the collars."""
     if l1.model.kind != l2.model.kind:
@@ -472,16 +521,9 @@ def concat_loops(l1: Loop, l2: Loop) -> Loop:
     model = l1.model
     offset = l1.eval(1.0) - l2.eval(0.0) if model.periodic else None
 
-    def second(t):
-        out = l2.fn(2.0 * t - 1.0)
-        if offset is not None:
-            return [c + o for c, o in zip(out, offset)]
-        return out
-
-    pieces = (lambda t: l1.fn(2.0 * t), second)
-
     def fn(t):
-        return dm.piecewise(value(t).real > 0.5, pieces, t)
+        return _glued(t, lambda t: l1.fn(2.0 * t),
+                      lambda t: _shifted(l2.fn(2.0 * t - 1.0), offset))
 
     return Loop(model, fn, min(l1.collar_width, l2.collar_width) / 2.0,
                 check=False)
@@ -506,16 +548,9 @@ def compose_cylinders_vertical(c1: Cylinder, c2: Cylinder) -> Cylinder:
             raise BoundaryMismatch(
                 f"end loop of first cylinder differs from start of second at t={t}")
 
-    def second(s, t):
-        out = c2.fn(2.0 * s - 1.0, t)
-        if offset is not None:
-            return [c + o for c, o in zip(out, offset)]
-        return out
-
-    pieces = (lambda s, t: c1.fn(2.0 * s, t), second)
-
     def fn(s, t):
-        return dm.piecewise(value(s).real > 0.5, pieces, s, t)
+        return _glued(s, lambda s: c1.fn(2.0 * s, t),
+                      lambda s: _shifted(c2.fn(2.0 * s - 1.0, t), offset))
 
     return Cylinder(model, fn, min(c1.collar_width, c2.collar_width) / 2.0,
                     check=False)
@@ -526,17 +561,14 @@ def compose_cylinders_horizontal(c1: Cylinder, c2: Cylinder) -> Cylinder:
     model = c1.model
 
     def second(s, t):
-        out = c2.fn(s, 2.0 * t - 1.0)
+        offset = None
         if model.periodic:
             sv = value(s).real
-            off = c1.eval(sv, 1.0) - c2.eval(sv, 0.0)
-            return [c + o for c, o in zip(out, np.moveaxis(off, -1, 0))]
-        return out
-
-    pieces = (lambda s, t: c1.fn(s, 2.0 * t), second)
+            offset = np.moveaxis(c1.eval(sv, 1.0) - c2.eval(sv, 0.0), -1, 0)
+        return _shifted(c2.fn(s, 2.0 * t - 1.0), offset)
 
     def fn(s, t):
-        return dm.piecewise(value(t).real > 0.5, pieces, s, t)
+        return _glued(t, lambda t: c1.fn(s, 2.0 * t), lambda t: second(s, t))
 
     return Cylinder(model, fn, min(c1.collar_width, c2.collar_width) / 2.0,
                     check=False)

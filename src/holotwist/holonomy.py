@@ -157,9 +157,7 @@ def epsilon(bundle, cylinder, rect=None, order=8, edge_cells=4,
     """
     ext = bundle.extension
     if rect is None:
-        bot = assign_charts_interval(cylinder.bottom_loop(), bundle.cover)
-        top = assign_charts_interval(cylinder.top_loop(), bundle.cover)
-        rect = assign_charts_rect(cylinder, bundle.cover, bottom=bot, top=top)
+        rect = _subdivisions(bundle, cylinder)[2]
     dim_h = ext.H.dim
     discrete = ext.discrete_kernel
     acc = np.zeros((dim_h, dim_h), dtype=complex)
@@ -250,6 +248,17 @@ def epsilon(bundle, cylinder, rect=None, order=8, edge_cells=4,
 # The holonomy functor
 # --------------------------------------------------------------------------
 
+def _subdivisions(bundle, cylinder, bot=None, top=None, rect=None):
+    """The bottom and top subdivisions and the grid of a cylinder, each
+    assigned unless given; the grid shares the boundary subdivisions."""
+    cover = bundle.cover
+    bot = bot or assign_charts_interval(cylinder.bottom_loop(), cover)
+    top = top or assign_charts_interval(cylinder.top_loop(), cover)
+    if rect is None:
+        rect = assign_charts_rect(cylinder, cover, bottom=bot, top=top)
+    return bot, top, rect
+
+
 def holonomy_functor(bundle, cylinder, bottom_sub=None, top_sub=None,
                      rect=None, steps=256, order=8, edge_cells=4,
                      face_tol=2e-9, max_split=6,
@@ -257,11 +266,8 @@ def holonomy_functor(bundle, cylinder, bottom_sub=None, top_sub=None,
     """H(c) = [H1(bottom), iota(epsilon(c)) . H1(top)] as a morphism of
     the categorical group, sharing the boundary subdivisions between the
     line holonomies and the grid."""
-    cover = bundle.cover
-    bot = bottom_sub or assign_charts_interval(cylinder.bottom_loop(), cover)
-    top = top_sub or assign_charts_interval(cylinder.top_loop(), cover)
-    if rect is None:
-        rect = assign_charts_rect(cylinder, cover, bottom=bot, top=top)
+    bot, top, rect = _subdivisions(bundle, cylinder, bottom_sub, top_sub,
+                                   rect)
     h1b = hol1(bundle, cylinder.bottom_loop(), bot, steps, with_error)
     h1t = hol1(bundle, cylinder.top_loop(), top, steps, with_error)
     eps = epsilon(bundle, cylinder, rect, order, edge_cells, face_tol,

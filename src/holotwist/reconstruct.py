@@ -31,7 +31,6 @@ import numpy as np
 from . import dual as dm
 from .bundle import sample_region
 from .catgroup import CatGroupMorphism, morphism_distance
-from .dual import value
 from .errors import (
     ConfigError,
     HolotwistError,
@@ -43,6 +42,7 @@ from .geometry import (
     TORUS_SQUARE_CENTERS,
     Cylinder,
     Loop,
+    _segment_path,
     assign_charts_interval,
     collar_warp,
     constant_cylinder,
@@ -73,11 +73,13 @@ def _chain_cylinder(model, waypoints) -> Cylinder:
     A waypoint is a point or a moving point (base, scale, vector) that
     sits at base + (k(s) * scale) * vector, k = collar_warp(s, SEG_COLLAR).
     Consecutive waypoints are joined by collared straight segments of
-    equal parameter length, projected radially onto the sphere.  On the
-    torus each base is lifted next to the previous one: by the wrapped
-    displacement between the two bases as given, so a segment between
-    two given points runs the same way wherever the chain has lifted
-    them (a half-period tie included).
+    equal parameter length (geometry._segment_path), projected radially
+    onto the sphere: fn(s, t) evaluates every waypoint once and gathers
+    the two ends of each node's segment.  On the torus each base is
+    lifted next to the previous one: by the wrapped displacement between
+    the two bases as given, so a segment between two given points runs
+    the same way wherever the chain has lifted them (a half-period tie
+    included).
     """
     ends, given = [], None
     for wp in waypoints:
@@ -88,7 +90,6 @@ def _chain_cylinder(model, waypoints) -> Cylinder:
             lifted = ends[-1][0] + (d - np.round(d))
         ends.append((lifted, scale, vec))
         given = base
-    n = len(ends) - 1
 
     def at(end, s):
         base, scale, vec = end
@@ -97,24 +98,17 @@ def _chain_cylinder(model, waypoints) -> Cylinder:
         k = collar_warp(s, SEG_COLLAR)
         return [b + (k * scale) * v for b, v in zip(base, vec)]
 
-    def segment(piece):
-        def piece_fn(s, t):
-            w = collar_warp(t * n - float(piece), SEG_COLLAR)
-            a, b = at(ends[piece], s), at(ends[piece + 1], s)
-            comps = [av + w * (bv - av) for av, bv in zip(a, b)]
-            if model.kind == "sphere":
-                inv = 1.0 / dm.sqrt(sum(c * c for c in comps))
-                comps = [c * inv for c in comps]
-            return comps
-
-        return piece_fn
-
-    pieces = [segment(piece) for piece in range(n)]
-
     def fn(s, t):
-        return dm.piecewise(dm.cell_index(value(t).real, n), pieces, s, t)
+        points = [at(end, s) for end in ends]
+        comps = _segment_path(t, list(zip(points[:-1], points[1:])),
+                              SEG_COLLAR)
+        if model.kind == "sphere":
+            inv = 1.0 / dm.sqrt(sum(c * c for c in comps))
+            comps = [c * inv for c in comps]
+        return comps
 
-    return Cylinder(model, fn, collar_width=SEG_COLLAR / n, check=False)
+    return Cylinder(model, fn, collar_width=SEG_COLLAR / (len(ends) - 1),
+                    check=False)
 
 
 # --------------------------------------------------------------------------
@@ -333,17 +327,14 @@ def reconstruct_transitions(oracle, scaffold, points) -> TransitionSamples:
     overlap; the base for (i, j) with i < j comes from the oracle, the
     base for (j, i) is its inverse.
     """
-    ext = oracle.extension
     out = TransitionSamples()
     for (i, j) in sorted(points):
         out.base_residual = max(out.base_residual, _fetch_base(
             oracle, scaffold, out.bases, i, j))
-        sampled = []
-        for y in points[(i, j)]:
-            m = oracle(scaffold.pair_cylinder(i, j, y))
-            sampled.append((np.asarray(y, dtype=float),
-                            _normalized_pair(ext, m, out.bases[(i, j)])))
-        out.samples[(i, j)] = sampled
+        out.samples[(i, j)] = [
+            (np.asarray(y, dtype=float),
+             transition_at(oracle, scaffold, out.bases, i, j, y))
+            for y in points[(i, j)]]
     return out
 
 

@@ -9,7 +9,8 @@ import math
 import numpy as np
 import pytest
 
-from holotwist import catalog as C, geometry as G, holonomy as H
+from holotwist import catalog as C, dual as dm, geometry as G, \
+    holonomy as H
 from holotwist.bundle import (
     gauge_transform,
     identity_gauge,
@@ -17,6 +18,7 @@ from holotwist.bundle import (
     sample_region,
     validate,
 )
+from holotwist.dual import Dual
 from holotwist.errors import DomainError
 from holotwist.families import make_bundle, monopole_bundle
 from holotwist.formsexpr.forms import (
@@ -151,6 +153,60 @@ def test_sphere_morph_antipodes_raise_inside_a_batch():
         cyl.eval(np.full(5, 0.5), ts)
     with pytest.raises(DomainError):
         cyl.eval_with_partials(np.full(5, 0.5), ts)
+
+
+def test_choose_selects_values_and_derivatives_per_node():
+    idx = np.array([0, 1, 2, 1, 0])
+    arr = np.arange(5.0)
+    dual = Dual(10.0 + arr, 20.0 + arr)
+    out = dm.choose(idx, [7.0, arr, dual])
+    assert isinstance(out, Dual)
+    assert np.array_equal(out.val, [7.0, 1.0, 12.0, 3.0, 7.0])
+    # constants and node arrays have derivative 0
+    assert np.array_equal(out.dot, [0.0, 0.0, 22.0, 0.0, 0.0])
+    plain = dm.choose(idx > 0, [7.0, arr])
+    assert not isinstance(plain, Dual)
+    assert np.array_equal(plain, [7.0, 1.0, 2.0, 3.0, 7.0])
+
+
+def _recording_params(obj, seen):
+    """The loop or cylinder obj, with every parameter its map receives
+    appended to seen."""
+    def fn(*params):
+        seen.extend(np.ravel(np.real(dm.value(x))) for x in params)
+        return obj.fn(*params)
+    return type(obj)(obj.model, fn, obj.collar_width, check=False)
+
+
+# label -> the glued map built from its two halves by half(obj, 0 or 1)
+_GLUINGS = {
+    "staircase": lambda half: G.concat_loops(
+        half(C.winding_loop(1, 0), 0), half(C.winding_loop(0, 1), 1)),
+    "full-sphere": lambda half: G.compose_cylinders_vertical(
+        half(C.cap_sweep_cylinder(math.pi), 0),
+        half(C.spike_retraction_cylinder(math.pi), 1)),
+    "torus horizontal": lambda half: G.compose_cylinders_horizontal(
+        half(C.make_cylinder("torus", "morph"), 0),
+        half(C.make_cylinder("torus", "morph"), 1)),
+}
+
+
+@pytest.mark.parametrize("label", sorted(_GLUINGS))
+def test_glued_halves_see_parameters_in_the_unit_interval(label):
+    """On a batch that straddles the seam, each half of a gluing gets
+    only parameters in [0, 1]: the other half's nodes are pinned at the
+    seam."""
+    seen = ([], [])
+    glued = _GLUINGS[label](lambda obj, k: _recording_params(obj, seen[k]))
+    if isinstance(glued, G.Loop):
+        glued.eval_with_deriv(T_NODES)
+    else:
+        glued.eval_with_partials(*(a.ravel() for a in np.meshgrid(
+            S_NODES, T_NODES, indexing="ij")))
+    for params in seen:
+        params = np.concatenate(params)
+        assert params.size
+        assert params.min() >= 0.0 and params.max() <= 1.0
 
 
 def _counting(fn, calls):

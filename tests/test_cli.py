@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from holotwist import cli
 from holotwist.cli import COMMANDS, main
 from holotwist.liecore import make_extension
 
@@ -351,6 +352,32 @@ BAD = {  # label -> (config, key path in the error)
     "string-flux": (
         {"bundle": {"family": "torus-flat", "params": {"flux": "0.7"}}},
         "bundle.params"),
+    # every config object takes exactly its documented keys
+    "misspelt-bundle-params": (
+        {"bundle": {"family": "monopole", "parms": {"n": 2}},
+         "numeric": {"tol": 1e-30}}, "bundle.parms"),
+    "unknown-top-level-key": ({"bundle": MONOPOLE, "numeric": {"tol": 1e-30}},
+                              "numeric"),
+    "misspelt-numerics-key": ({"bundle": MONOPOLE, "numerics": {"stpes": 8}},
+                              "numerics.stpes"),
+    "misspelt-gauge-key": ({"bundle": MONOPOLE, "gauge": {"sed": 3}},
+                           "gauge.sed"),
+    "unknown-loop-key": (
+        {"bundle": MONOPOLE,
+         "loop": {"name": "latitude", "theta": 1.0}}, "loop.theta"),
+    "unknown-cylinder-key": (
+        {"bundle": MONOPOLE,
+         "cylinder": {"name": "cap-sweep", "alpha": 0.3}}, "cylinder.alpha"),
+    "unknown-reconstruct-key": (
+        {"bundle": TRIVIAL_BUNDLE, "reconstruct": {"samples": 1}},
+        "reconstruct.samples"),
+    "string-based": ({"bundle": MONOPOLE, "gauge": {"based": "false"}},
+                     "gauge.based"),
+    "gauge-expression-syntax": (
+        {"bundle": MONOPOLE, "gauge": {"B": {"x": "0.3*y +"}}}, "gauge.B.x"),
+    "gauge-expression-unknown-function": (
+        {"bundle": MONOPOLE, "gauge": {"B": {"x": "0.3*y", "y": "frob(y)"}}},
+        "gauge.B.y"),
 }
 
 
@@ -362,6 +389,16 @@ def test_bad_config_exits_two_with_key_path(label, tmp_path, capsys):
                                                  "validate")
     assert main([command, "--config", write_cfg(tmp_path, data)]) == 2
     assert f"(at {path})" in capsys.readouterr().err
+
+
+def test_out_in_missing_directory_exits_two_before_computing(
+        tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "run", lambda *args: pytest.fail("computed"))
+    cfg = write_cfg(tmp_path, {"bundle": MONOPOLE})
+    out = tmp_path / "missing" / "rep.json"
+    assert main(["validate", "--config", cfg, "--out", str(out)]) == 2
+    assert "(at --out)" in capsys.readouterr().err
+    assert not out.parent.exists()
 
 
 def test_negative_seed_flag_is_usage_error(tmp_path, capsys):
