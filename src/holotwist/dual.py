@@ -2,13 +2,18 @@
 
 Used for exact derivatives of expression ASTs along a direction and of
 the closed-form curves/cylinders in the geometry catalog.  Only the function
-set needed by the expression grammar is provided.
+set needed by the expression grammar is provided, plus the smooth step
+of the collar warps.
 
-A Dual holds two arrays over a batch of nodes, evaluated with numpy
-(real arrays staying real); numpy scalars pass through the same code.
-Domain errors are raised when any node of a batch leaves the domain.
-`choose` selects one of several values per node, so that a piecewise
-map is evaluated as one batch.
+A Dual holds a value array over a batch of nodes and a derivative part
+that is either one array of the same shape or a stack of shape (k, ...)
+of k tangent directions over those nodes, carried through one sweep
+(vector-mode forward differentiation); every operation and function acts
+on each direction as it does on a one-direction Dual.  Arrays are
+evaluated with numpy (real arrays staying real); numpy scalars pass
+through the same code.  Domain errors are raised when any node of a
+batch leaves the domain.  `choose` selects one of several values per
+node, so that a piecewise map is evaluated as one batch.
 """
 
 from __future__ import annotations
@@ -37,7 +42,8 @@ def _dual(val, dot):
 
 
 class Dual:
-    """a + b*eps with eps^2 = 0; a, b node arrays."""
+    """a + b*eps with eps^2 = 0; a a node array, b a node array or a
+    (k, ...) stack of k directions over the nodes."""
 
     __slots__ = ("val", "dot")
     __array_ufunc__ = None      # numpy defers to the reflected operators
@@ -149,6 +155,36 @@ def exp(x):
         e = np.exp(x.val)
         return _dual(e, e * x.dot)
     return np.exp(x)
+
+
+# exp(-1/u) underflows to exactly 0 for 0 < u <= 1/746 (below about
+# exp(-745.1)), so the step is flat there and at the mirrored end.
+_STEP_EDGE = 1.0 / 746.0
+
+
+def smooth_step(x):
+    """Monotone C-infinity step a / (a + b), a = exp(-1/u) and
+    b = exp(-1/(1 - u)): 0 for u <= 0, 1 for u >= 1.  Its derivative
+    a b (1/u^2 + 1/(1 - u)^2) / (a + b)^2 is chained onto the directions
+    of a Dual.  Only the nodes where neither exponential underflows are
+    computed; elsewhere the step is exactly 0 or 1 with derivative 0."""
+    u = np.asarray(value(x))
+    w = 1.0 - u
+    inner = (u > _STEP_EDGE) & (w > _STEP_EDGE)
+    flat = None
+    if not inner.all():
+        flat = np.where(u < 0.5, 0.0 * u, 1.0)
+        u, w = np.where(inner, u, 0.5), np.where(inner, w, 0.5)
+    iu, iw = 1.0 / u, 1.0 / w
+    a, b = np.exp(-iu), np.exp(-iw)
+    ab = a + b
+    val = a / ab
+    if not isinstance(x, Dual):
+        return val if flat is None else np.where(inner, val, flat)
+    slope = a * (b * (iu * iu + iw * iw)) / (ab * ab)
+    if flat is not None:
+        val, slope = np.where(inner, val, flat), np.where(inner, slope, 0.0)
+    return _dual(val, slope * x.dot)
 
 
 def _check_log(v):

@@ -2,9 +2,12 @@
 and the subdivision machinery that assigns charts to parameter cells.
 
 Curves and surfaces are stored as closed-form maps that accept dual
-numbers in their parameters, so velocities and partials are exact.
-The maps run on arrays of nodes; a scalar parameter is evaluated as a
-batch of one node.  Piecewise maps select per node (dual.choose):
+numbers in their parameters, so velocities and partials are exact: a
+cylinder's point and both partials come from one call of its map, with
+s and t seeded as two directions of one Dual derivative stack.  Collars
+are warped by the closed-form dual step (dual.smooth_step).  The maps
+run on arrays of nodes; a scalar parameter is evaluated as a batch of
+one node.  Piecewise maps select per node (dual.choose):
 segment paths gather the ends of each node's segment from a table,
 gluings run each half with the other half's nodes pinned at the seam,
 and a batch that falls in one piece runs that piece alone.  Chart
@@ -38,22 +41,10 @@ STACK_TOL = 1e-10   # boundary mismatch allowed when stacking cylinders
 # Smooth C-infinity steps and warps (all dual-capable)
 # --------------------------------------------------------------------------
 
-def _bump(u):
-    """exp(-1/u) for u > 0, else 0; smooth and flat at 0.  exp only sees
-    the positive nodes."""
-    pos = np.asarray(value(u).real > 0.0)
-    if pos.all():
-        return dm.exp(-1.0 / u)
-    if not pos.any():
-        return 0.0 * u
-    return dm.choose(pos, [0.0 * u, dm.exp(-1.0 / dm.choose(pos, [1.0, u]))])
-
-
 def smooth_step(u):
-    """Monotone C-infinity step: 0 for u <= 0, 1 for u >= 1."""
-    a = _bump(u)
-    b = _bump(1.0 - u)
-    return a / (a + b)
+    """Monotone C-infinity step: 0 for u <= 0, 1 for u >= 1; the
+    closed-form dual primitive dual.smooth_step."""
+    return dm.smooth_step(u)
 
 
 def collar_warp(t, delta=DEFAULT_COLLAR):
@@ -426,7 +417,9 @@ class Cylinder:
 
     fn(s, t) follows the Loop contract in both parameters; eval and
     eval_with_partials broadcast s against t and return (N, dim) stacks
-    for node arrays, (dim,) arrays for scalars.
+    for node arrays, (dim,) arrays for scalars.  fn also takes Duals
+    whose derivative parts are stacks of directions over the nodes, so
+    eval_with_partials calls it once.
     """
 
     def __init__(self, model, fn, collar_width=DEFAULT_COLLAR, check=True):
@@ -461,10 +454,15 @@ class Cylinder:
 
     @_on_nodes
     def eval_with_partials(self, s, t):
-        out_s = self.fn(_seed(s), t)
-        out_t = self.fn(s, _seed(t))
-        return (_components(out_s, s.shape), _dots(out_s, s.shape),
-                _dots(out_t, s.shape))
+        # one pass: s and t are directions 0 and 1 of one derivative stack
+        unit = np.eye(2).reshape((2, 2) + (1,) * s.ndim)
+        out = self.fn(Dual(s, unit[0]), Dual(t, unit[1]))
+        p = np.empty(s.shape + (len(out),))
+        d = np.empty((2,) + p.shape)
+        for k, c in enumerate(out):
+            p[..., k] = np.real(value(c))
+            d[..., k] = np.real(dm.derivative(c))
+        return p, d[0], d[1]
 
     def bottom_loop(self) -> Loop:
         return Loop(self.model, lambda t: self.fn(_like(0.0, t), t),

@@ -116,18 +116,6 @@ def unitary_family(n, name=None):
     return GroupFamily(name or f"U({n})", n, gres, ares)
 
 
-def special_unitary_family(n):
-    base = unitary_family(n)
-
-    def gres(u):
-        return max(base.group_residual(u), abs(np.linalg.det(u) - 1.0))
-
-    def ares(x):
-        return max(base.algebra_residual(x), abs(np.trace(x)))
-
-    return GroupFamily(f"SU({n})", n, gres, ares)
-
-
 def torus_family(n, name=None):
     """U(1)^n as diagonal unitary matrices."""
 
@@ -494,18 +482,6 @@ def path_ordered_exp(field, a=0.0, b=1.0, steps=64, tag="e"):
         + (math.sqrt(3.0) * h * h / 12.0) * (a1 @ a2 - a2 @ a1)
     u = np.eye(values.shape[-1], dtype=complex)
     for factor in expm(omega):
-        u = u @ factor
-    return GroupElement(u, _TAG_TO_GROUP[tag])
-
-
-def riemann_product_exp(field, a=0.0, b=1.0, factors=100000, tag="e"):
-    """Dense midpoint Riemann product; slow test oracle for path_ordered_exp.
-    field maps the array of all midpoints to the stack of its values."""
-    h = (b - a) / factors
-    values = np.asarray(field(a + (np.arange(factors) + 0.5) * h),
-                        dtype=complex)
-    u = np.eye(values.shape[-1], dtype=complex)
-    for factor in expm(values * h):
         u = u @ factor
     return GroupElement(u, _TAG_TO_GROUP[tag])
 

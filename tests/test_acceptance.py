@@ -32,9 +32,9 @@ from holotwist.liecore import (
     make_extension,
     mat_norm,
     path_ordered_exp,
-    riemann_product_exp,
 )
 from holotwist.reconstruct import round_trip_check
+from liehelpers import riemann_product_exp
 
 RESULTS = []
 

@@ -209,6 +209,122 @@ def test_glued_halves_see_parameters_in_the_unit_interval(label):
         assert params.min() >= 0.0 and params.max() <= 1.0
 
 
+def _parts(out, shape):
+    """Values and derivative parts of the components of a map's output
+    at nodes of the given shape, as (..., dim) stacks."""
+    return [np.stack([np.broadcast_to(np.real(part(c)), shape)
+                      for c in out], axis=-1)
+            for part in (dm.value, dm.derivative)]
+
+
+@pytest.mark.parametrize("label", [label for label, _ in CYLINDERS])
+def test_one_pass_partials_match_one_direction_passes(label):
+    """Seeding s and t as two directions of one Dual gives the point and
+    the partials of the passes that seed one parameter each."""
+    cyl = dict(CYLINDERS)[label]
+    s, t = (a.ravel() for a in np.meshgrid(S_NODES, T_NODES, indexing="ij"))
+    p, ds, dt = cyl.eval_with_partials(s, t)
+    p_s, ref_s = _parts(cyl.fn(Dual(s, 1.0), t), s.shape)
+    p_t, ref_t = _parts(cyl.fn(s, Dual(t, 1.0)), s.shape)
+    assert np.array_equal(p, p_s) and np.array_equal(p, p_t)
+    assert _close(ds, ref_s)
+    assert _close(dt, ref_t)
+
+
+def test_one_map_call_per_patch():
+    for label, cyl in CYLINDERS:
+        calls = []
+
+        def fn(s, t, cyl=cyl, calls=calls):
+            calls.append(np.shape(dm.value(s)))
+            return cyl.fn(s, t)
+
+        counted = G.Cylinder(cyl.model, fn, cyl.collar_width, check=False)
+        counted.eval_with_partials(S_NODES, T_NODES[:S_NODES.size])
+        counted.eval_with_partials(0.3, 0.6)
+        assert calls == [S_NODES.shape, (1,)], label
+
+
+def _same_bits(a, b):
+    a, b = np.broadcast_arrays(np.asarray(a), np.asarray(b))
+    return a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+_ARR = np.linspace(0.3, 0.8, 7)
+# name -> f(x, y) on two Duals with values in (0, 1)
+_DUAL_OPS = {
+    "add": lambda x, y: x + y, "add const": lambda x, y: x + 2.0,
+    "radd array": lambda x, y: _ARR + x, "neg": lambda x, y: -x,
+    "sub": lambda x, y: x - y, "sub const": lambda x, y: x - 2.0,
+    "rsub": lambda x, y: 2.0 - x, "mul": lambda x, y: x * y,
+    "mul const": lambda x, y: x * 3.0, "rmul array": lambda x, y: _ARR * x,
+    "div": lambda x, y: x / y, "div const": lambda x, y: x / 3.0,
+    "rdiv": lambda x, y: 3.0 / x, "pow int": lambda x, y: x ** 3,
+    "pow 0": lambda x, y: x ** 0, "pow float": lambda x, y: x ** 2.5,
+    "pow dual": lambda x, y: x ** y, "rpow": lambda x, y: 2.0 ** x,
+    "rpow negative": lambda x, y: (-2.0) ** x,
+    "sin": lambda x, y: dm.sin(x), "cos": lambda x, y: dm.cos(x),
+    "exp": lambda x, y: dm.exp(x), "log": lambda x, y: dm.log(x),
+    "sqrt": lambda x, y: dm.sqrt(x), "atan2": lambda x, y: dm.atan2(x, y),
+    "atan2 const": lambda x, y: dm.atan2(0.4, x),
+    "choose": lambda x, y: dm.choose(np.arange(7) % 3, [x, 2.0, y]),
+    "smooth_step": lambda x, y: dm.smooth_step(2.0 * x - 0.5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DUAL_OPS))
+def test_dual_ops_act_on_each_direction_of_a_stack(name):
+    """On a derivative stack of two directions, every Dual operation and
+    function gives row by row the bits of the one-direction Dual."""
+    op = _DUAL_OPS[name]
+    rng = np.random.default_rng(3)
+    xv, yv = rng.uniform(0.05, 0.95, (2, 7))
+    xd, yd = rng.normal(size=(2, 2, 7))
+    out = op(Dual(xv, xd), Dual(yv, yd))
+    for k in range(2):
+        row = op(Dual(xv, xd[k]), Dual(yv, yd[k]))
+        assert _same_bits(out.val, row.val)
+        assert _same_bits(np.asarray(out.dot)[k], row.dot)
+
+
+def _composed_step(u):
+    """The step composed from Dual operations: a / (a + b) with
+    a = exp(-1/u) on the nodes u > 0 and 0 elsewhere, b likewise at
+    1 - u."""
+    def bump(u):
+        pos = dm.value(u) > 0.0
+        return dm.choose(pos, [0.0 * u, dm.exp(-1.0 / dm.choose(pos,
+                                                                [1.0, u]))])
+    a, b = bump(u), bump(1.0 - u)
+    return a / (a + b)
+
+
+def test_smooth_step_matches_the_composed_step():
+    edge = np.geomspace(1e-150, 0.05, 4001)
+    u = np.unique(np.concatenate([np.linspace(-0.25, 1.25, 30001),
+                                  edge, 1.0 - edge, -edge, 1.0 + edge]))
+    out, ref = dm.smooth_step(Dual(u, 1.0)), _composed_step(Dual(u, 1.0))
+    assert np.array_equal(out.val, ref.val)
+    assert np.array_equal(dm.smooth_step(u), ref.val)
+    # relative to max(1, |entry|): near u = 1 the quotient rule of the
+    # composed step cancels, so there its small slopes lose their digits
+    assert _close(out.dot, ref.dot)
+
+
+def test_smooth_step_is_flat_where_its_exponentials_underflow():
+    """exp(-1/u) underflows to 0 long before 1/u^2 overflows: the step
+    is exactly 0 or 1 there with derivative 0, never NaN."""
+    x = np.array([-1.0, -0.0, 0.0, 5e-324, 1e-300, 1e-160, 1e-3, 0.5,
+                  1.0 - 1e-16, 1.0, 2.0])
+    out = G.smooth_step(Dual(x, np.stack([np.ones_like(x), -2.0 * x])))
+    assert np.array_equal(out.val[:7], np.zeros(7))
+    assert np.array_equal(out.val[8:], np.ones(3))
+    assert out.val[7] == 0.5
+    flat = np.arange(x.size) != 7
+    assert np.array_equal(out.dot[:, flat], np.zeros((2, flat.sum())))
+    assert np.allclose(out.dot[:, 7], [2.0, -2.0], rtol=1e-15, atol=0.0)
+
+
 def _counting(fn, calls):
     def wrapped(*args):
         calls.append(np.shape(args[0]))

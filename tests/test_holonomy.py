@@ -21,7 +21,8 @@ from holotwist.families import (
     torus_flat_bundle,
     trivial_bundle,
 )
-from holotwist.liecore import GroupElement, mat_norm, riemann_product_exp
+from holotwist.liecore import GroupElement, mat_norm
+from liehelpers import riemann_product_exp
 
 
 def _unit_morphism(ext):

@@ -17,11 +17,10 @@ from holotwist.liecore import (
     group_mul,
     make_extension,
     path_ordered_exp,
-    riemann_product_exp,
     rotation3_family,
-    special_unitary_family,
     unitary_family,
 )
+from liehelpers import riemann_product_exp, special_unitary_family
 
 RNG = np.random.default_rng(7)
 
