@@ -215,6 +215,14 @@ def _gauss_nodes(a, b, order):
     return mid + half * x, half * w
 
 
+def _cell_nodes(s0, s1, t0, t1, order):
+    """The tensor-product Gauss nodes of the cell [s0, s1] x [t0, t1]:
+    node arrays S, T of order^2 entries and their weights."""
+    ss, sw = _gauss_nodes(s0, s1, order)
+    ts, tw = _gauss_nodes(t0, t1, order)
+    return np.repeat(ss, order), np.tile(ts, order), np.outer(sw, tw).ravel()
+
+
 def integrate_1form(form: LocalForm, segment, a=0.0, b=1.0, order=8,
                     cells=1) -> AlgebraElement:
     """Gauss-Legendre integral of the pullback of a 1-form.
@@ -251,11 +259,11 @@ def integrate_2form(form: LocalForm, patch, s_range=(0.0, 1.0),
     s_edges = np.linspace(s_range[0], s_range[1], cells[0] + 1)
     t_edges = np.linspace(t_range[0], t_range[1], cells[1] + 1)
     for i in range(cells[0]):
-        ss, sw = _gauss_nodes(s_edges[i], s_edges[i + 1], order)
         for j in range(cells[1]):
-            ts, tw = _gauss_nodes(t_edges[j], t_edges[j + 1], order)
-            point, dps, dpt = patch(np.repeat(ss, order), np.tile(ts, order))
+            s, t, w = _cell_nodes(s_edges[i], s_edges[i + 1], t_edges[j],
+                                  t_edges[j + 1], order)
+            point, dps, dpt = patch(s, t)
             vals = form(point, np.asarray(dps, dtype=float),
                         np.asarray(dpt, dtype=float))
-            total += np.einsum("n,nij->ij", np.outer(sw, tw).ravel(), vals)
+            total += np.einsum("n,nij->ij", w, vals)
     return AlgebraElement(total, form.value_tag)

@@ -6,6 +6,12 @@ computes the abelian surface factor from the curving, the overlap
 1-forms and the fiber 2-cocycle over a certified grid; the holonomy
 functor assembles both into a morphism of the categorical group.
 
+Face quadrature compares two Gauss orders per cell and splits the cell
+while they disagree.  The cylinder is evaluated once per grid row (every
+cell of the row at both orders) and once per split cell (its four
+quadrants at both orders); integrate_2form, called once per (cell,
+order), takes its cell's rows from that batch.
+
 Grid conventions (fixed once, documented here):
   * faces are enumerated row-major; the face integral uses the (t, s)
     orientation, i.e. minus the (s, t) iterated integral;
@@ -28,7 +34,7 @@ import scipy.linalg
 
 from .catgroup import TOL_MORPHISM, CatGroupMorphism
 from .errors import NonFinite, NotSameFiber, PreconditionViolated
-from .formsexpr.forms import integrate_1form, integrate_2form
+from .formsexpr.forms import _cell_nodes, integrate_1form, integrate_2form
 from .geometry import assign_charts_interval, assign_charts_rect
 from .liecore import GroupElement, log_principal, mat_norm, path_ordered_exp
 
@@ -122,9 +128,45 @@ def hol1(bundle, loop, subdivision=None, steps=96,
 # Surface factor
 # --------------------------------------------------------------------------
 
+class _PatchMemo:
+    """cylinder.eval_with_partials, answered from batches fetched ahead.
+
+    fetch evaluates the patch once on the Gauss nodes of several cells
+    at several orders and keeps each (cell, order)'s rows, keyed by its
+    exact node arrays; a call with those arrays takes them out, and any
+    other call evaluates the patch.  The cylinder maps act node by node,
+    so a kept answer is bit for bit what a separate call returns, but
+    for the sign of a zero partial (see tests/test_batched.py)."""
+
+    def __init__(self, cylinder):
+        self.cylinder = cylinder
+        self.kept = {}
+
+    def fetch(self, cells, orders):
+        keys, ss, ts = [], [], []
+        for s0, s1, t0, t1 in cells:
+            for order in orders:
+                s, t, _ = _cell_nodes(s0, s1, t0, t1, order)
+                keys.append((s.tobytes(), t.tobytes()))
+                ss.append(s)
+                ts.append(t)
+        ends = np.cumsum([s.size for s in ss])[:-1]
+        stacks = self.cylinder.eval_with_partials(np.concatenate(ss),
+                                                  np.concatenate(ts))
+        for key, *rows in zip(keys, *(np.split(x, ends) for x in stacks)):
+            self.kept[key] = tuple(rows)
+
+    def __call__(self, s, t):
+        rows = self.kept.pop((s.tobytes(), t.tobytes()), None)
+        if rows is None:
+            return self.cylinder.eval_with_partials(s, t)
+        return rows
+
+
 def _adaptive_face(form, patch, s0, s1, t0, t1, order, tol, depth):
     """Face integral with error control: compare two Gauss orders and
-    split the cell in four while they disagree.
+    split the cell in four while they disagree.  patch is a _PatchMemo:
+    the four quadrants of a split cell are fetched in one call.
 
     Returns (integral, error): the error is the sum of |hi - lo| over
     the accepted cells, including any accepted at depth 0 above its
@@ -136,10 +178,12 @@ def _adaptive_face(form, patch, s0, s1, t0, t1, order, tol, depth):
     if depth == 0 or gap <= tol:
         return hi, gap
     sm, tm = 0.5 * (s0 + s1), 0.5 * (t0 + t1)
+    quads = ((s0, sm, t0, tm), (s0, sm, tm, t1),
+             (sm, s1, t0, tm), (sm, s1, tm, t1))
+    patch.fetch(quads, (order, order + 5))
     q = tol / 4.0
     total, err = 0.0, 0.0
-    for (a, b), (c, d) in (((s0, sm), (t0, tm)), ((s0, sm), (tm, t1)),
-                           ((sm, s1), (t0, tm)), ((sm, s1), (tm, t1))):
+    for a, b, c, d in quads:
         val, e = _adaptive_face(form, patch, a, b, c, d, order, q, depth - 1)
         total, err = total + val, err + e
     return total, err
@@ -166,13 +210,16 @@ def epsilon(bundle, cylinder, rect=None, order=8, edge_cells=4,
     rows, cols = rect.shape
     sb, tb = rect.s_breaks, rect.t_breaks
 
-    # faces
+    # faces, each row's cells fetched at both orders in one patch call
     face_err = 0.0
+    patch = _PatchMemo(cylinder)
     for r in range(rows):
+        patch.fetch([(sb[r], sb[r + 1], tb[c], tb[c + 1])
+                     for c in range(cols)], (order, order + 5))
         for c in range(cols):
             a = rect.charts[r][c]
             val, err = _adaptive_face(
-                bundle.F[a], cylinder.eval_with_partials, sb[r], sb[r + 1],
+                bundle.F[a], patch, sb[r], sb[r + 1],
                 tb[c], tb[c + 1], order, face_tol, max_split)
             acc = acc - val
             face_err += err

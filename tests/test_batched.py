@@ -23,6 +23,7 @@ from holotwist.errors import DomainError
 from holotwist.families import make_bundle, monopole_bundle
 from holotwist.formsexpr.forms import (
     LocalForm,
+    _cell_nodes,
     expr_form,
     integrate_1form,
     integrate_2form,
@@ -346,6 +347,138 @@ def test_one_patch_and_form_call_per_cell():
                                 (t0, t0 + 1.0 / 3.0), order=7).entries
                 for s0 in (0.0, 0.5) for t0 in (0.0, 1.0 / 3.0, 2.0 / 3.0))
     assert np.allclose(val, cells, rtol=1e-13, atol=0.0)
+
+
+# Cells straddling the joints at 1/3, 1/2 and 2/3, the default collar
+# edges, the chain collar edge and the ends.
+_C, _K = G.DEFAULT_COLLAR, SEG_COLLAR / 5.0
+_BATCH_CELLS = ((0.0, 0.1, 0.95, 1.0), (0.3, 0.4, 0.45, 0.55),
+                (0.45, 0.7, 0.6, 0.7), (0.5 * _C, 1.5 * _C, 1.0 - 1.5 * _C,
+                                        1.0 - 0.5 * _C),
+                (0.5 * _K, 1.5 * _K, 0.5 * _K, 1.5 * _K),
+                (0.9, 1.0, 0.0, 0.05), (0.25, 0.75, 0.0, 1.0))
+
+
+@pytest.mark.parametrize("label", [label for label, _ in CYLINDERS])
+def test_batched_cells_match_separate_calls(label):
+    """The patch on the Gauss nodes of several cells at two orders,
+    concatenated, gives the stacks of one call per (cell, order), bit
+    for bit but for the sign of a zero partial.  The face quadrature
+    fetches its cells in such batches.
+
+    A waypoint chain's segment ends are constants when a call falls in
+    one segment and gathered Duals otherwise, so a partial that is 0 on
+    a constant stretch can be -0.0 in one and +0.0 in the other.  Forms
+    are linear in the tangents, so that sign reaches a face value only
+    when every term of its sum is 0."""
+    cyl = dict(CYLINDERS)[label]
+    nodes = [_cell_nodes(*cell, order)[:2]
+             for cell in _BATCH_CELLS for order in (5, 10)]
+    batch = cyl.eval_with_partials(*(np.concatenate(x) for x in zip(*nodes)))
+    start = 0
+    for s, t in nodes:
+        rows = slice(start, start + s.size)
+        for whole, part in zip(batch, cyl.eval_with_partials(s, t)):
+            whole = whole[rows]
+            assert _same_bits(np.where(whole == 0.0, 0.0, whole),
+                              np.where(part == 0.0, 0.0, part)), \
+                (s[0], t[0], s.size)
+        start += s.size
+
+
+def _reference_face(form, patch, s0, s1, t0, t1, order, tol, depth, splits):
+    """The adaptive face recursion with one patch call per (cell, order),
+    counting its split cells."""
+    lo = H.integrate_2form(form, patch, (s0, s1), (t0, t1),
+                           order=order).entries
+    hi = H.integrate_2form(form, patch, (s0, s1), (t0, t1),
+                           order=order + 5).entries
+    gap = np.linalg.norm(hi - lo)
+    if depth == 0 or gap <= tol:
+        return
+    splits.append((s0, s1, t0, t1))
+    sm, tm = 0.5 * (s0 + s1), 0.5 * (t0 + t1)
+    for (a, b), (c, d) in (((s0, sm), (t0, tm)), ((s0, sm), (tm, t1)),
+                           ((sm, s1), (t0, tm)), ((sm, s1), (tm, t1))):
+        _reference_face(form, patch, a, b, c, d, order, tol / 4.0,
+                        depth - 1, splits)
+
+
+def _probe_chain():
+    sc = BasepointScaffold.for_cover(G.make_cover("sphere-3caps"), seed=0)
+    y = np.array([0.3, 0.2, 0.9]) / np.linalg.norm([0.3, 0.2, 0.9])
+    v = np.cross(y, [0.0, 0.0, 1.0])
+    return sc.probe_cylinder(0, y, v / np.linalg.norm(v), 1e-3)
+
+
+_ORACLE = {"order": 5, "face_tol": 1e-6, "max_split": 2}
+# label -> (bundle, cylinder, numerics)
+_FACE_CASES = {
+    "monopole cap-sweep oracle": lambda: (
+        monopole_bundle(1), C.cap_sweep_cylinder(2.0), _ORACLE),
+    "sphere-pu2 cap-sweep": lambda: (
+        make_bundle("sphere-pu2"), C.cap_sweep_cylinder(2.0), {}),
+    "torus-flat morph": lambda: (
+        make_bundle("torus-flat"), C.make_cylinder("torus", "morph"), {}),
+    "monopole full-sphere cheap": lambda: (
+        monopole_bundle(1), C.full_sphere_cylinder(),
+        {"order": 4, "face_tol": 1e-4, "max_split": 2}),
+    "monopole probe chain oracle": lambda: (
+        monopole_bundle(1), _probe_chain(), _ORACLE),
+}
+
+
+@pytest.mark.parametrize("label", sorted(_FACE_CASES))
+def test_face_cells_are_fetched_per_row_and_per_split(label, monkeypatch):
+    """epsilon makes the integrate_2form calls of the recursion with one
+    patch call per (cell, order), with the same values, bit for bit; its
+    cylinder calls are one per grid row, one per split cell and one per
+    edge, none larger than a row or a split at both orders, and its memo
+    is empty afterwards."""
+    bundle, cyl, numerics = _FACE_CASES[label]()
+    order = numerics.get("order", 8)
+    rect = H._subdivisions(bundle, cyl)[2]
+    raw = cyl.eval_with_partials
+    calls, sizes, memos = [], [], []
+
+    def recording(form, patch, s_range, t_range, order):
+        val = integrate_2form(form, patch, s_range, t_range, order=order)
+        calls.append((tuple(s_range), tuple(t_range), order,
+                      val.entries.tobytes()))
+        return val
+
+    def patch(s, t):
+        sizes.append(np.broadcast(s, t).size)
+        return raw(s, t)
+
+    class Memo(H._PatchMemo):
+        def __init__(self, cylinder):
+            super().__init__(cylinder)
+            memos.append(self)
+
+    monkeypatch.setattr(H, "integrate_2form", recording)
+    monkeypatch.setattr(H, "_PatchMemo", Memo)
+    monkeypatch.setattr(cyl, "eval_with_partials", patch)
+    res = H.epsilon(bundle, cyl, rect=rect, **numerics)
+    got = calls[:]
+    calls.clear()
+
+    splits = []
+    rows, cols = rect.shape
+    sb, tb = rect.s_breaks, rect.t_breaks
+    for r in range(rows):
+        for c in range(cols):
+            _reference_face(bundle.F[rect.charts[r][c]], raw, sb[r],
+                            sb[r + 1], tb[c], tb[c + 1], order,
+                            numerics.get("face_tol", 2e-9),
+                            numerics.get("max_split", 6), splits)
+    assert got == calls
+    edges = sum("edge" in label for label, _ in res.cells)
+    assert len(sizes) == rows + len(splits) + edges
+    assert max(sizes) <= max(cols, 4) * (order ** 2 + (order + 5) ** 2)
+    assert len(memos) == 1 and memos[0].kept == {}
+    if label == "monopole cap-sweep oracle":
+        assert splits
 
 
 def test_one_segment_call_per_edge_and_one_field_call_per_path():

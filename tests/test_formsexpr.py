@@ -17,6 +17,7 @@ from holotwist.formsexpr import (
     Call,
     Coord,
     Num,
+    Unary,
     eval_ad,
     eval_expr,
     expr_form,
@@ -104,32 +105,49 @@ def test_eval_ad_basic():
     assert abs(v) < 1e-14 and abs(d - 1.0) < 1e-14
 
 
+# d/dx and d/dy of the generated leaves along the direction (1, 0.5)
+_LEAF_SLOPE = {"x": 1.0, "y": 0.5}
+
+
+def _slope(ast):
+    """The AST of the derivative of an expression built from _leaf and
+    _combine along (1, 0.5), by the rules of calculus."""
+    if isinstance(ast, Num):
+        return Num(0.0)
+    if isinstance(ast, Coord):
+        return Num(_LEAF_SLOPE[ast.name])
+    if isinstance(ast, Call):
+        (arg,) = ast.args
+        outer = {"sin": Call("cos", (arg,)),
+                 "cos": Unary("-", Call("sin", (arg,))),
+                 "exp": ast}[ast.fn]
+        return Bin("*", outer, _slope(arg))
+    left, right = ast.left, ast.right
+    dl, dr = _slope(left), _slope(right)
+    if ast.op in "+-":
+        return Bin(ast.op, dl, dr)
+    if ast.op == "*":
+        return Bin("+", Bin("*", dl, right), Bin("*", left, dr))
+    return Bin("/", Bin("-", Bin("*", dl, right), Bin("*", left, dr)),
+               Bin("*", right, right))
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.recursive(_leaf, _combine, max_leaves=10),
        st.floats(0.2, 1.7), st.floats(0.2, 1.7))
-# sin(e^(e^x)) at x = 1.5: a second-order difference is off by 2.7e-6
-# relative (its truncation error grows with the third derivative); the
-# fourth-order one is off by 1.3e-14.
+# sin(e^(e^x)) at x = 1.5: a second-order difference quotient was off by
+# 2.7e-6 relative there (its truncation error grows with the third
+# derivative).
 @example(ast=Call("sin", (Call("exp", (Call("exp", (Coord("x"),)),)),)),
          x=1.5, y=1.0)
-def test_ad_matches_finite_differences(ast, x, y):
+def test_ad_matches_symbolic_derivative(ast, x, y):
     pt = {"x": x, "y": y}
-
-    def at(s):
-        return eval_expr(ast, {"x": x + s, "y": y + 0.5 * s})
-
     try:
         v, d = eval_ad(ast, pt, {"x": 1.0, "y": 0.5})
-        h = 1e-5
-        vp, vm, vpp, vmm = at(h), at(-h), at(2 * h), at(-2 * h)
+        ref = eval_expr(_slope(ast), pt)
     except (DomainError, OverflowError):
         return
-    # fourth-order central difference
-    fd = (8 * (vp - vm) - (vpp - vmm)) / (12 * h)
-    scale = max(1.0, abs(fd))
-    if scale > 1e6:
-        return  # steep exp stacks: FD itself is unreliable there
-    assert abs(d - fd) / scale < 1e-6
+    assert abs(d - ref) / max(1.0, abs(ref)) < 1e-6
 
 
 def test_domain_errors():
