@@ -406,25 +406,27 @@ def main(argv=None) -> int:
 
     started = time.time()
     try:
-        if args.out and not os.path.isdir(
-                os.path.dirname(os.path.abspath(args.out))):
-            raise ConfigError("the directory of the report does not exist",
+        if args.out and (os.path.isdir(args.out) or not os.path.isdir(
+                os.path.dirname(os.path.abspath(args.out)))):
+            raise ConfigError("must name a file in an existing directory",
                               "--out")
         config = _load_config(args.config)
         report = run(args.command, config, args)
+        report["timings"] = {"wall_seconds": time.time() - started}
+        _print_summary(report)
+        if args.out:
+            try:
+                with open(args.out, "w") as fh:
+                    json.dump(report, fh, indent=2, sort_keys=True)
+                    fh.write("\n")
+            except OSError as exc:
+                raise ConfigError(f"cannot write report: {exc}", "--out")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except HolotwistError as exc:
         print(f"error [{type(exc).__name__}]: {exc}", file=sys.stderr)
         return EXIT_CHECK
-
-    report["timings"] = {"wall_seconds": time.time() - started}
-    _print_summary(report)
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
     return EXIT_OK if report["body"]["verdict"] == "pass" else EXIT_CHECK
 
 

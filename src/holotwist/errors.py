@@ -33,7 +33,7 @@ class SectionUndefined(HolotwistError):
 
 
 class MaxDepthExceeded(HolotwistError):
-    """Subdivision refinement hit the depth limit without certifying."""
+    """Subdivision refinement hit the depth limit: a cell fits no chart."""
 
 
 class BoundaryMismatch(HolotwistError):

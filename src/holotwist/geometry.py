@@ -267,13 +267,6 @@ class Cover:
     def __len__(self):
         return len(self.charts)
 
-    def fitting_charts(self, points):
-        """Indices of charts whose margin-shrunk region holds every point
-        of the (N, n) stack."""
-        pts = self.model.reduce(points)
-        return [idx for idx, chart in enumerate(self.charts)
-                if chart.contains(pts, with_margin=True).all()]
-
 
 # Cap axes at polar angle 82 degrees, azimuths 120 degrees apart: the caps
 # (dot > -0.25) cover the sphere with both poles in every cap, yet no single
@@ -626,42 +619,39 @@ def _cell_grid(s0, s1, t0, t1, n):
     return s.ravel(), t.ravel()
 
 
-def _pick_chart(cover, pts, touches_basepoint):
-    fits = cover.fitting_charts(pts)
-    if not fits:
-        return None
-    if touches_basepoint and 0 in fits:
-        return 0
-    return fits[0]
+def _fits(cover, pts, cells):
+    """Whether each margin-shrunk chart holds all samples of each cell:
+    (charts, cells) booleans for the samples pts of cell after cell."""
+    pts = cover.model.reduce(pts)
+    return np.array([chart.contains(pts, with_margin=True)
+                     .reshape(cells, -1).all(axis=1)
+                     for chart in cover.charts])
 
 
 def assign_charts_interval(loop: Loop, cover: Cover, max_depth=14,
                            samples_per_cell=17) -> IntervalSubdivision:
-    """Greedy bisection: split cells until each fits one chart with margin."""
-    model = cover.model
-    cells = [(0.0, 1.0, 0)]
+    """Bisection, one loop call per level: a cell takes the lowest chart
+    that holds its samples with margin; a cell that fits none is split
+    in two for the next level."""
     done = []
-    while cells:
-        a, b, depth = cells.pop()
-        pts = loop.eval(_cell_samples(a, b, samples_per_cell))
-        touches = (a <= 1e-12 or b >= 1.0 - 1e-12
-                   or model.is_basepoint(pts, tol=1e-9).any())
-        chart = _pick_chart(cover, pts, touches)
-        if chart is None:
-            if depth >= max_depth:
-                raise MaxDepthExceeded(
-                    f"interval [{a},{b}] fits no chart at depth {depth}")
-            m = 0.5 * (a + b)
-            cells.append((a, m, depth + 1))
-            cells.append((m, b, depth + 1))
-            continue
-        done.append((a, b, chart))
-    done.sort()
-    return IntervalSubdivision(
-        tuple([d[0] for d in done] + [1.0]),
-        tuple(d[2] for d in done),
-        samples_per_cell,
-    )
+    cells = np.array([[0.0, 1.0]])
+    for depth in range(max_depth + 1):
+        ts = np.linspace(cells[:, 0], cells[:, 1], samples_per_cell, axis=-1)
+        fits = _fits(cover, loop.eval(ts.ravel()), len(cells))
+        ok = fits.any(axis=0)
+        done += zip(cells[ok, 0].tolist(), fits[:, ok].argmax(axis=0).tolist())
+        cells = cells[~ok]
+        if not len(cells):
+            a, charts = zip(*sorted(done))
+            return IntervalSubdivision(a + (1.0,), charts, samples_per_cell)
+        if depth == max_depth:
+            # the cell a depth-first search, right half first, meets first
+            a, b = cells[-1].tolist()
+            raise MaxDepthExceeded(
+                f"interval [{a},{b}] fits no chart at depth {depth}")
+        mid = 0.5 * (cells[:, 0] + cells[:, 1])
+        cells = np.stack([cells[:, 0], mid, mid, cells[:, 1]],
+                         axis=-1).reshape(-1, 2)
 
 
 def certify_interval(loop: Loop, cover: Cover, sub: IntervalSubdivision):
@@ -686,74 +676,56 @@ def refine_interval(sub: IntervalSubdivision, cell_index) -> IntervalSubdivision
     return IntervalSubdivision(tuple(bp), tuple(ch), sub.sample_density)
 
 
-def _interval_chart_at(sub: IntervalSubdivision, a, b):
-    """Chart of the boundary cell containing [a,b]; None if straddling."""
-    for (x, y), chart in zip(sub.cells, sub.charts):
-        if a >= x - 1e-12 and b <= y + 1e-12:
-            return chart
-    return None
-
-
 def assign_charts_rect(cylinder: Cylinder, cover: Cover, max_depth=12,
                        samples_per_cell=5,
                        bottom: IntervalSubdivision = None,
                        top: IntervalSubdivision = None) -> RectSubdivision:
-    """Assign charts on a regular grid, refining rows/columns as needed.
+    """Assign charts on a regular grid, one cylinder call per level: a
+    cell takes the lowest chart that holds its samples with margin; a
+    cell that fits none halves its row and its column.
 
-    When boundary subdivisions are given, the bottom/top rows reuse their
-    chart assignments (refinements of a boundary cell keep its chart).
+    When boundary subdivisions are given, the bottom/top rows keep their
+    charts (refinements of a boundary cell keep its chart), and a cell
+    there that does not fit its chart halves its row only.
     """
-    model = cover.model
-    t_set = {0.0, 1.0}
-    if bottom is not None:
-        t_set.update(bottom.breakpoints)
-    if top is not None:
-        t_set.update(top.breakpoints)
-    t_breaks = sorted(t_set)
+    # the last row, then the first, so that the bottom wins when ns == 1
+    forced_rows = [(i, sub) for i, sub in ((-1, top), (0, bottom))
+                   if sub is not None]
+    t_breaks = sorted({0.0, 1.0}.union(
+        *(sub.breakpoints for _, sub in forced_rows)))
     s_breaks = [0.0, 1.0]
+    n = samples_per_cell
 
     for depth in range(max_depth + 1):
         ns, nt = len(s_breaks) - 1, len(t_breaks) - 1
-        charts = [[None] * nt for _ in range(ns)]
-        bad = []
-        for i in range(ns):
-            for j in range(nt):
-                t0, t1 = t_breaks[j], t_breaks[j + 1]
-                pts = cylinder.eval(*_cell_grid(
-                    s_breaks[i], s_breaks[i + 1], t0, t1, samples_per_cell))
-                forced = None
-                if i == 0 and bottom is not None:
-                    forced = _interval_chart_at(bottom, t0, t1)
-                elif i == ns - 1 and top is not None:
-                    forced = _interval_chart_at(top, t0, t1)
-                if forced is not None:
-                    if forced in cover.fitting_charts(pts):
-                        charts[i][j] = forced
-                    else:
-                        # boundary rows keep their charts: thin the row only
-                        bad.append((i, j, "s"))
-                    continue
-                touches = model.is_basepoint(pts, tol=1e-9).any()
-                chart = _pick_chart(cover, pts, touches)
-                if chart is None:
-                    bad.append((i, j, "st"))
-                else:
-                    charts[i][j] = chart
-        if not bad:
+        s = np.linspace(s_breaks[:-1], s_breaks[1:], n, axis=-1)
+        t = np.linspace(t_breaks[:-1], t_breaks[1:], n, axis=-1)
+        # cell (i, j) holds the n x n grid of _cell_grid, s major
+        shape = (ns, nt, n, n)
+        pts = cylinder.eval(
+            np.broadcast_to(s[:, None, :, None], shape).ravel(),
+            np.broadcast_to(t[None, :, None, :], shape).ravel())
+        fits = _fits(cover, pts, ns * nt).reshape(-1, ns, nt)
+        charts, ok = fits.argmax(axis=0), fits.any(axis=0)
+        s_mid = 0.5 * (s[:, 0] + s[:, -1])
+        t_mid = 0.5 * (t[:, 0] + t[:, -1])
+        forced = np.zeros(ns, dtype=bool)
+        for i, sub in forced_rows:
+            # each column lies in one cell of the boundary subdivision
+            cell = np.searchsorted(sub.breakpoints, t_mid) - 1
+            charts[i] = np.take(sub.charts, cell)
+            ok[i] = fits[charts[i], i, np.arange(nt)]
+            forced[i] = True
+        bad = ~ok
+        if not bad.any():
             return RectSubdivision(tuple(s_breaks), tuple(t_breaks),
-                                   tuple(tuple(r) for r in charts),
-                                   samples_per_cell)
-        if depth >= max_depth:
+                                   tuple(map(tuple, charts.tolist())), n)
+        if depth == max_depth:
             raise MaxDepthExceeded(
-                f"{len(bad)} rect cells fit no chart at depth {depth}")
-        new_s, new_t = set(s_breaks), set(t_breaks)
-        for i, j, mode in bad:
-            if "s" in mode:
-                new_s.add(0.5 * (s_breaks[i] + s_breaks[i + 1]))
-            if "t" in mode:
-                new_t.add(0.5 * (t_breaks[j] + t_breaks[j + 1]))
-        s_breaks, t_breaks = sorted(new_s), sorted(new_t)
-    raise MaxDepthExceeded("refinement budget exhausted")
+                f"{int(bad.sum())} rect cells fit no chart at depth {depth}")
+        s_breaks = sorted({*s_breaks, *s_mid[bad.any(axis=1)].tolist()})
+        t_breaks = sorted({*t_breaks,
+                           *t_mid[bad[~forced].any(axis=0)].tolist()})
 
 
 def certify_rect(cylinder: Cylinder, cover: Cover, sub: RectSubdivision):

@@ -1,16 +1,18 @@
 """Line and surface holonomy of twisted bundles.
 
 hol0/hol1 compute ordered products of path-ordered exponentials and
-transition values over a certified interval subdivision.  epsilon
-computes the abelian surface factor from the curving, the overlap
-1-forms and the fiber 2-cocycle over a certified grid; the holonomy
-functor assembles both into a morphism of the categorical group.
+transition values over an interval subdivision.  epsilon computes the
+abelian surface factor from the curving, the overlap 1-forms and the
+fiber 2-cocycle over a grid; the holonomy functor assembles both into a
+morphism of the categorical group.  Charts are assigned from samples
+(geometry.assign_charts_*); the denser certify_* re-checks are run by
+the tests only.
 
 Face quadrature compares two Gauss orders per cell and splits the cell
 while they disagree.  The cylinder is evaluated once per grid row (every
 cell of the row at both orders) and once per split cell (its four
-quadrants at both orders); integrate_2form, called once per (cell,
-order), takes its cell's rows from that batch.
+quadrants at both orders); each cell's rows are handed down to it, and
+integrate_2form, called once per (cell, order), takes them as its patch.
 
 Grid conventions (fixed once, documented here):
   * faces are enumerated row-major; the face integral uses the (t, s)
@@ -128,51 +130,33 @@ def hol1(bundle, loop, subdivision=None, steps=96,
 # Surface factor
 # --------------------------------------------------------------------------
 
-class _PatchMemo:
-    """cylinder.eval_with_partials, answered from batches fetched ahead.
-
-    fetch evaluates the patch once on the Gauss nodes of several cells
-    at several orders and keeps each (cell, order)'s rows, keyed by its
-    exact node arrays; a call with those arrays takes them out, and any
-    other call evaluates the patch.  The cylinder maps act node by node,
-    so a kept answer is bit for bit what a separate call returns, but
-    for the sign of a zero partial (see tests/test_batched.py)."""
-
-    def __init__(self, cylinder):
-        self.cylinder = cylinder
-        self.kept = {}
-
-    def fetch(self, cells, orders):
-        keys, ss, ts = [], [], []
-        for s0, s1, t0, t1 in cells:
-            for order in orders:
-                s, t, _ = _cell_nodes(s0, s1, t0, t1, order)
-                keys.append((s.tobytes(), t.tobytes()))
-                ss.append(s)
-                ts.append(t)
-        ends = np.cumsum([s.size for s in ss])[:-1]
-        stacks = self.cylinder.eval_with_partials(np.concatenate(ss),
-                                                  np.concatenate(ts))
-        for key, *rows in zip(keys, *(np.split(x, ends) for x in stacks)):
-            self.kept[key] = tuple(rows)
-
-    def __call__(self, s, t):
-        rows = self.kept.pop((s.tobytes(), t.tobytes()), None)
-        if rows is None:
-            return self.cylinder.eval_with_partials(s, t)
-        return rows
+def _rows(cylinder, cells, order):
+    """The patch rows of cells (s0, s1, t0, t1) at order and order + 5,
+    from one cylinder call: one (cylinder, lo, hi) entry per cell, where
+    lo and hi answer integrate_2form's patch call on that cell at each
+    order."""
+    nodes = [_cell_nodes(*cell, k)[:2]
+             for cell in cells for k in (order, order + 5)]
+    ends = np.cumsum([s.size for s, _ in nodes])[:-1]
+    stacks = cylinder.eval_with_partials(
+        *(np.concatenate(x) for x in zip(*nodes)))
+    rows = list(zip(*(np.split(x, ends) for x in stacks)))
+    return [(cylinder, lo, hi) for lo, hi in zip(rows[::2], rows[1::2])]
 
 
 def _adaptive_face(form, patch, s0, s1, t0, t1, order, tol, depth):
     """Face integral with error control: compare two Gauss orders and
-    split the cell in four while they disagree.  patch is a _PatchMemo:
-    the four quadrants of a split cell are fetched in one call.
+    split the cell in four while they disagree.  patch is the cell's
+    (cylinder, lo, hi) entry from _rows; the four quadrants of a split
+    cell are evaluated in one call.
 
     Returns (integral, error): the error is the sum of |hi - lo| over
     the accepted cells, including any accepted at depth 0 above its
     tolerance."""
-    lo = integrate_2form(form, patch, (s0, s1), (t0, t1), order=order).entries
-    hi = integrate_2form(form, patch, (s0, s1), (t0, t1),
+    cylinder, lo_rows, hi_rows = patch
+    lo = integrate_2form(form, lambda s, t: lo_rows, (s0, s1), (t0, t1),
+                         order=order).entries
+    hi = integrate_2form(form, lambda s, t: hi_rows, (s0, s1), (t0, t1),
                          order=order + 5).entries
     gap = mat_norm(hi - lo)
     if depth == 0 or gap <= tol:
@@ -180,18 +164,17 @@ def _adaptive_face(form, patch, s0, s1, t0, t1, order, tol, depth):
     sm, tm = 0.5 * (s0 + s1), 0.5 * (t0 + t1)
     quads = ((s0, sm, t0, tm), (s0, sm, tm, t1),
              (sm, s1, t0, tm), (sm, s1, tm, t1))
-    patch.fetch(quads, (order, order + 5))
     q = tol / 4.0
     total, err = 0.0, 0.0
-    for a, b, c, d in quads:
-        val, e = _adaptive_face(form, patch, a, b, c, d, order, q, depth - 1)
+    for quad, sub in zip(quads, _rows(cylinder, quads, order)):
+        val, e = _adaptive_face(form, sub, *quad, order, q, depth - 1)
         total, err = total + val, err + e
     return total, err
 
 
 def epsilon(bundle, cylinder, rect=None, order=8, edge_cells=4,
             face_tol=2e-9, max_split=6) -> HolonomyResult:
-    """The abelian surface factor over a certified grid.
+    """The abelian surface factor over a grid.
 
     Continuous contributions are accumulated in L(H) and exponentiated
     once; when the kernel H is discrete the vertex cocycle values are
@@ -210,13 +193,12 @@ def epsilon(bundle, cylinder, rect=None, order=8, edge_cells=4,
     rows, cols = rect.shape
     sb, tb = rect.s_breaks, rect.t_breaks
 
-    # faces, each row's cells fetched at both orders in one patch call
+    # faces, each row's cells evaluated at both orders in one call
     face_err = 0.0
-    patch = _PatchMemo(cylinder)
     for r in range(rows):
-        patch.fetch([(sb[r], sb[r + 1], tb[c], tb[c + 1])
-                     for c in range(cols)], (order, order + 5))
-        for c in range(cols):
+        row = _rows(cylinder, [(sb[r], sb[r + 1], tb[c], tb[c + 1])
+                               for c in range(cols)], order)
+        for c, patch in enumerate(row):
             a = rect.charts[r][c]
             val, err = _adaptive_face(
                 bundle.F[a], patch, sb[r], sb[r + 1],

@@ -222,37 +222,34 @@ class BasepointScaffold:
 # Ray lengths probed by _central_point: steps of 0.02 summed one by one,
 # up to the first length at or past 1.5.
 _RAY_LENGTHS = np.add.accumulate(np.full(75, 0.02))
+# (cos, sin) of the 8 ray angles, 45 degrees apart.
+_RAY_ANGLES = np.array([(math.cos(a), math.sin(a))
+                        for a in 2.0 * math.pi * np.arange(8) / 8.0])
 
 
 def _central_point(cover, indices, rng):
     """A well-inside point of the (multi-)overlap: of 64 sampled points,
-    the one maximizing the distance to the region boundary along rays."""
-    pts = sample_region(cover, indices, rng, 64)
-    charts = [cover.charts[k] for k in indices]
-    model = cover.model
-
-    def depth(p):
-        # smallest ray length (out of 8 fixed directions) leaving the region
-        best = np.inf
-        for a in range(8):
-            ang = 2.0 * math.pi * a / 8.0
-            if model.kind == "sphere":
-                t1 = np.cross(p, [0.1, 0.25, 0.96])
-                t1 /= np.linalg.norm(t1)
-                t2 = np.cross(p, t1)
-                ray = math.cos(ang) * t1 + math.sin(ang) * t2
-            else:
-                ray = np.array([math.cos(ang), math.sin(ang)])
-            q = p + _RAY_LENGTHS[:, None] * ray
-            if model.kind == "sphere":
-                q = q / np.linalg.norm(q, axis=-1, keepdims=True)
-            inside = np.all([c.contains(model.reduce(q), with_margin=True)
-                             for c in charts], axis=0)
-            best = min(best, _RAY_LENGTHS[np.argmin(inside)]
-                       if not inside.all() else _RAY_LENGTHS[-1])
-        return best
-
-    return max(pts, key=depth)
+    the first that maximizes its depth, the shortest of 8 fixed rays
+    that leaves the region, in one array pass."""
+    pts = np.array(sample_region(cover, indices, rng, 64))
+    rays = _RAY_ANGLES[None]
+    if cover.model.kind == "sphere":
+        t1 = np.cross(pts, [0.1, 0.25, 0.96])
+        # norms from dot products, as np.linalg.norm takes them of one vector
+        t1 /= np.sqrt(t1[:, None] @ t1[..., None])[:, 0]
+        t2 = np.cross(pts, t1)
+        cos, sin = _RAY_ANGLES.T[..., None]
+        rays = cos * t1[:, None] + sin * t2[:, None]
+    # q[point, ray, length]
+    q = pts[:, None, None] + _RAY_LENGTHS[:, None] * rays[:, :, None]
+    if cover.model.kind == "sphere":
+        q = q / np.linalg.norm(q, axis=-1, keepdims=True)
+    flat = cover.model.reduce(q.reshape(-1, q.shape[-1]))
+    inside = np.all([cover.charts[k].contains(flat, with_margin=True)
+                     for k in indices], axis=0).reshape(q.shape[:3])
+    leaves = np.where(inside.all(axis=-1), _RAY_LENGTHS[-1],
+                      _RAY_LENGTHS[inside.argmin(axis=-1)])
+    return pts[leaves.min(axis=1).argmax()]
 
 
 # --------------------------------------------------------------------------
@@ -502,10 +499,11 @@ def _central_coefficients(ext, mat):
 def holonomy_from_samples(oracle, scaffold, bases, loop):
     """Line holonomy of a based loop recomputed from reconstruction.
 
-    Within each cell of a certified subdivision, the path-ordered
-    exponential (the Magnus integrator of `liecore.path_ordered_exp`,
-    max(3, ceil(18 * length)) steps) of reconstructed connection
-    samples; reconstructed transition samples at the chart crossings.
+    Within each cell of the loop's chart-assigned subdivision, the
+    path-ordered exponential (the Magnus integrator of
+    `liecore.path_ordered_exp`, max(3, ceil(18 * length)) steps) of
+    reconstructed connection samples; reconstructed transition samples
+    at the chart crossings.
     Nodes where the loop sits still cost no oracle call.
     """
     sub = assign_charts_interval(loop, scaffold.cover)

@@ -1,8 +1,9 @@
 """The batched evaluation path: node arrays and point stacks against one
 point at a time (geometry, forms, group maps, gauges, extension maps),
 domain errors inside a batch, calls per quadrature cell, line cell,
-edge, chart-assignment cell and validation region, and the face error
-estimate."""
+edge, chart-assignment level and validation region, chart assignment
+and scaffold anchors against per-cell and per-point references, and the
+face error estimate."""
 
 import math
 
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from holotwist import catalog as C, dual as dm, geometry as G, \
-    holonomy as H
+    holonomy as H, reconstruct as R
 from holotwist.bundle import (
     gauge_transform,
     identity_gauge,
@@ -19,7 +20,7 @@ from holotwist.bundle import (
     validate,
 )
 from holotwist.dual import Dual
-from holotwist.errors import DomainError
+from holotwist.errors import DomainError, HolotwistError, MaxDepthExceeded
 from holotwist.families import make_bundle, monopole_bundle
 from holotwist.formsexpr.forms import (
     LocalForm,
@@ -433,13 +434,12 @@ def test_face_cells_are_fetched_per_row_and_per_split(label, monkeypatch):
     """epsilon makes the integrate_2form calls of the recursion with one
     patch call per (cell, order), with the same values, bit for bit; its
     cylinder calls are one per grid row, one per split cell and one per
-    edge, none larger than a row or a split at both orders, and its memo
-    is empty afterwards."""
+    edge, none larger than a row or a split at both orders."""
     bundle, cyl, numerics = _FACE_CASES[label]()
     order = numerics.get("order", 8)
     rect = H._subdivisions(bundle, cyl)[2]
     raw = cyl.eval_with_partials
-    calls, sizes, memos = [], [], []
+    calls, sizes = [], []
 
     def recording(form, patch, s_range, t_range, order):
         val = integrate_2form(form, patch, s_range, t_range, order=order)
@@ -451,13 +451,7 @@ def test_face_cells_are_fetched_per_row_and_per_split(label, monkeypatch):
         sizes.append(np.broadcast(s, t).size)
         return raw(s, t)
 
-    class Memo(H._PatchMemo):
-        def __init__(self, cylinder):
-            super().__init__(cylinder)
-            memos.append(self)
-
     monkeypatch.setattr(H, "integrate_2form", recording)
-    monkeypatch.setattr(H, "_PatchMemo", Memo)
     monkeypatch.setattr(cyl, "eval_with_partials", patch)
     res = H.epsilon(bundle, cyl, rect=rect, **numerics)
     got = calls[:]
@@ -476,7 +470,6 @@ def test_face_cells_are_fetched_per_row_and_per_split(label, monkeypatch):
     edges = sum("edge" in label for label, _ in res.cells)
     assert len(sizes) == rows + len(splits) + edges
     assert max(sizes) <= max(cols, 4) * (order ** 2 + (order + 5) ** 2)
-    assert len(memos) == 1 and memos[0].kept == {}
     if label == "monopole cap-sweep oracle":
         assert splits
 
@@ -578,14 +571,18 @@ def test_one_cylinder_eval_for_all_vertices():
     assert any(np.abs(v).max() > 0.0 for v in vertices.values())
 
 
-def test_one_evaluation_per_chart_assignment_cell():
+def test_one_evaluation_per_chart_assignment_level():
+    """Chart assignment samples every cell of a refinement level in one
+    call; the certify_* re-checks stay at one call per cell."""
     cover = G.make_cover("sphere-3caps")
     loop = C.latitude_loop(1.0)
     calls = []
     loop.eval = _counting(loop.eval, calls)
     sub = G.assign_charts_interval(loop, cover, samples_per_cell=17)
-    assert len(calls) == 2 * len(sub.cells) - 1     # a binary split tree
-    assert set(calls) == {(17,)}
+    levels = 1 + max(round(-math.log2(b - a)) for a, b in sub.cells)
+    assert len(calls) == levels == 6
+    # a binary split tree: 2 * cells - 1 cells sampled in all
+    assert sum(n for n, in calls) == 17 * (2 * len(sub.cells) - 1)
     calls.clear()
     G.certify_interval(loop, cover, sub)
     assert calls == [(68,)] * len(sub.cells)
@@ -596,10 +593,240 @@ def test_one_evaluation_per_chart_assignment_cell():
     bottom = G.assign_charts_interval(cyl.bottom_loop(), cover)
     rect = G.assign_charts_rect(cyl, cover, samples_per_cell=5,
                                 bottom=bottom, top=bottom)
-    assert rect.shape[0] == 1 and calls == [(25,)] * rect.shape[1]
+    assert rect.shape[0] == 1 and calls == [(25 * rect.shape[1],)]
     calls.clear()
     G.certify_rect(cyl, cover, rect)
     assert calls == [(400,)] * rect.shape[1]
+
+
+# Chart assignment one cell at a time and the anchor search one point
+# at a time: the references that the batched ones match bit for bit.
+
+def _fitting(cover, pts):
+    """Indices of the charts whose margin-shrunk region holds every
+    point."""
+    pts = cover.model.reduce(pts)
+    return [k for k, chart in enumerate(cover.charts)
+            if chart.contains(pts, with_margin=True).all()]
+
+
+def _reference_interval(loop, cover, max_depth=14, samples_per_cell=17):
+    """Greedy bisection, depth first (right half first), one loop call
+    per cell."""
+    cells, done = [(0.0, 1.0, 0)], []
+    while cells:
+        a, b, depth = cells.pop()
+        fits = _fitting(cover, loop.eval(np.linspace(a, b, samples_per_cell)))
+        if fits:
+            done.append((a, fits[0]))
+            continue
+        if depth >= max_depth:
+            raise MaxDepthExceeded(
+                f"interval [{a},{b}] fits no chart at depth {depth}")
+        m = 0.5 * (a + b)
+        cells += [(a, m, depth + 1), (m, b, depth + 1)]
+    done.sort()
+    return G.IntervalSubdivision(tuple([a for a, _ in done] + [1.0]),
+                                 tuple(c for _, c in done), samples_per_cell)
+
+
+def _chart_at(sub, a, b):
+    """Chart of the boundary cell containing [a,b]; None if straddling."""
+    for (x, y), chart in zip(sub.cells, sub.charts):
+        if a >= x - 1e-12 and b <= y + 1e-12:
+            return chart
+    return None
+
+
+def _reference_rect(cylinder, cover, max_depth=12, samples_per_cell=5,
+                    bottom=None, top=None):
+    """Grid refinement, one cylinder call per cell."""
+    t_set = {0.0, 1.0}
+    for sub in (bottom, top):
+        if sub is not None:
+            t_set.update(sub.breakpoints)
+    s_breaks, t_breaks = [0.0, 1.0], sorted(t_set)
+    for depth in range(max_depth + 1):
+        ns, nt = len(s_breaks) - 1, len(t_breaks) - 1
+        charts = [[None] * nt for _ in range(ns)]
+        bad = []
+        for i in range(ns):
+            for j in range(nt):
+                t0, t1 = t_breaks[j], t_breaks[j + 1]
+                fits = _fitting(cover, cylinder.eval(*G._cell_grid(
+                    s_breaks[i], s_breaks[i + 1], t0, t1, samples_per_cell)))
+                forced = None
+                if i == 0 and bottom is not None:
+                    forced = _chart_at(bottom, t0, t1)
+                elif i == ns - 1 and top is not None:
+                    forced = _chart_at(top, t0, t1)
+                if forced is not None:
+                    if forced in fits:
+                        charts[i][j] = forced
+                    else:
+                        bad.append((i, j, "s"))
+                elif fits:
+                    charts[i][j] = fits[0]
+                else:
+                    bad.append((i, j, "st"))
+        if not bad:
+            return G.RectSubdivision(tuple(s_breaks), tuple(t_breaks),
+                                     tuple(map(tuple, charts)),
+                                     samples_per_cell)
+        if depth >= max_depth:
+            raise MaxDepthExceeded(
+                f"{len(bad)} rect cells fit no chart at depth {depth}")
+        new_s, new_t = set(s_breaks), set(t_breaks)
+        for i, j, mode in bad:
+            new_s.add(0.5 * (s_breaks[i] + s_breaks[i + 1]))
+            if mode == "st":
+                new_t.add(0.5 * (t_breaks[j] + t_breaks[j + 1]))
+        s_breaks, t_breaks = sorted(new_s), sorted(new_t)
+
+
+def _reference_central_point(cover, indices, rng):
+    """The anchor search point by point and ray by ray."""
+    pts = sample_region(cover, indices, rng, 64)
+    charts = [cover.charts[k] for k in indices]
+    model = cover.model
+    lengths = R._RAY_LENGTHS
+
+    def depth(p):
+        best = np.inf
+        for a in range(8):
+            ang = 2.0 * math.pi * a / 8.0
+            if model.kind == "sphere":
+                t1 = np.cross(p, [0.1, 0.25, 0.96])
+                t1 /= np.linalg.norm(t1)
+                t2 = np.cross(p, t1)
+                ray = math.cos(ang) * t1 + math.sin(ang) * t2
+            else:
+                ray = np.array([math.cos(ang), math.sin(ang)])
+            q = p + lengths[:, None] * ray
+            if model.kind == "sphere":
+                q = q / np.linalg.norm(q, axis=-1, keepdims=True)
+            inside = np.all([c.contains(model.reduce(q), with_margin=True)
+                             for c in charts], axis=0)
+            best = min(best, lengths[np.argmin(inside)]
+                       if not inside.all() else lengths[-1])
+        return best
+
+    return max(pts, key=depth)
+
+
+def _outcome(fn, *args, **kwargs):
+    """fn's result, or the type and message of the error it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except HolotwistError as exc:
+        return type(exc), str(exc)
+
+
+_COVERS = {"sphere": ("sphere-3caps", "sphere-2caps-band"),
+           "torus": ("torus-4squares",), "plane": ("plane-1", "plane-4")}
+_ASSIGN_LOOPS = dict(LOOPS)
+_ASSIGN_LOOPS.update(
+    {f"sphere latitude {th:.1f}": C.latitude_loop(th)
+     for th in np.linspace(0.3, 2.9, 14)})
+_ASSIGN_LOOPS.update(
+    {f"torus {name} {p} {q}": C.make_loop("torus", name, {"p": p, "q": q})
+     for name in ("winding", "staircase")
+     for p, q in ((1, 0), (0, 1), (1, 1), (2, 1), (-1, 2))})
+# The thin fold of latitude pi/2 fails like that of latitude 1.0, which
+# _ASSIGN_FAILURES holds.
+_ASSIGN_CYLINDERS = {label: cyl for label, cyl in CYLINDERS
+                     if label != "sphere thin-fold latitude"}
+_ASSIGN_CYLINDERS.update(
+    {f"sphere constant latitude {th}": C.make_cylinder(
+        "sphere", "constant", {"loop": "latitude",
+                               "loop_params": {"theta": th}})
+     for th in (0.4, 1.0, 2.5)})
+_ASSIGN_CYLINDERS.update(
+    {f"torus constant {loop}": C.make_cylinder(
+        "torus", "constant", {"loop": loop, "loop_params": {"p": 2, "q": 1}})
+     for loop in ("winding", "staircase")})
+
+
+@pytest.mark.parametrize("label", sorted(_ASSIGN_LOOPS))
+def test_interval_assignment_matches_per_cell_reference(label):
+    loop = _ASSIGN_LOOPS[label]
+    for name in _COVERS[loop.model.kind]:
+        cover = G.make_cover(name)
+        assert _outcome(G.assign_charts_interval, loop, cover) \
+            == _outcome(_reference_interval, loop, cover), name
+
+
+@pytest.mark.parametrize("label", sorted(_ASSIGN_CYLINDERS))
+def test_rect_assignment_matches_per_cell_reference(label):
+    """With the boundary rows forced by the boundary subdivisions, and
+    free on the first cover of the model."""
+    cyl = _ASSIGN_CYLINDERS[label]
+    for k, name in enumerate(_COVERS[cyl.model.kind]):
+        cover = G.make_cover(name)
+        bottom = _outcome(G.assign_charts_interval, cyl.bottom_loop(), cover)
+        top = _outcome(G.assign_charts_interval, cyl.top_loop(), cover)
+        assert bottom == _outcome(_reference_interval, cyl.bottom_loop(),
+                                  cover)
+        assert top == _outcome(_reference_interval, cyl.top_loop(), cover)
+        bounds = [{}] if k == 0 else []
+        if isinstance(bottom, G.IntervalSubdivision) \
+                and isinstance(top, G.IntervalSubdivision):
+            bounds.append({"bottom": bottom, "top": top})
+        for kw in bounds:
+            assert _outcome(G.assign_charts_rect, cyl, cover, **kw) \
+                == _outcome(_reference_rect, cyl, cover, **kw), (name, kw)
+
+
+def _tiny_torus_cover():
+    return G.Cover("tiny", G.make_model("torus"),
+                   (G.square_chart("only", (0.0, 0.0), 0.1, margin=0.01),))
+
+
+def _thin_fold_grid():
+    cover = G.make_cover("sphere-3caps")
+    cyl = C.make_cylinder("sphere", "thin-fold", {
+        "loop": "latitude", "loop_params": {"theta": 1.0}})
+    return (G.assign_charts_rect, _reference_rect, (cyl, cover),
+            {"bottom": G.assign_charts_interval(cyl.bottom_loop(), cover),
+             "top": G.assign_charts_interval(cyl.top_loop(), cover)})
+
+
+# label -> (batched, reference, arguments, keywords)
+_ASSIGN_FAILURES = {
+    "thin-fold latitude 1.0, grid": _thin_fold_grid,
+    "tiny torus cover, interval": lambda: (
+        G.assign_charts_interval, _reference_interval,
+        (C.winding_loop(1, 1), _tiny_torus_cover()), {"max_depth": 6}),
+    "grid at max_depth 0": lambda: (
+        G.assign_charts_rect, _reference_rect,
+        (G.constant_cylinder(C.winding_loop(1, 1)),
+         G.make_cover("torus-4squares")), {"max_depth": 0}),
+}
+
+
+@pytest.mark.parametrize("label", sorted(_ASSIGN_FAILURES))
+def test_assignment_failures_match_per_cell_reference(label):
+    batched, reference, args, kwargs = _ASSIGN_FAILURES[label]()
+    with pytest.raises(MaxDepthExceeded) as exc:
+        batched(*args, **kwargs)
+    with pytest.raises(MaxDepthExceeded) as want:
+        reference(*args, **kwargs)
+    assert str(exc.value) == str(want.value)
+
+
+@pytest.mark.parametrize("cover", ["sphere-3caps", "torus-4squares",
+                                   "sphere-2caps-band", "plane-4"])
+def test_anchors_match_per_point_reference(cover, monkeypatch):
+    got = [R.BasepointScaffold.for_cover(G.make_cover(cover), seed=seed)
+           for seed in range(6)]
+    monkeypatch.setattr(R, "_central_point", _reference_central_point)
+    for seed, sc in enumerate(got):
+        want = R.BasepointScaffold.for_cover(G.make_cover(cover), seed=seed)
+        for mine, theirs in ((sc.anchors, want.anchors),
+                             (sc.pair_anchors, want.pair_anchors)):
+            assert mine.keys() == theirs.keys()
+            assert all(mine[k].tobytes() == theirs[k].tobytes()
+                       for k in mine), seed
 
 
 def test_one_evaluation_per_validation_region():

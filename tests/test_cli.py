@@ -401,6 +401,30 @@ def test_out_in_missing_directory_exits_two_before_computing(
     assert not out.parent.exists()
 
 
+def test_out_naming_a_directory_exits_two_before_computing(
+        tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "run", lambda *args: pytest.fail("computed"))
+    cfg = write_cfg(tmp_path, {"bundle": MONOPOLE})
+    assert main(["validate", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "directory" in capsys.readouterr().err
+
+
+def test_report_write_failure_exits_two(tmp_path, capsys, monkeypatch):
+    cfg = write_cfg(tmp_path, TRIVIAL)
+    out = tmp_path / "rep.json"
+
+    def guarded(path, *args, **kwargs):
+        if path == str(out):
+            raise PermissionError(13, "Permission denied", path)
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", guarded, raising=False)
+    assert main(["validate", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "cannot write report" in err and "(at --out)" in err
+    assert "Traceback" not in err
+
+
 def test_negative_seed_flag_is_usage_error(tmp_path, capsys):
     cfg = write_cfg(tmp_path, TRIVIAL)
     assert main(["validate", "--config", cfg, "--seed", "-1"]) == 2
