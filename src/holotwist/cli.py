@@ -27,7 +27,8 @@ from .families import FAMILY_NAMES, make_bundle
 from .formsexpr.forms import expr_form
 from .formsexpr.parser import parse
 from .geometry import refine_rect
-from .holonomy import epsilon, hol0, hol1, holonomy_functor, kapustin_trace
+from .holonomy import (_starts_at_basepoint, epsilon, hol0, hol1,
+                       holonomy_functor, kapustin_trace)
 from .liecore import BUILTIN_EXTENSIONS
 from .reconstruct import (
     BasepointScaffold,
@@ -256,6 +257,9 @@ def _cmd_functor(cfg, num, bundle):
 
 def _cmd_trace(cfg, num, bundle):
     cyl = _cylinder(cfg, bundle)
+    if not _starts_at_basepoint(bundle, cyl):
+        raise ConfigError("the trace needs a cylinder whose bottom loop "
+                          "is constant at the basepoint", "cylinder")
     tr = kapustin_trace(bundle, cyl, steps=num["steps"], **_quadrature(num))
     tr2 = kapustin_trace(bundle, cyl, steps=2 * num["steps"],
                          **_quadrature(num))

@@ -52,6 +52,15 @@ def collar_warp(t, delta=DEFAULT_COLLAR):
     return smooth_step((t - delta) / (1.0 - 2.0 * delta))
 
 
+def _pick(k, options):
+    """options[k], as dual.choose would give it at a node of cell k: a
+    Dual of derivative 0 for a constant when any option is a Dual."""
+    x = options[k]
+    if not isinstance(x, Dual) and any(isinstance(o, Dual) for o in options):
+        return Dual(x)
+    return x
+
+
 def _segment_path(t, segments, delta):
     """The path glued from n = len(segments) collared straight segments
     of equal parameter length, at the nodes t.
@@ -60,18 +69,18 @@ def _segment_path(t, segments, delta):
     sequences of components (constants, node arrays or Duals).  A node in
     cell k = cell_index(t, n) sits at a + w * (b - a), with
     w = collar_warp(t * n - k, delta); the ends of its segment are
-    gathered per node, or taken as given when every node falls in one
-    cell.
+    gathered per node, or taken from the one cell that holds every node.
+    Either way a component is a Dual wherever any segment's is one, so
+    that both give zero partials the same sign.
     """
     n = len(segments)
     k = dm.cell_index(value(t).real, n)
     first = int(k.flat[0])
+    pick = dm.choose
     if (k == first).all():
-        a, b = segments[first]
-        k = first
-    else:
-        a, b = ([dm.choose(k, [seg[end][c] for seg in segments])
-                 for c in range(len(segments[0][0]))] for end in (0, 1))
+        k, pick = first, _pick
+    a, b = ([pick(k, [seg[end][c] for seg in segments])
+             for c in range(len(segments[0][0]))] for end in (0, 1))
     w = collar_warp(t * n - k, delta)
     return [ac + w * (bc - ac) for ac, bc in zip(a, b)]
 
@@ -611,6 +620,16 @@ def _cell_samples(a, b, n):
     return np.linspace(a, b, n)
 
 
+def _cell_rows(a, b, n):
+    """n samples of each cell [a[i], b[i]], one row per cell: what
+    np.linspace(a, b, n, axis=-1) gives for cells of nonzero width, bit
+    for bit, without its fixed cost."""
+    a, b = np.asarray(a), np.asarray(b)
+    rows = np.arange(n) * ((b - a) / (n - 1))[:, None] + a[:, None]
+    rows[:, -1] = b
+    return rows
+
+
 def _cell_grid(s0, s1, t0, t1, n):
     """The n x n sample grid of a cell as flat (s, t) node arrays, s
     major."""
@@ -636,7 +655,7 @@ def assign_charts_interval(loop: Loop, cover: Cover, max_depth=14,
     done = []
     cells = np.array([[0.0, 1.0]])
     for depth in range(max_depth + 1):
-        ts = np.linspace(cells[:, 0], cells[:, 1], samples_per_cell, axis=-1)
+        ts = _cell_rows(cells[:, 0], cells[:, 1], samples_per_cell)
         fits = _fits(cover, loop.eval(ts.ravel()), len(cells))
         ok = fits.any(axis=0)
         done += zip(cells[ok, 0].tolist(), fits[:, ok].argmax(axis=0).tolist())
@@ -698,8 +717,8 @@ def assign_charts_rect(cylinder: Cylinder, cover: Cover, max_depth=12,
 
     for depth in range(max_depth + 1):
         ns, nt = len(s_breaks) - 1, len(t_breaks) - 1
-        s = np.linspace(s_breaks[:-1], s_breaks[1:], n, axis=-1)
-        t = np.linspace(t_breaks[:-1], t_breaks[1:], n, axis=-1)
+        s = _cell_rows(s_breaks[:-1], s_breaks[1:], n)
+        t = _cell_rows(t_breaks[:-1], t_breaks[1:], n)
         # cell (i, j) holds the n x n grid of _cell_grid, s major
         shape = (ns, nt, n, n)
         pts = cylinder.eval(

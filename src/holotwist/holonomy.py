@@ -32,13 +32,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .catgroup import TOL_MORPHISM, CatGroupMorphism
 from .errors import NonFinite, NotSameFiber, PreconditionViolated
 from .formsexpr.forms import _cell_nodes, integrate_1form, integrate_2form
 from .geometry import assign_charts_interval, assign_charts_rect
-from .liecore import GroupElement, log_principal, mat_norm, path_ordered_exp
+from .liecore import (GroupElement, _exp_stack, log_principal, mat_norm,
+                      path_ordered_exp)
 
 @dataclass
 class HolonomyResult:
@@ -267,7 +267,7 @@ def epsilon(bundle, cylinder, rect=None, order=8, edge_cells=4,
                 acc = acc + val
                 cells.append((f"vertex[{r},{c}]", val))
 
-    total = scipy.linalg.expm(acc) @ vert_prod
+    total = _exp_stack(acc[None])[0] @ vert_prod
     if not np.all(np.isfinite(total)):
         raise NonFinite("surface factor diverged")
     return HolonomyResult(GroupElement(total, "H"), rect, cells, face_err)
@@ -334,13 +334,19 @@ def conjugate_functor(result, g: GroupElement, lift: GroupElement,
     return GroupElement(gi @ result.entries @ g.entries, result.group_tag)
 
 
+def _starts_at_basepoint(bundle, cylinder):
+    """Whether the bottom loop of a cylinder sits at the basepoint, on
+    33 samples."""
+    bot = cylinder.bottom_loop().eval(np.linspace(0.0, 1.0, 33))
+    return bool(bundle.cover.model.is_basepoint(bot).all())
+
+
 def kapustin_trace(bundle, cylinder, steps=256, order=8, edge_cells=4,
                    face_tol=2e-9) -> complex:
     """tr(iota(epsilon(c)) . H1(top)) for a cylinder whose bottom
     boundary is the constant loop at the basepoint, with the functor's
     quadrature settings."""
-    bot = cylinder.bottom_loop().eval(np.linspace(0.0, 1.0, 33))
-    if not bundle.cover.model.is_basepoint(bot).all():
+    if not _starts_at_basepoint(bundle, cylinder):
         raise PreconditionViolated(
             "Kapustin trace needs a constant start boundary")
     res = holonomy_functor(bundle, cylinder, steps=steps, order=order,

@@ -446,10 +446,79 @@ def log_principal(m):
     return logm(np.asarray(m, dtype=complex))
 
 
+_SMALL = 1e-4     # |delta| below which the 2x2 closed form uses series
+
+
+def _even_parts(sq):
+    """cosh(x) and sinh(x) / x at x = sqrt(sq) for complex sq, with the
+    Taylor series where |x| < _SMALL (both functions are even in x, so
+    either root will do)."""
+    x = np.sqrt(sq)
+    small = np.abs(x) < _SMALL
+    safe = np.where(small, 1.0, x)
+    cosh = np.where(small, 1.0 + sq / 2.0 + sq * sq / 24.0, np.cosh(safe))
+    sinhc = np.where(small, 1.0 + sq / 6.0 + sq * sq / 120.0,
+                     np.sinh(safe) / safe)
+    return cosh, sinhc
+
+
+def _exp_stack(a):
+    """e^A for every slice of an (N, d, d) complex stack, in closed form
+    where the slices admit one:
+      * 1x1 and diagonal stacks: exp of the diagonal;
+      * 2x2: Cayley-Hamilton, e^tau (cosh delta I + sinh delta / delta
+        (A - tau I)) with tau = tr A / 2 and
+        delta^2 = (a00 - tau)^2 + a01 a10;
+      * real antisymmetric 3x3 (so(3), checked exactly): Rodrigues,
+        I + sin theta / theta A + (1 - cos theta) / theta^2 A^2;
+    and scipy.linalg.expm (scaling and squaring) for anything else."""
+    d = a.shape[-1]
+    if d == 1:
+        return np.exp(a)
+    idx = np.arange(d)
+    diag = a[:, idx, idx]
+    if not a[:, ~np.eye(d, dtype=bool)].any():
+        out = np.zeros_like(a)
+        out[:, idx, idx] = np.exp(diag)
+        return out
+    if d == 2:
+        tau = 0.5 * (diag[:, 0] + diag[:, 1])
+        b = a - tau[:, None, None] * np.eye(2)
+        cosh, sinhc = _even_parts(b[:, 0, 0] ** 2 + a[:, 0, 1] * a[:, 1, 0])
+        out = sinhc[:, None, None] * b
+        out[:, idx, idx] += cosh[:, None]
+        return np.exp(tau)[:, None, None] * out
+    if d == 3 and not a.imag.any() \
+            and not (a.real + np.swapaxes(a.real, 1, 2)).any():
+        r = a.real
+        theta = np.sqrt(r[:, 2, 1] ** 2 + r[:, 0, 2] ** 2 + r[:, 1, 0] ** 2)
+        # sin theta / theta and (1 - cos theta) / theta^2, the latter as
+        # 2 sin^2(theta / 2) / theta^2 (no cancellation); np.sinc is 1
+        # at 0 and accurate near it, so no series is needed
+        sinc = np.sinc(theta / np.pi)
+        versc = 0.5 * np.sinc(theta / (2.0 * np.pi)) ** 2
+        out = sinc[:, None, None] * r + versc[:, None, None] * (r @ r)
+        out[:, idx, idx] += 1.0
+        return out.astype(complex)
+    return expm(a)
+
+
 def exp_matrix(a: AlgebraElement) -> GroupElement:
-    """Matrix exponential (scaling-and-squaring Pade); tag h->H etc."""
+    """Matrix exponential of one algebra element; tag h->H etc."""
     check_finite(a.entries)
-    return GroupElement(expm(np.array(a.entries)), _TAG_TO_GROUP[a.algebra_tag])
+    return GroupElement(_exp_stack(np.array(a.entries)[None])[0],
+                        _TAG_TO_GROUP[a.algebra_tag])
+
+
+def _ordered_product(factors):
+    """factors[0] @ factors[1] @ ... of an (N, d, d) stack, N >= 1, as a
+    pairwise tree; an odd last factor joins the last pair."""
+    while len(factors) > 1:
+        pairs = factors[0:-1:2] @ factors[1::2]
+        if len(factors) % 2:
+            pairs[-1] = pairs[-1] @ factors[-1]
+        factors = pairs
+    return factors[0]
 
 
 # Gauss-Legendre nodes for the one-step Magnus method
@@ -466,9 +535,12 @@ def path_ordered_exp(field, a=0.0, b=1.0, steps=64, tag="e"):
     quadrature with a single commutator correction.
 
     field maps the array of all 2 * steps Gauss nodes, in parameter
-    order, to the (2 * steps, d, d) stack of its values; the Magnus
-    exponents of all steps are exponentiated in one call, and only the
-    ordered product runs step by step.
+    order, to the (2 * steps, d, d) stack of its values.  The Magnus
+    exponents of all steps are exponentiated in one call of the stack
+    kernel (closed forms for U(1), diagonal, U(2) and SO(3) exponents;
+    scipy.linalg.expm for any other), and the ordered product is taken
+    pairwise: each level multiplies neighbouring factors, left by right,
+    in one stacked matmul.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -480,10 +552,8 @@ def path_ordered_exp(field, a=0.0, b=1.0, steps=64, tag="e"):
     a1, a2 = values[0::2], values[1::2]
     omega = (h / 2.0) * (a1 + a2) \
         + (math.sqrt(3.0) * h * h / 12.0) * (a1 @ a2 - a2 @ a1)
-    u = np.eye(values.shape[-1], dtype=complex)
-    for factor in expm(omega):
-        u = u @ factor
-    return GroupElement(u, _TAG_TO_GROUP[tag])
+    return GroupElement(_ordered_product(_exp_stack(omega)),
+                        _TAG_TO_GROUP[tag])
 
 
 def fiber_normalize(ext: CentralExtension, e: GroupElement, e_prime: GroupElement,

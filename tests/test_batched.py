@@ -364,14 +364,8 @@ _BATCH_CELLS = ((0.0, 0.1, 0.95, 1.0), (0.3, 0.4, 0.45, 0.55),
 def test_batched_cells_match_separate_calls(label):
     """The patch on the Gauss nodes of several cells at two orders,
     concatenated, gives the stacks of one call per (cell, order), bit
-    for bit but for the sign of a zero partial.  The face quadrature
-    fetches its cells in such batches.
-
-    A waypoint chain's segment ends are constants when a call falls in
-    one segment and gathered Duals otherwise, so a partial that is 0 on
-    a constant stretch can be -0.0 in one and +0.0 in the other.  Forms
-    are linear in the tangents, so that sign reaches a face value only
-    when every term of its sum is 0."""
+    for bit, the sign of a zero partial included.  The face quadrature
+    fetches its cells in such batches."""
     cyl = dict(CYLINDERS)[label]
     nodes = [_cell_nodes(*cell, order)[:2]
              for cell in _BATCH_CELLS for order in (5, 10)]
@@ -380,9 +374,7 @@ def test_batched_cells_match_separate_calls(label):
     for s, t in nodes:
         rows = slice(start, start + s.size)
         for whole, part in zip(batch, cyl.eval_with_partials(s, t)):
-            whole = whole[rows]
-            assert _same_bits(np.where(whole == 0.0, 0.0, whole),
-                              np.where(part == 0.0, 0.0, part)), \
+            assert _same_bits(whole[rows], part), \
                 (s[0], t[0], s.size)
         start += s.size
 

@@ -200,6 +200,22 @@ def test_trace_uses_the_functor_quadrature(tmp_path):
     assert abs(complex(re, im) - np.trace(target)) <= 1e-12
 
 
+@pytest.mark.parametrize("bundle, cylinder", [
+    ({"family": "torus-flat"}, "morph"),
+    (MONOPOLE, "spike-retraction")])
+def test_trace_needs_a_constant_bottom_loop(bundle, cylinder, tmp_path,
+                                            capsys, monkeypatch):
+    """A cylinder whose bottom loop leaves the basepoint is a bad config:
+    exit 2 at `cylinder`, before any holonomy is computed."""
+    monkeypatch.setattr(cli, "kapustin_trace",
+                        lambda *args, **kwargs: pytest.fail("computed"))
+    cfg = write_cfg(tmp_path, {"bundle": bundle,
+                               "cylinder": {"name": cylinder}})
+    assert main(["trace", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "(at cylinder)" in err and "Traceback" not in err
+
+
 def test_reconstruct_monopole(tmp_path):
     cfg = write_cfg(tmp_path, {"bundle": MONOPOLE})
     out = tmp_path / "rep.json"

@@ -4,8 +4,12 @@ exponential integrator."""
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import expm
 
+from holotwist import catalog, liecore
 from holotwist.errors import NotSameFiber, SectionUndefined, TagMismatch
+from holotwist.families import make_bundle
+from holotwist.holonomy import hol0, hol1
 from holotwist.liecore import (
     BUILTIN_EXTENSIONS,
     AlgebraElement,
@@ -200,7 +204,6 @@ def test_path_ordered_commuting_field_is_plain_exp():
     base = 1j * np.array([[0.0, 1.0], [1.0, 0.0]])
     field = lambda t: np.sin(t)[:, None, None] * base
     got = path_ordered_exp(field, steps=256).entries
-    from scipy.linalg import expm
     want = expm((1.0 - np.cos(1.0)) * base)
     assert np.allclose(got, want, atol=1e-10)
 
@@ -246,3 +249,103 @@ def test_conjugation_helper():
     got = group_conj(a, b)
     want = np.linalg.inv(b.entries) @ a.entries @ b.entries
     assert np.allclose(got.entries, want, atol=1e-13)
+
+
+# --- the exponential kernel and the ordered product ---------------------------
+
+# from far below the 2x2 series switch (|delta| < 1e-4) to about 10
+_NORMS = (1e-12, 1e-8, 5e-5, 1e-4, 2e-4, 1e-2, 0.5, 1.0, 3.0, 10.0)
+
+
+def _no_scipy(a):
+    pytest.fail(f"scipy expm called on a {a.shape} stack")
+
+
+def _closed_form_stacks(rng, n):
+    z = rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))
+    x = rng.normal(size=(n, 3, 3))
+    stacks = {"anti-Hermitian 2x2": z - np.conj(np.swapaxes(z, 1, 2)),
+              "complex 2x2": z,
+              "so(3)": (x - np.swapaxes(x, 1, 2)).astype(complex)}
+    for d in (1, 2, 3):
+        diag = np.zeros((n, d, d), dtype=complex)
+        diag[:, np.arange(d), np.arange(d)] = \
+            rng.normal(size=(n, d)) + 1j * rng.normal(size=(n, d))
+        stacks[f"diagonal {d}x{d}"] = diag
+    return stacks
+
+
+def _assert_close_to_expm(got, stack):
+    """Per slice, |got - expm(A)| <= 1e-14 (1 + |A|) |expm(A)|."""
+    for g, a in zip(got, stack):
+        want = expm(a)
+        bound = 1e-14 * (1.0 + np.linalg.norm(a)) * np.linalg.norm(want)
+        assert np.linalg.norm(g - want) <= bound, np.linalg.norm(a)
+
+
+_STACKS = _closed_form_stacks(np.random.default_rng(17), 48)
+
+
+@pytest.mark.parametrize("norm", _NORMS)
+@pytest.mark.parametrize("kind", sorted(_STACKS))
+def test_exp_kernel_closed_forms_match_expm(kind, norm, monkeypatch):
+    stack = _STACKS[kind]
+    stack = stack * (norm / np.linalg.norm(stack, axis=(1, 2)))[:, None, None]
+    monkeypatch.setattr(liecore, "expm", _no_scipy)
+    _assert_close_to_expm(liecore._exp_stack(stack), stack)
+
+
+def test_exp_kernel_falls_back_to_expm(monkeypatch):
+    """Stacks with no closed form go to scipy.linalg.expm, whole: 4x4,
+    and 3x3 that is not real antisymmetric (a general real matrix, an
+    antisymmetric one with an imaginary part, one off by one ulp)."""
+    rng = np.random.default_rng(19)
+    x = rng.normal(size=(8, 3, 3))
+    anti = x - np.swapaxes(x, 1, 2)
+    ulp = anti.copy()
+    ulp[3, 0, 1] = np.nextafter(ulp[3, 0, 1], np.inf)
+    stacks = [rng.normal(size=(8, 4, 4)) + 1j * rng.normal(size=(8, 4, 4)),
+              x.astype(complex), anti + 1e-3j * anti, ulp.astype(complex)]
+    calls = []
+
+    def spy(a):
+        calls.append(a.shape)
+        return expm(a)
+
+    monkeypatch.setattr(liecore, "expm", spy)
+    for stack in stacks:
+        got = liecore._exp_stack(stack)
+        assert got.tobytes() == expm(stack).tobytes()
+    assert calls == [s.shape for s in stacks]
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_ordered_product_matches_sequential(n):
+    """The pairwise tree keeps the left-to-right order of the factors."""
+    rng = np.random.default_rng(n)
+    factors = np.array([random_unitary(3, rng) for _ in range(n)])
+    got = liecore._ordered_product(factors.copy())
+    assert np.linalg.norm(got - _sequential(factors)) <= 1e-14 * n
+    if n > 1:    # the factors do not commute: a reversed product differs
+        assert np.linalg.norm(got - _sequential(factors[::-1])) > 1e-3
+
+
+def _sequential(factors):
+    out = np.eye(factors.shape[-1], dtype=complex)
+    for f in factors:
+        out = out @ f
+    return out
+
+
+@pytest.mark.parametrize("family", ["monopole", "sphere-pu2", "torus-flat",
+                                    "trivial"])
+def test_line_holonomy_makes_no_scipy_call(family, monkeypatch):
+    """U(1), diagonal U(1)^2, U(2) and SO(3) exponents all have closed
+    forms: hol0 and hol1 never reach scipy.linalg.expm."""
+    bundle = make_bundle(family)
+    kind = bundle.cover.model.kind
+    loop = catalog.make_loop(kind, "latitude" if kind == "sphere"
+                             else "winding", {})
+    monkeypatch.setattr(liecore, "expm", _no_scipy)
+    for hol in (hol0, hol1):
+        assert np.isfinite(hol(bundle, loop, steps=64).value.entries).all()
