@@ -152,39 +152,22 @@ def staircase_loop(p, q) -> Loop:
 # Generic deformations
 # --------------------------------------------------------------------------
 
-def perturb_loop(loop: Loop, amplitude, direction=None, center=0.5,
-                 width=0.5) -> Loop:
-    """Smooth non-thin displacement of the loop interior.
+PERTURB_WIDTH = 0.5   # parameter width of a perturbation's bump
 
-    Torus loops are displaced additively; sphere loops are rotated about
-    the direction axis by a bump-profiled angle.  Collars are untouched.
-    """
-    model = loop.model
 
-    def bump(t):
-        return _bump((t - center) / width + 0.5)
+def _bump_at(u, center):
+    return _bump((u - center) / PERTURB_WIDTH + 0.5)
 
+
+def _displacement(model, direction):
+    """move(p, amount): p shifted by amount along the direction on the
+    torus, rotated by the angle amount about the direction axis on the
+    sphere."""
+    d = np.asarray(direction, dtype=float)
     if model.kind == "torus":
-        direction = np.asarray(direction if direction is not None
-                               else [0.0, 1.0], dtype=float)
-
-        def fn(t):
-            b = amplitude * bump(t)
-            out = loop.fn(t)
-            return [c + b * d for c, d in zip(out, direction)]
-
-        return Loop(model, fn, loop.collar_width)
-
-    axis = np.asarray(direction if direction is not None
-                      else [0.0, 0.0, 1.0], dtype=float)
-    axis = axis / np.linalg.norm(axis)
-
-    def fn(t):
-        ang = amplitude * bump(t)
-        p = loop.fn(t)
-        return _rotate_about(p, axis, ang)
-
-    return Loop(model, fn, loop.collar_width)
+        return lambda p, amount: [c + amount * dk for c, dk in zip(p, d)]
+    axis = d / np.linalg.norm(d)
+    return lambda p, amount: _rotate_about(p, axis, amount)
 
 
 def _rotate_about(p, axis, angle):
@@ -199,36 +182,35 @@ def _rotate_about(p, axis, angle):
             for i in range(3)]
 
 
+def perturb_loop(loop: Loop, amplitude) -> Loop:
+    """Smooth non-thin displacement of the loop interior around t = 1/2:
+    torus loops are shifted along +v, sphere loops rotated about the z
+    axis, by a bump-profiled amount.  Collars are untouched."""
+    torus = loop.model.kind == "torus"
+    move = _displacement(loop.model, [0.0, 1.0] if torus else [0.0, 0.0, 1.0])
+
+    def fn(t):
+        return move(loop.fn(t), amplitude * _bump_at(t, 0.5))
+
+    return Loop(loop.model, fn, loop.collar_width)
+
+
 def perturb_cylinder(cyl: Cylinder, amplitude, direction=None,
-                     center=(0.5, 0.5), width=0.5) -> Cylinder:
+                     center=(0.5, 0.5)) -> Cylinder:
     """Interior-only smooth deformation of a cylinder (non-thin for
-    amplitude != 0); boundary collars and boundary loops are unchanged."""
-    model = cyl.model
-
-    def bump2(s, t):
-        return (_bump((s - center[0]) / width + 0.5)
-                * _bump((t - center[1]) / width + 0.5))
-
-    if model.kind == "torus":
-        d = np.asarray(direction if direction is not None else [0.0, 1.0],
-                       dtype=float)
-
-        def fn(s, t):
-            b = amplitude * bump2(s, t)
-            out = cyl.fn(s, t)
-            return [c + b * dk for c, dk in zip(out, d)]
-
-        return Cylinder(model, fn, cyl.collar_width)
-
-    axis = np.asarray(direction if direction is not None else [1.0, 0.0, 0.0],
-                      dtype=float)
-    axis = axis / np.linalg.norm(axis)
+    amplitude != 0): a shift along direction (default +v) on the torus,
+    a rotation about the direction axis (default x) on the sphere.
+    Boundary collars and boundary loops are unchanged."""
+    if direction is None:
+        direction = [0.0, 1.0] if cyl.model.kind == "torus" \
+            else [1.0, 0.0, 0.0]
+    move = _displacement(cyl.model, direction)
 
     def fn(s, t):
-        ang = amplitude * bump2(s, t)
-        return _rotate_about(cyl.fn(s, t), axis, ang)
+        return move(cyl.fn(s, t), amplitude * (_bump_at(s, center[0])
+                                               * _bump_at(t, center[1])))
 
-    return Cylinder(model, fn, cyl.collar_width)
+    return Cylinder(cyl.model, fn, cyl.collar_width)
 
 
 def morph_cylinder(l1: Loop, l2: Loop) -> Cylinder:

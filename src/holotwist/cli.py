@@ -206,11 +206,11 @@ def _quadrature(num):
 
 def _functor_with_invariance(bundle, cyl, num):
     res = holonomy_functor(bundle, cyl, steps=num["steps"],
-                           with_error=False, **_quadrature(num))
+                           **_quadrature(num))
     bot, top, rect = res.subdivision
     fine = holonomy_functor(bundle, cyl, bottom_sub=bot, top_sub=top,
                             rect=refine_rect(rect), steps=2 * num["steps"],
-                            with_error=False, **_quadrature(num))
+                            **_quadrature(num))
     return res.value, morphism_distance(res.value, fine.value)
 
 

@@ -136,8 +136,7 @@ def _section_jet(axis, p, v):
     return tuple(c.val for c in q), tuple(c.dot for c in q)
 
 
-
-def _const_2form(scale_matrix, component, dim, coords, tag="h"):
+def _const_2form(scale_matrix, component, dim, coords):
     """A 2-form with constant coefficient `scale_matrix` on the given
     coordinate wedge; used on the flat torus."""
     a, b = component
@@ -146,16 +145,17 @@ def _const_2form(scale_matrix, component, dim, coords, tag="h"):
         factor = v[..., a] * w[..., b] - v[..., b] * w[..., a]
         return factor[..., None, None] * scale_matrix
 
-    return native_form(2, evalfn, dim, coords, value_tag=tag)
+    return native_form(2, evalfn, dim, coords, value_tag="h")
 
 
-def sphere_area_form(scale, dim=1, tag="h") -> LocalForm:
-    """scale times the round area form x . (v x w) on the unit sphere."""
+def sphere_area_form(scale) -> LocalForm:
+    """scale times the round area form x . (v x w) on the unit sphere,
+    as a 1x1 kernel-valued 2-form."""
     def evalfn(p, v, w):
         tr = np.einsum("...i,...i->...", p, np.cross(v, w))
-        return scale * tr[..., None, None] * np.eye(dim, dtype=complex)
+        return scale * tr[..., None, None] * np.eye(1, dtype=complex)
 
-    return native_form(2, evalfn, dim, ("x", "y", "z"), value_tag=tag)
+    return native_form(2, evalfn, 1, ("x", "y", "z"), value_tag="h")
 
 
 # --------------------------------------------------------------------------

@@ -112,15 +112,10 @@ def identity_reparam():
     return Reparam(lambda t: t, "identity")
 
 
-def monotone_warp(delta=DEFAULT_COLLAR, power=2):
-    """Collar-fixing monotone warp w(t) = step(t)^power; the exponent
-    must be a positive integer so the warp stays smooth where the
-    collar profile vanishes."""
-    power = int(power)
-    if power < 1:
-        raise InvalidReparam("warp power must be a positive integer")
-    return Reparam(lambda t: collar_warp(t, delta) ** power,
-                   f"power-{power}")
+def monotone_warp():
+    """Collar-fixing monotone warp w(t) = collar_warp(t)^2, smooth where
+    the collar profile vanishes."""
+    return Reparam(lambda t: collar_warp(t) ** 2, "power-2")
 
 
 def fold_reparam(waypoints=(0.0, 0.7, 0.4, 1.0)):
@@ -228,14 +223,15 @@ class Chart:
         return f"Chart({self.label!r})"
 
 
-def cap_chart(label, axis, cos_threshold, margin=0.05):
+def cap_chart(label, axis, cos_threshold):
+    """The cap p . axis > cos_threshold, with margin 0.05."""
     axis = np.asarray(axis, dtype=float)
     axis = axis / np.linalg.norm(axis)
 
     def member(p, shrink):
         return p @ axis > cos_threshold + shrink
 
-    return Chart(label, member, margin)
+    return Chart(label, member, 0.05)
 
 
 def square_chart(label, center, half_width, margin=0.02):
@@ -248,14 +244,15 @@ def square_chart(label, center, half_width, margin=0.02):
     return Chart(label, member, margin)
 
 
-def box_chart(label, lo, hi, margin=0.02):
+def box_chart(label, lo, hi):
+    """The open box lo < p < hi, with margin 0.02."""
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
 
     def member(p, shrink):
         return np.all((p > lo + shrink) & (p < hi - shrink), axis=-1)
 
-    return Chart(label, member, margin)
+    return Chart(label, member, 0.02)
 
 
 @dataclass(frozen=True)
@@ -475,13 +472,13 @@ class Cylinder:
                     self.collar_width, check=False)
 
 
-def constant_loop(model, collar_width=DEFAULT_COLLAR) -> Loop:
+def constant_loop(model) -> Loop:
     bp = model.basepoint
 
     def fn(t):
         return [c + 0.0 * t for c in bp]
 
-    return Loop(model, fn, collar_width, check=False)
+    return Loop(model, fn, DEFAULT_COLLAR, check=False)
 
 
 def constant_cylinder(loop: Loop) -> Cylinder:

@@ -1,9 +1,11 @@
 """Line and surface holonomy of twisted bundles.
 
 hol0/hol1 compute ordered products of path-ordered exponentials and
-transition values over an interval subdivision.  epsilon computes the
-abelian surface factor from the curving, the overlap 1-forms and the
-fiber 2-cocycle over a grid; the holonomy functor assembles both into a
+transition values over an interval subdivision, in one cell walk
+(_line_product) that the rebuild from holonomy (reconstruct) also runs,
+on its own fields and transitions.  epsilon computes the abelian
+surface factor from the curving, the overlap 1-forms and the fiber
+2-cocycle over a grid; the holonomy functor assembles both into a
 morphism of the categorical group.  Charts are assigned from samples
 (geometry.assign_charts_*); the denser certify_* re-checks are run by
 the tests only.
@@ -50,12 +52,6 @@ class HolonomyResult:
     error_estimate: float = 0.0
 
 
-def _transition(store, a, b, point, dim):
-    if a == b:
-        return np.eye(dim, dtype=complex)
-    return store[(a, b)].value(point).entries
-
-
 def _h_values(bundle, triples, points):
     """h_abc at each point of an (N, n) stack, one chart triple per
     point; the unit where two charts agree.  Each map is evaluated once,
@@ -73,25 +69,26 @@ def _h_values(bundle, triples, points):
 # Line holonomy
 # --------------------------------------------------------------------------
 
-def _line_product(loop, sub, forms, trans, tag, dim, steps):
-    total = np.eye(dim, dtype=complex)
+def _line_product(loop, sub, fields, transition, dim, cell_steps, tag):
+    """The ordered product along a chart-assigned subdivision: in each
+    cell the path-ordered exponential of its chart's field,
+    fields[chart](points, velocities), on cell_steps(length) steps; at
+    each cell end the factor transition(chart, next chart, point), the
+    unit where the chart does not change.  Returns (total, cells)."""
+    total = eye = np.eye(dim, dtype=complex)
     cells = []
     charts = sub.charts
-    n = len(charts)
     ends = loop.eval(np.array(sub.breakpoints[1:]))
     for k, ((a, b), chart) in enumerate(zip(sub.cells, charts)):
-        form = forms[chart]
-
-        def fld(ts, form=form):
-            return form(*loop.eval_with_deriv(ts))
-
-        ncell = max(4, int(round(steps * (b - a))))
-        u = path_ordered_exp(fld, a, b, steps=ncell, tag=tag.lower()).entries
+        field = fields[chart]
+        u = path_ordered_exp(lambda ts: field(*loop.eval_with_deriv(ts)),
+                             a, b, steps=cell_steps(b - a), tag=tag).entries
         total = total @ u
         cells.append((f"cell[{k}] chart {chart}", u))
-        nxt = charts[(k + 1) % n]
-        tmat = _transition(trans, chart, nxt, ends[k], dim)
+        nxt = charts[(k + 1) % len(charts)]
+        tmat = eye
         if chart != nxt:
+            tmat = transition(chart, nxt, ends[k])
             cells.append((f"transition {chart}->{nxt}", tmat))
         total = total @ tmat
     if not np.all(np.isfinite(total)):
@@ -101,16 +98,19 @@ def _line_product(loop, sub, forms, trans, tag, dim, steps):
 
 def _line_holonomy(bundle, loop, tag, subdivision, steps, with_error):
     """Holonomy of one layer: tag "G" transports with D and g, tag "E"
-    with A and e."""
+    with A and e, max(4, round(steps * length)) steps per cell."""
     sub = subdivision or assign_charts_interval(loop, bundle.cover)
     forms, trans = (bundle.D, bundle.g) if tag == "G" else (bundle.A, bundle.e)
     dim = bundle.extension.families[tag].dim
-    total, cells = _line_product(loop, sub, forms, trans, tag, dim, steps)
-    err = 0.0
-    if with_error:
-        half, _ = _line_product(loop, sub, forms, trans, tag, dim,
-                                max(8, steps // 2))
-        err = mat_norm(total - half)
+
+    def product(n):
+        return _line_product(
+            loop, sub, forms, lambda a, b, p: trans[(a, b)].value(p).entries,
+            dim, lambda length: max(4, int(round(n * length))), tag.lower())
+
+    total, cells = product(steps)
+    err = mat_norm(total - product(max(8, steps // 2))[0]) \
+        if with_error else 0.0
     return HolonomyResult(GroupElement(total, tag), sub, cells, err)
 
 
@@ -192,6 +192,7 @@ def epsilon(bundle, cylinder, rect=None, order=8, edge_cells=4,
     cells = []
     rows, cols = rect.shape
     sb, tb = rect.s_breaks, rect.t_breaks
+    ch = rect.charts
 
     # faces, each row's cells evaluated at both orders in one call
     face_err = 0.0
@@ -199,7 +200,7 @@ def epsilon(bundle, cylinder, rect=None, order=8, edge_cells=4,
         row = _rows(cylinder, [(sb[r], sb[r + 1], tb[c], tb[c + 1])
                                for c in range(cols)], order)
         for c, patch in enumerate(row):
-            a = rect.charts[r][c]
+            a = ch[r][c]
             val, err = _adaptive_face(
                 bundle.F[a], patch, sb[r], sb[r + 1],
                 tb[c], tb[c + 1], order, face_tol, max_split)
@@ -207,39 +208,26 @@ def epsilon(bundle, cylinder, rect=None, order=8, edge_cells=4,
             face_err += err
             cells.append((f"face[{r},{c}] chart {a}", -val))
 
-    # interior horizontal edges (+t, A_{north,south})
-    for r in range(1, rows):
-        for c in range(cols):
-            south, north = rect.charts[r - 1][c], rect.charts[r][c]
-            if south == north:
-                continue
+    # interior edges: the horizontal ones (constant s, traversed in +t,
+    # A_{north,south}) row by row, then the vertical ones (constant t,
+    # traversed in +s, A_{west,east}) column by column
+    edges = [(f"hedge[{r},{c}]", ch[r][c], ch[r - 1][c], 1, sb[r],
+              tb[c], tb[c + 1]) for r in range(1, rows) for c in range(cols)]
+    edges += [(f"vedge[{r},{c}]", ch[r][c - 1], ch[r][c], 0, tb[c],
+               sb[r], sb[r + 1]) for c in range(1, cols) for r in range(rows)]
+    for label, i, j, axis, fixed, u0, u1 in edges:
+        if i == j:
+            continue
 
-            def seg(ts, s=sb[r]):
-                p, _, dt = cylinder.eval_with_partials(s, ts)
-                return p, dt
+        def seg(us, axis=axis, fixed=fixed):
+            p, *partials = cylinder.eval_with_partials(
+                *((fixed, us) if axis else (us, fixed)))
+            return p, partials[axis]
 
-            val = integrate_1form(
-                bundle.Aij[(north, south)], seg, tb[c], tb[c + 1],
-                order=order, cells=edge_cells).entries
-            acc = acc + val
-            cells.append((f"hedge[{r},{c}] {north},{south}", val))
-
-    # interior vertical edges (+s, A_{west,east})
-    for c in range(1, cols):
-        for r in range(rows):
-            west, east = rect.charts[r][c - 1], rect.charts[r][c]
-            if west == east:
-                continue
-
-            def seg(ss, t=tb[c]):
-                p, ds, _ = cylinder.eval_with_partials(ss, t)
-                return p, ds
-
-            val = integrate_1form(
-                bundle.Aij[(west, east)], seg, sb[r], sb[r + 1],
-                order=order, cells=edge_cells).entries
-            acc = acc + val
-            cells.append((f"vedge[{r},{c}] {west},{east}", val))
+        val = integrate_1form(bundle.Aij[(i, j)], seg, u0, u1,
+                              order=order, cells=edge_cells).entries
+        acc = acc + val
+        cells.append((f"{label} {i},{j}", val))
     # (seam edge integrals vanish: both boundary circles sit at the
     # basepoint for t in the collars, so the pullback of A_{west,east}
     # along the seam is zero)
@@ -252,7 +240,6 @@ def epsilon(bundle, cylinder, rect=None, order=8, edge_cells=4,
     if verts:
         points = cylinder.eval(np.array([sb[r] for r, _ in verts]),
                                np.array([tb[c] for _, c in verts]))
-        ch = rect.charts
         triples = [(ch[r - 1][c - 1], ch[r - 1][c], ch[r][c])
                    for r, c in verts] \
             + [(ch[r - 1][c - 1], ch[r][c - 1], ch[r][c]) for r, c in verts]
@@ -290,15 +277,15 @@ def _subdivisions(bundle, cylinder, bot=None, top=None, rect=None):
 
 def holonomy_functor(bundle, cylinder, bottom_sub=None, top_sub=None,
                      rect=None, steps=256, order=8, edge_cells=4,
-                     face_tol=2e-9, max_split=6,
-                     with_error=True) -> HolonomyResult:
+                     face_tol=2e-9, max_split=6) -> HolonomyResult:
     """H(c) = [H1(bottom), iota(epsilon(c)) . H1(top)] as a morphism of
     the categorical group, sharing the boundary subdivisions between the
-    line holonomies and the grid."""
+    line holonomies and the grid.  The error estimate is epsilon's face
+    estimate."""
     bot, top, rect = _subdivisions(bundle, cylinder, bottom_sub, top_sub,
                                    rect)
-    h1b = hol1(bundle, cylinder.bottom_loop(), bot, steps, with_error)
-    h1t = hol1(bundle, cylinder.top_loop(), top, steps, with_error)
+    h1b = hol1(bundle, cylinder.bottom_loop(), bot, steps, with_error=False)
+    h1t = hol1(bundle, cylinder.top_loop(), top, steps, with_error=False)
     eps = epsilon(bundle, cylinder, rect, order, edge_cells, face_tol,
                   max_split)
     target = bundle.extension.include_mat(eps.value.entries) \
@@ -309,8 +296,8 @@ def holonomy_functor(bundle, cylinder, bottom_sub=None, top_sub=None,
     cells = [("H1(bottom)", h1b.value.entries),
              ("epsilon", eps.value.entries),
              ("H1(top)", h1t.value.entries)]
-    err = h1b.error_estimate + h1t.error_estimate + eps.error_estimate
-    return HolonomyResult(morphism, (bot, top, rect), cells, err)
+    return HolonomyResult(morphism, (bot, top, rect), cells,
+                          eps.error_estimate)
 
 
 def conjugate_functor(result, g: GroupElement, lift: GroupElement,
@@ -350,6 +337,5 @@ def kapustin_trace(bundle, cylinder, steps=256, order=8, edge_cells=4,
         raise PreconditionViolated(
             "Kapustin trace needs a constant start boundary")
     res = holonomy_functor(bundle, cylinder, steps=steps, order=order,
-                           edge_cells=edge_cells, face_tol=face_tol,
-                           with_error=False)
+                           edge_cells=edge_cells, face_tol=face_tol)
     return complex(np.trace(res.value.rep_target.entries))

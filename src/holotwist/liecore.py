@@ -106,17 +106,17 @@ class GroupFamily:
         return f"GroupFamily({self.name}, dim={self.dim})"
 
 
-def unitary_family(n, name=None):
+def unitary_family(n):
     def gres(u):
         return mat_norm(u.conj().T @ u - np.eye(n))
 
     def ares(x):
         return mat_norm(x + x.conj().T)
 
-    return GroupFamily(name or f"U({n})", n, gres, ares)
+    return GroupFamily(f"U({n})", n, gres, ares)
 
 
-def torus_family(n, name=None):
+def torus_family(n):
     """U(1)^n as diagonal unitary matrices."""
 
     def gres(u):
@@ -127,7 +127,7 @@ def torus_family(n, name=None):
         off = mat_norm(x - np.diag(np.diag(x)))
         return max(off, float(np.max(np.abs(np.real(np.diag(x))))))
 
-    return GroupFamily(name or f"U(1)^{n}", n, gres, ares)
+    return GroupFamily(f"U(1)^{n}", n, gres, ares)
 
 
 def rotation3_family():

@@ -16,13 +16,15 @@ quantity is a function of the oracle alone:
   morphism invariant of a small swept rectangle, with the curvature of
   the reconstructed connection removed.
 
+Every oracle call is the functor at the coarse ORACLE_NUMERICS.
 `round_trip_check` runs the whole pipeline against a bundle's own
-functor and recomputes a battery of holonomies from the reconstructed
-samples alone.
+functor and recomputes a battery of line holonomies from the
+reconstructed samples alone, through the functor's own cell walk.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -47,7 +49,7 @@ from .geometry import (
     collar_warp,
     constant_cylinder,
 )
-from .holonomy import holonomy_functor
+from .holonomy import _line_product, holonomy_functor
 from .liecore import (
     GroupElement,
     fiber_normalize,
@@ -55,12 +57,14 @@ from .liecore import (
     group_mul,
     log_principal,
     mat_norm,
-    path_ordered_exp,
 )
 
 SEG_COLLAR = 0.12          # parameter collar inside every path segment
 DEFAULT_FD_STEP = 1e-4     # central-difference step for the connection
 DEFAULT_RHO = 0.04         # base rectangle scale for the curving
+# The coarse functor settings that every oracle call runs at.
+ORACLE_NUMERICS = dict(steps=64, order=5, edge_cells=1, face_tol=1e-6,
+                       max_split=2)
 
 
 # --------------------------------------------------------------------------
@@ -257,14 +261,11 @@ def _central_point(cover, indices, rng):
 # --------------------------------------------------------------------------
 
 class FunctorOracle:
-    """A bundle's holonomy functor at fixed (coarse) numerical settings,
-    with call counting and error wrapping."""
+    """A bundle's holonomy functor at ORACLE_NUMERICS, with call
+    counting and error wrapping."""
 
-    def __init__(self, bundle, steps=64, order=5, edge_cells=1,
-                 face_tol=1e-6, max_split=2):
+    def __init__(self, bundle):
         self.bundle = bundle
-        self.settings = dict(steps=steps, order=order, edge_cells=edge_cells,
-                             face_tol=face_tol, max_split=max_split)
         self.calls = 0
 
     @property
@@ -275,7 +276,7 @@ class FunctorOracle:
         self.calls += 1
         try:
             result = holonomy_functor(self.bundle, cylinder,
-                                      with_error=False, **self.settings)
+                                      **ORACLE_NUMERICS)
         except HolotwistError as exc:
             raise OracleFailure(f"functor evaluation failed: {exc}") from exc
         return result.value
@@ -435,7 +436,7 @@ def _project_tangent(model, point, v):
 
 
 def reconstruct_curvature_of_connection(oracle, scaffold, chart, point,
-                                        v, w, step=DEFAULT_FD_STEP):
+                                        v, w):
     """Curvature dA + [A(v), A(w)] of the reconstructed connection, with
     dA a central difference of step 2e-3."""
     model = scaffold.model
@@ -444,7 +445,7 @@ def reconstruct_curvature_of_connection(oracle, scaffold, chart, point,
     def a_at(p, u):
         return reconstruct_connection(
             oracle, scaffold, chart, p,
-            _project_tangent(model, p, u), step).entries
+            _project_tangent(model, p, u)).entries
 
     d_vw = (a_at(_shift(model, point, fd * v), w)
             - a_at(_shift(model, point, -fd * v), w)) / (2.0 * fd)
@@ -499,39 +500,32 @@ def _central_coefficients(ext, mat):
 def holonomy_from_samples(oracle, scaffold, bases, loop):
     """Line holonomy of a based loop recomputed from reconstruction.
 
-    Within each cell of the loop's chart-assigned subdivision, the
-    path-ordered exponential (the Magnus integrator of
-    `liecore.path_ordered_exp`, max(3, ceil(18 * length)) steps) of
-    reconstructed connection samples; reconstructed transition samples
-    at the chart crossings.
-    Nodes where the loop sits still cost no oracle call.
+    The line holonomy's cell walk (holonomy._line_product) over the
+    loop's chart-assigned subdivision, fed with reconstructed connection
+    samples in each cell, on max(3, ceil(18 * length)) steps, and with
+    reconstructed transition samples at the chart crossings.  Nodes
+    where the loop sits still cost no oracle call.
     """
-    sub = assign_charts_interval(loop, scaffold.cover)
+    model = scaffold.model
     dim = oracle.extension.E.dim
-    total = np.eye(dim, dtype=complex)
-    charts = sub.charts
+    zero = np.zeros((dim, dim), dtype=complex)
 
-    def connection(ck, p, vel):
-        if np.linalg.norm(vel) < 1e-12:
-            return np.zeros((dim, dim), dtype=complex)
-        return reconstruct_connection(
-            oracle, scaffold, ck, scaffold.model.reduce(p), vel).entries
+    def connection(chart, points, vels):
+        return np.array([
+            zero if np.linalg.norm(v) < 1e-12 else reconstruct_connection(
+                oracle, scaffold, chart, model.reduce(p), v).entries
+            for p, v in zip(points, vels)])
 
-    for k, (a, b) in enumerate(sub.cells):
-        ck = charts[k]
+    def transition(a, b, point):
+        return transition_at(oracle, scaffold, bases, a, b,
+                             model.reduce(point)).entries
 
-        def field(ts, ck=ck):
-            points, vels = loop.eval_with_deriv(ts)
-            return np.array([connection(ck, p, v)
-                             for p, v in zip(points, vels)])
-
-        steps = max(3, math.ceil(18.0 * (b - a)))
-        total = total @ path_ordered_exp(field, a, b, steps).entries
-        nxt = charts[(k + 1) % len(charts)]
-        if nxt != ck:
-            yb = scaffold.model.reduce(loop.eval(b % 1.0))
-            e_cross = transition_at(oracle, scaffold, bases, ck, nxt, yb)
-            total = total @ e_cross.entries
+    fields = {k: functools.partial(connection, k)
+              for k in range(len(scaffold.cover))}
+    total, _ = _line_product(
+        loop, assign_charts_interval(loop, scaffold.cover), fields,
+        transition, dim, lambda length: max(3, math.ceil(18.0 * length)),
+        "e")
     return GroupElement(total, "E")
 
 

@@ -210,11 +210,9 @@ def _two_subdivision_drift(b, cyl, s1, s2, **kw):
     top2 = G.refine_interval(top, len(top.charts) - 1)
     rect2 = _certified(b, cyl, bot2, top2)
     m1 = H.holonomy_functor(b, cyl, bottom_sub=bot, top_sub=top,
-                            rect=rect, steps=s1, with_error=False,
-                            **kw).value
+                            rect=rect, steps=s1, **kw).value
     m2 = H.holonomy_functor(b, cyl, bottom_sub=bot2, top_sub=top2,
-                            rect=rect2, steps=s2, with_error=False,
-                            **kw).value
+                            rect=rect2, steps=s2, **kw).value
     return morphism_distance(m1, m2)
 
 
@@ -274,10 +272,8 @@ def test_criterion_05_functor_well_definedness():
     cyl = C.morph_cylinder(C.winding_loop(1, 0),
                            C.perturb_loop(C.winding_loop(1, 0), 0.25))
     warped = G.deform_thin(cyl, G.monotone_warp(), axis="t")
-    m1 = H.holonomy_functor(bt, cyl, steps=512, with_error=False,
-                            **kw).value
-    m2 = H.holonomy_functor(bt, warped, steps=512, with_error=False,
-                            **kw).value
+    m1 = H.holonomy_functor(bt, cyl, steps=512, **kw).value
+    m2 = H.holonomy_functor(bt, warped, steps=512, **kw).value
     worst = max(worst, morphism_distance(m1, m2))
 
     ok = worst <= tol
@@ -290,7 +286,7 @@ def test_criterion_05_functor_well_definedness():
 # --------------------------------------------------------------------------
 
 def test_criterion_06_functoriality():
-    kw = dict(face_tol=1e-8, max_split=5, with_error=False)
+    kw = dict(face_tol=1e-8, max_split=5)
     tol, worst, pairs = 1e-6, 0.0, 0
     rng = np.random.default_rng(6)
 
@@ -367,7 +363,7 @@ def test_criterion_06_functoriality():
 # --------------------------------------------------------------------------
 
 def test_criterion_07_gauge_conjugation():
-    kw = dict(face_tol=1e-8, max_split=5, with_error=False)
+    kw = dict(face_tol=1e-8, max_split=5)
     b = monopole_bundle(1)
     ext = b.extension
     cyl = C.perturb_cylinder(G.constant_cylinder(C.latitude_loop(1.0)),
@@ -392,7 +388,7 @@ def test_criterion_07_gauge_conjugation():
 # --------------------------------------------------------------------------
 
 def test_criterion_08_flat_homotopy_invariance():
-    kw = dict(face_tol=1e-8, max_split=5, with_error=False)
+    kw = dict(face_tol=1e-8, max_split=5)
     b = torus_flat_bundle()
     tol = 1e-6
     w10 = C.winding_loop(1, 0)
@@ -438,7 +434,7 @@ def test_criterion_09_round_trip():
 # --------------------------------------------------------------------------
 
 def test_criterion_10_trace_invariance():
-    kw = dict(face_tol=1e-8, max_split=5, with_error=False)
+    kw = dict(face_tol=1e-8, max_split=5)
     b = pu2_bundle()
     cyl = C.cap_sweep_cylinder(2.0)
     tol = 1e-6

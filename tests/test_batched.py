@@ -563,6 +563,58 @@ def test_one_cylinder_eval_for_all_vertices():
     assert any(np.abs(v).max() > 0.0 for v in vertices.values())
 
 
+def test_edge_terms_match_per_point_gauss_integrals():
+    """Each edge term equals a Gauss integral, one point at a time, of
+    A_{north,south} along +t on its horizontal edge, or of A_{west,east}
+    along +s on its vertical edge.  The charts are laid out so that both
+    kinds of edge meet both orientations of a chart pair."""
+    bundle = monopole_bundle(1)
+    cyl = C.cap_sweep_cylinder(2.0)
+    rect = G.RectSubdivision((0.0, 0.3, 0.6, 1.0), (0.0, 0.2, 0.5, 0.7, 1.0),
+                             ((0, 1, 2, 0), (1, 0, 2, 2), (2, 2, 1, 0)), 5)
+    order, cells = 4, 2
+    res = H.epsilon(bundle, cyl, rect=rect, order=order, edge_cells=cells)
+    edges = {label: v for label, v in res.cells if "edge" in label}
+    x, w = np.polynomial.legendre.leggauss(order)
+
+    def gauss(form, fixed, u0, u1, axis):
+        total = np.zeros((form.dim, form.dim), dtype=complex)
+        ends = np.linspace(u0, u1, cells + 1)
+        for a, b in zip(ends[:-1], ends[1:]):
+            for xk, wk in zip(x, w):
+                u = 0.5 * (a + b) + 0.5 * (b - a) * xk
+                p, ds, dt = cyl.eval_with_partials(
+                    *((fixed, u) if axis else (u, fixed)))
+                tangent = dt if axis else ds
+                total += 0.5 * (b - a) * wk * form(p[None], tangent[None])[0]
+        return total
+
+    ch, sb, tb = rect.charts, rect.s_breaks, rect.t_breaks
+    rows, cols = rect.shape
+    want = {}
+    for r in range(1, rows):
+        for c in range(cols):
+            north, south = ch[r][c], ch[r - 1][c]
+            if north != south:
+                want[f"hedge[{r},{c}] {north},{south}"] = gauss(
+                    bundle.Aij[(north, south)], sb[r], tb[c], tb[c + 1], 1)
+    for c in range(1, cols):
+        for r in range(rows):
+            west, east = ch[r][c - 1], ch[r][c]
+            if west != east:
+                want[f"vedge[{r},{c}] {west},{east}"] = gauss(
+                    bundle.Aij[(west, east)], tb[c], sb[r], sb[r + 1], 0)
+    assert list(edges) == list(want)
+    for kind in ("hedge", "vedge"):
+        pairs = [tuple(map(int, label.split()[1].split(",")))
+                 for label in want if label.startswith(kind)]
+        assert {i < j for i, j in pairs} == {True, False}
+    for label, value in want.items():
+        assert np.allclose(edges[label], value, rtol=1e-13, atol=1e-14), \
+            label
+    assert all(np.abs(v).max() > 1e-3 for v in edges.values())
+
+
 def test_one_evaluation_per_chart_assignment_level():
     """Chart assignment samples every cell of a refinement level in one
     call; the certify_* re-checks stay at one call per cell."""
@@ -947,6 +999,5 @@ def test_face_error_estimate_bounds_face_error(alpha, numerics):
                      face_tol=1e-14, max_split=9)
     err = np.abs(_face_sum(res) - _face_sum(fine)).max()
     assert 0.0 < err <= res.error_estimate
-    functor = H.holonomy_functor(bundle, cyl, rect=res.subdivision,
-                                 with_error=False, **numerics)
+    functor = H.holonomy_functor(bundle, cyl, rect=res.subdivision, **numerics)
     assert functor.error_estimate == res.error_estimate

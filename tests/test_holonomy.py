@@ -37,14 +37,14 @@ def test_trivial_bundle_holonomies_are_units():
     assert mat_norm(H.hol0(b, loop).value.entries - np.eye(1)) < 1e-12
     assert mat_norm(H.hol1(b, loop).value.entries - np.eye(2)) < 1e-12
     cyl = C.perturb_cylinder(G.constant_cylinder(loop), 0.2)
-    res = H.holonomy_functor(b, cyl, steps=64, with_error=False)
+    res = H.holonomy_functor(b, cyl, steps=64)
     assert morphism_distance(res.value, _unit_morphism(b.extension)) < 1e-10
 
 
 def test_constant_cylinder_identity_morphism():
     b = trivial_bundle("torus", "u1-squared")
     cyl = G.constant_cylinder(G.constant_loop(b.cover.model))
-    res = H.holonomy_functor(b, cyl, steps=32, with_error=False)
+    res = H.holonomy_functor(b, cyl, steps=32)
     ok, _ = morphism_eq(res.value, _unit_morphism(b.extension))
     assert ok
 
@@ -190,7 +190,7 @@ def test_pure_gauge_functor_is_identity():
     bp = _pure_gauge_bundle()
     l1 = C.winding_loop(1, 0)
     cyl = C.morph_cylinder(l1, C.perturb_loop(l1, 0.3))
-    res = H.holonomy_functor(bp, cyl, steps=512, order=12, with_error=False)
+    res = H.holonomy_functor(bp, cyl, steps=512, order=12)
     assert morphism_distance(res.value, _unit_morphism(bp.extension)) < 1e-6
 
 
@@ -198,7 +198,7 @@ def test_discrete_kernel_pure_gauge_exact():
     b0 = trivial_bundle("torus", "roots-of-unity-3")
     bp = gauge_transform(b0, random_gauge(b0, seed=3))
     cyl = C.perturb_cylinder(G.constant_cylinder(C.winding_loop(1, 0)), 0.45)
-    res = H.holonomy_functor(bp, cyl, steps=128, with_error=False)
+    res = H.holonomy_functor(bp, cyl, steps=128)
     # the vertex-cocycle product is exact arithmetic in the component group
     eps = dict(res.cells)["epsilon"]
     assert mat_norm(eps - np.eye(1)) < 1e-12
@@ -215,10 +215,9 @@ def test_vertical_composition_law():
     c1 = C.morph_cylinder(l1, l2)
     c2 = C.morph_cylinder(l2, l3)
     stacked = G.compose_cylinders_vertical(c1, c2)
-    m1 = H.holonomy_functor(b, c1, steps=256, with_error=False).value
-    m2 = H.holonomy_functor(b, c2, steps=256, with_error=False).value
-    m = H.holonomy_functor(b, stacked, steps=512, order=10,
-                           with_error=False).value
+    m1 = H.holonomy_functor(b, c1, steps=256).value
+    m2 = H.holonomy_functor(b, c2, steps=256).value
+    m = H.holonomy_functor(b, stacked, steps=512, order=10).value
     assert morphism_distance(m, compose(m1, m2)) < 1e-6
 
 
@@ -228,10 +227,9 @@ def test_horizontal_composition_law():
     c1 = C.perturb_cylinder(G.constant_cylinder(la), 0.3)
     c2 = C.perturb_cylinder(G.constant_cylinder(lb), -0.25)
     side = G.compose_cylinders_horizontal(c1, c2)
-    m1 = H.holonomy_functor(b, c1, steps=256, with_error=False).value
-    m2 = H.holonomy_functor(b, c2, steps=256, with_error=False).value
-    m = H.holonomy_functor(b, side, steps=512, order=10,
-                           with_error=False).value
+    m1 = H.holonomy_functor(b, c1, steps=256).value
+    m2 = H.holonomy_functor(b, c2, steps=256).value
+    m = H.holonomy_functor(b, side, steps=512, order=10).value
     assert morphism_distance(m, tensor(m1, m2)) < 1e-6
 
 
@@ -240,8 +238,8 @@ def test_thin_deformation_invariance():
     l1 = C.winding_loop(1, 0)
     cyl = C.morph_cylinder(l1, C.perturb_loop(l1, 0.25))
     warped = G.deform_thin(cyl, G.monotone_warp(), axis="t")
-    m1 = H.holonomy_functor(b, cyl, steps=512, with_error=False).value
-    m2 = H.holonomy_functor(b, warped, steps=512, with_error=False).value
+    m1 = H.holonomy_functor(b, cyl, steps=512).value
+    m2 = H.holonomy_functor(b, warped, steps=512).value
     assert morphism_distance(m1, m2) < 1e-6
 
 
@@ -251,7 +249,7 @@ def test_conjugate_functor_basics():
     b = torus_flat_bundle()
     cyl = C.morph_cylinder(C.winding_loop(1, 0),
                            C.perturb_loop(C.winding_loop(1, 0), 0.2))
-    m = H.holonomy_functor(b, cyl, steps=128, with_error=False).value
+    m = H.holonomy_functor(b, cyl, steps=128).value
     ext = b.extension
     unit_g = GroupElement(np.eye(1), "G")
     unit_e = GroupElement(np.eye(2), "E")
