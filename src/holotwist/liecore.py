@@ -2,16 +2,17 @@
 
 Everything downstream (the categorical group, holonomy, reconstruction)
 consumes the types defined here: tagged matrix elements, group families
-with membership predicates, and central extensions H -> E -> G given by
-explicit include/project maps between matrix groups.  The include and
-project maps and their differentials act on one (d, d) matrix or on an
-(..., d, d) stack of them.
+with membership predicates, and central extensions H -> E -> G, each one
+CentralExtension record of seven maps between matrix groups, built by the
+factory in its BUILTIN_EXTENSIONS entry.  The include and project maps and
+their differentials act on one (d, d) matrix or an (..., d, d) stack.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy.linalg import expm, logm
@@ -31,10 +32,14 @@ _ALG_PROJECT = 0.5 * np.array([[SIGMA[l] @ SIGMA[k] - SIGMA[k] @ SIGMA[l]
 TOL_FIBER = 1e-7   # default distance of e^-1 e' from the central subgroup
 
 
-def _freeze(a):
-    arr = np.array(a, dtype=complex)
+def _freeze(element, tag, tags):
+    """Store element.entries as a read-only complex array, after checking
+    that its tag is one of `tags`."""
+    if tag not in tags:
+        raise TagMismatch(f"tag {tag!r} is not one of {tags}")
+    arr = np.array(element.entries, dtype=complex)
     arr.setflags(write=False)
-    return arr
+    object.__setattr__(element, "entries", arr)
 
 
 def check_finite(entries):
@@ -63,7 +68,7 @@ class AlgebraElement:
     algebra_tag: str  # one of "h", "e", "g"
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", _freeze(self.entries))
+        _freeze(self, self.algebra_tag, ("h", "e", "g"))
 
     @property
     def dim(self):
@@ -79,7 +84,7 @@ class GroupElement:
     group_tag: str  # one of "H", "E", "G"
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", _freeze(self.entries))
+        _freeze(self, self.group_tag, ("H", "E", "G"))
 
     @property
     def dim(self):
@@ -158,67 +163,77 @@ def cyclic_family(n):
     return GroupFamily(f"Z/{n}", 1, gres, ares)
 
 
+def _random_phase(rng):
+    """[[e^{i theta}]] with theta uniform on [0, 2 pi): one draw from rng."""
+    return np.array([[np.exp(1j * rng.uniform(0, 2 * np.pi))]])
+
+
+def _unit_phase_fit(include_mat, scalar):
+    """central_fit_mat for a kernel U(1) read off x as the number scalar(x):
+    h = its unit phase, and the distance from x to include_mat(h)."""
+    def fit(x):
+        h = np.array([[scalar(x)]], dtype=complex)
+        a = abs(h[0, 0])
+        if a > 0:
+            h = h / a
+        return h, mat_norm(x - include_mat(h))
+    return fit
+
+
+def _entries(x, op, tag):
+    """x.entries, after checking that x carries the tag `op` expects."""
+    got = x.group_tag if isinstance(x, GroupElement) else x.algebra_tag
+    if got != tag:
+        raise TagMismatch(f"{op} expects {tag}, got {got}")
+    return x.entries
+
+
+@dataclass(frozen=True, eq=False)
 class CentralExtension:
     """A central extension of matrix Lie groups 1 -> H -> E -> G -> 1.
 
-    Concrete extensions subclass this and provide the include/project
-    maps on raw matrices; the public API wraps them with tag handling.
+    An extension is data: its name, the three group families and seven
+    maps on raw (..., d, d) matrices.  section_mat is a right inverse of
+    project_mat where defined (SectionUndefined else); central_fit_mat
+    returns the nearest include_mat(h) to x as (h_matrix, residual);
+    random_mat(tag, rng) draws a Haar-ish sample of H, E or G.  The
+    tagged API below checks tags and wraps the maps.  Extensions are
+    compared by identity.
     """
 
-    name = "abstract"
+    name: str
+    H: GroupFamily
+    E: GroupFamily
+    G: GroupFamily
+    include_mat: Callable
+    project_mat: Callable
+    alg_include_mat: Callable
+    alg_project_mat: Callable
+    section_mat: Callable
+    central_fit_mat: Callable
+    random_mat: Callable
 
-    def __init__(self, H, E, G):
-        self.H = H
-        self.E = E
-        self.G = G
-        self.families = {"H": H, "E": E, "G": G}
+    @property
+    def families(self):
+        return {"H": self.H, "E": self.E, "G": self.G}
 
-    # --- maps on raw (..., d, d) matrices, supplied by subclasses -------
-    def include_mat(self, h):
-        raise NotImplementedError
-
-    def project_mat(self, e):
-        raise NotImplementedError
-
-    def alg_include_mat(self, x):
-        raise NotImplementedError
-
-    def alg_project_mat(self, x):
-        raise NotImplementedError
-
-    def section_mat(self, g):
-        """Right inverse of project_mat where defined; SectionUndefined else."""
-        raise NotImplementedError
-
-    def central_fit_mat(self, x):
-        """Nearest include_mat(h) to x; returns (h_matrix, residual)."""
-        raise NotImplementedError
-
-    # --- tagged API -----------------------------------------------------
     def include(self, h: GroupElement) -> GroupElement:
-        if h.group_tag != "H":
-            raise TagMismatch(f"include expects H, got {h.group_tag}")
-        return GroupElement(self.include_mat(h.entries), "E")
+        return GroupElement(self.include_mat(_entries(h, "include", "H")), "E")
 
     def project(self, e: GroupElement) -> GroupElement:
-        if e.group_tag != "E":
-            raise TagMismatch(f"project expects E, got {e.group_tag}")
-        return GroupElement(self.project_mat(e.entries), "G")
+        return GroupElement(self.project_mat(_entries(e, "project", "E")), "G")
 
     def alg_include(self, x: AlgebraElement) -> AlgebraElement:
-        if x.algebra_tag != "h":
-            raise TagMismatch(f"alg_include expects h, got {x.algebra_tag}")
-        return AlgebraElement(self.alg_include_mat(x.entries), "e")
+        return AlgebraElement(
+            self.alg_include_mat(_entries(x, "alg_include", "h")), "e")
 
     def alg_project(self, x: AlgebraElement) -> AlgebraElement:
-        if x.algebra_tag != "e":
-            raise TagMismatch(f"alg_project expects e, got {x.algebra_tag}")
-        return AlgebraElement(self.alg_project_mat(x.entries), "g")
+        return AlgebraElement(
+            self.alg_project_mat(_entries(x, "alg_project", "e")), "g")
 
     def local_section(self, g: GroupElement) -> GroupElement:
-        if g.group_tag != "G":
-            raise TagMismatch(f"local_section expects G, got {g.group_tag}")
-        return GroupElement(self.section_mat(g.entries), "E")
+        return GroupElement(
+            self.section_mat(_entries(g, "local_section", "G")), "E")
 
     def unit(self, tag):
         return GroupElement(self.families[tag].identity(), tag)
@@ -229,95 +244,56 @@ class CentralExtension:
         return mat_norm(self.alg_include_mat(
             np.ones((self.H.dim, self.H.dim)))) == 0.0
 
-    def random_mat(self, tag, rng):
-        raise NotImplementedError
-
     def random_element(self, tag, rng) -> GroupElement:
         """Haar-ish random sample of H, E or G, for randomized tests."""
         return GroupElement(self.random_mat(tag, rng), tag)
-
-    def element(self, entries, tag):
-        return GroupElement(np.asarray(entries, dtype=complex), tag)
-
-    def algebra_element(self, entries, tag):
-        return AlgebraElement(np.asarray(entries, dtype=complex), tag)
 
     def __repr__(self):
         return f"<CentralExtension {self.name}>"
 
 
-class DiagPairExtension(CentralExtension):
-    """1 -> U(1) -> U(1) x U(1) -> U(1) -> 1.
-
-    E is stored as 2x2 diagonal unitary diag(lam, g); the include map
-    fills the first slot, the projection reads the second.
-    """
-
-    name = "u1-squared"
-
-    def __init__(self):
-        super().__init__(unitary_family(1), torus_family(2), unitary_family(1))
-
-    def include_mat(self, h):
+def _u1_squared():
+    """1 -> U(1) -> U(1) x U(1) -> U(1) -> 1, with E stored as diag(h, g)."""
+    def include(h):
         return diag_stack([h[..., 0, 0], 1.0])
 
-    def project_mat(self, e):
+    def project(e):
         return np.array(e[..., 1:, 1:], dtype=complex)
 
-    def alg_include_mat(self, x):
-        return diag_stack([x[..., 0, 0], 0.0])
-
-    def alg_project_mat(self, x):
-        return np.array(x[..., 1:, 1:], dtype=complex)
-
-    def section_mat(self, g):
-        return diag_stack([1.0, g[..., 0, 0]])
-
-    def central_fit_mat(self, x):
-        h = np.array([[x[0, 0]]], dtype=complex)
-        a = abs(h[0, 0])
-        if a > 0:
-            h = h / a
-        res = mat_norm(x - self.include_mat(h))
-        return h, res
-
-    def random_mat(self, tag, rng):
+    def random(tag, rng):
         if tag == "E":
             return np.diag(np.exp(1j * rng.uniform(0, 2 * np.pi, size=2)))
-        return np.array([[np.exp(1j * rng.uniform(0, 2 * np.pi))]])
+        return _random_phase(rng)
+
+    return CentralExtension(
+        "u1-squared", unitary_family(1), torus_family(2), unitary_family(1),
+        include_mat=include,
+        project_mat=project,
+        alg_include_mat=lambda x: diag_stack([x[..., 0, 0], 0.0]),
+        alg_project_mat=project,
+        section_mat=lambda g: diag_stack([1.0, g[..., 0, 0]]),
+        central_fit_mat=_unit_phase_fit(include, lambda x: x[0, 0]),
+        random_mat=random)
 
 
-class ScalarU2Extension(CentralExtension):
-    """1 -> U(1) -> U(2) -> PU(2) -> 1, with PU(2) realized as SO(3).
+def _u2_pu2():
+    """1 -> U(1) -> U(2) -> PU(2) = SO(3) -> 1, projecting by conjugation of
+    the Pauli basis; the section is the quaternion lift into SU(2)."""
+    def include(x):
+        return x[..., :1, :1] * np.eye(2, dtype=complex)
 
-    The projection is the conjugation action on the Pauli basis; the
-    local section is the quaternion lift into SU(2) subset U(2), defined
-    for rotations of angle < pi.
-    """
-
-    name = "u2-pu2"
-
-    def __init__(self):
-        super().__init__(unitary_family(1), unitary_family(2), rotation3_family())
-
-    def include_mat(self, h):
-        return h[..., :1, :1] * np.eye(2, dtype=complex)
-
-    def project_mat(self, e):
+    def project(e):
         """r_kl = tr(sigma_k e sigma_l e^dagger) / 2, all k, l at once."""
         e = np.asarray(e)[..., None, None, :, :]
         m = SIGMA[:, None] @ e @ SIGMA @ np.conj(np.swapaxes(e, -1, -2))
         return np.real(0.5 * np.trace(m, axis1=-2, axis2=-1)).astype(complex)
 
-    def alg_include_mat(self, x):
-        return x[..., :1, :1] * np.eye(2, dtype=complex)
-
-    def alg_project_mat(self, x):
+    def alg_project(x):
         """r_kl = tr(sigma_k [x, sigma_l]) / 2."""
         return np.real(np.einsum("klbc,...cb->...kl", _ALG_PROJECT, x)) \
             .astype(complex)
 
-    def section_mat(self, g):
+    def section(g):
         r = np.real(g)
         t = np.trace(r)
         if t < -1.0 + 1e-6:
@@ -331,78 +307,67 @@ class ScalarU2Extension(CentralExtension):
             u = u - 1j * v[k] * SIGMA[k]
         return u
 
-    def central_fit_mat(self, x):
-        h = np.trace(x) / 2.0
-        a = abs(h)
-        if a > 0:
-            h = h / a
-        hm = np.array([[h]], dtype=complex)
-        res = mat_norm(x - self.include_mat(hm))
-        return hm, res
-
-    def random_mat(self, tag, rng):
+    def random(tag, rng):
         if tag == "H":
-            return np.array([[np.exp(1j * rng.uniform(0, 2 * np.pi))]])
+            return _random_phase(rng)
         z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         q, r = np.linalg.qr(z)
         u = q * (np.diag(r) / np.abs(np.diag(r)))
-        return u if tag == "E" else self.project_mat(u)
+        return u if tag == "E" else project(u)
+
+    return CentralExtension(
+        "u2-pu2", unitary_family(1), unitary_family(2), rotation3_family(),
+        include_mat=include,
+        project_mat=project,
+        alg_include_mat=include,
+        alg_project_mat=alg_project,
+        section_mat=section,
+        central_fit_mat=_unit_phase_fit(include, lambda x: np.trace(x) / 2.0),
+        random_mat=random)
 
 
-class RootsOfUnityExtension(CentralExtension):
-    """1 -> Z/n -> U(1) -> U(1) -> 1 with projection z -> z^n.
-
-    The kernel is discrete, so L(H) = 0 and all abelian form layers of a
-    twisted bundle over this extension vanish identically.
-    """
-
-    def __init__(self, n):
-        self.n = n
-        self.name = f"roots-of-unity-{n}"
-        super().__init__(cyclic_family(n), unitary_family(1), unitary_family(1))
-
-    def include_mat(self, h):
-        return np.array(h, dtype=complex)
-
-    def project_mat(self, e):
-        return np.array(e, dtype=complex) ** self.n
-
-    def alg_include_mat(self, x):
-        return np.zeros(np.shape(x), dtype=complex)
-
-    def alg_project_mat(self, x):
-        return self.n * np.array(x, dtype=complex)
-
-    def section_mat(self, g):
+def _roots_of_unity(n):
+    """1 -> Z/n -> U(1) -> U(1) -> 1, projecting z -> z^n.  L(H) = 0, so the
+    abelian form layers of a bundle over it vanish identically."""
+    def section(g):
         z = complex(g[0, 0])
         theta = math.atan2(z.imag, z.real)
         if abs(abs(theta) - math.pi) < 1e-6:
             raise SectionUndefined("principal root branch cut")
-        return np.array([[np.exp(1j * theta / self.n)]], dtype=complex)
+        return np.array([[np.exp(1j * theta / n)]], dtype=complex)
 
-    def central_fit_mat(self, x):
+    def central_fit(x):
         z = complex(x[0, 0])
         if abs(z) == 0:
             raise NotCentralFiber("zero element")
-        z = z / abs(z)
         # snap to the nearest n-th root of unity
         theta = math.atan2(z.imag, z.real)
-        k = round(theta * self.n / (2.0 * math.pi))
-        h = np.array([[np.exp(2j * math.pi * k / self.n)]], dtype=complex)
-        res = mat_norm(x - h)
-        return h, res
+        k = round(theta * n / (2.0 * math.pi))
+        h = np.array([[np.exp(2j * math.pi * k / n)]], dtype=complex)
+        return h, mat_norm(x - h)
 
-    def random_mat(self, tag, rng):
+    def random(tag, rng):
         if tag == "H":
-            k = rng.integers(0, self.n)
-            return np.array([[np.exp(2j * np.pi * k / self.n)]])
-        return np.array([[np.exp(1j * rng.uniform(0, 2 * np.pi))]])
+            k = rng.integers(0, n)
+            return np.array([[np.exp(2j * np.pi * k / n)]])
+        return _random_phase(rng)
+
+    return CentralExtension(
+        f"roots-of-unity-{n}", cyclic_family(n), unitary_family(1),
+        unitary_family(1),
+        include_mat=lambda h: np.array(h, dtype=complex),
+        project_mat=lambda e: np.array(e, dtype=complex) ** n,
+        alg_include_mat=lambda x: np.zeros(np.shape(x), dtype=complex),
+        alg_project_mat=lambda x: n * np.array(x, dtype=complex),
+        section_mat=section,
+        central_fit_mat=central_fit,
+        random_mat=random)
 
 
 BUILTIN_EXTENSIONS = {
-    "u1-squared": DiagPairExtension,
-    "u2-pu2": ScalarU2Extension,
-    "roots-of-unity-3": lambda: RootsOfUnityExtension(3),
+    "u1-squared": _u1_squared,
+    "u2-pu2": _u2_pu2,
+    "roots-of-unity-3": lambda: _roots_of_unity(3),
 }
 
 

@@ -51,6 +51,7 @@ from .geometry import (
 )
 from .holonomy import _line_product, holonomy_functor
 from .liecore import (
+    AlgebraElement,
     GroupElement,
     fiber_normalize,
     group_inv,
@@ -414,12 +415,11 @@ def reconstruct_connection(oracle, scaffold, chart, point, tangent,
     Central finite difference of the morphism invariant of the probe
     homotopy along the short path point + t*tangent.
     """
-    ext = oracle.extension
     r_plus = oracle(scaffold.probe_cylinder(chart, point, tangent,
                                             +step)).invariant().entries
     r_minus = oracle(scaffold.probe_cylinder(chart, point, tangent,
                                              -step)).invariant().entries
-    return ext.algebra_element((r_plus - r_minus) / (2.0 * step), "E")
+    return AlgebraElement((r_plus - r_minus) / (2.0 * step), "e")
 
 
 def _shift(model, point, delta):
@@ -476,7 +476,7 @@ def reconstruct_curving(oracle, scaffold, chart, point, v, w,
     fitted = (4.0 * density(rho) - density(2.0 * rho)) / 3.0
     f_mat = curvature - fitted
     coeffs = _central_coefficients(ext, f_mat)
-    return ext.algebra_element(coeffs, "H")
+    return AlgebraElement(coeffs, "h")
 
 
 def _central_coefficients(ext, mat):

@@ -15,6 +15,7 @@ from holotwist.catgroup import (
 from holotwist.errors import NotComposable
 from holotwist.liecore import (
     BUILTIN_EXTENSIONS,
+    GroupElement,
     group_inv,
     group_mul,
     make_extension,
@@ -136,7 +137,7 @@ def test_morphism_distance_detects_difference():
     m1 = random_morphism(ext, rng)
     m2 = random_morphism(ext, rng)
     # same objects but a genuinely different arrow: twist one slot only
-    phase = ext.element(np.diag([np.exp(0.3j), 1.0]), "E")
+    phase = GroupElement(np.diag([np.exp(0.3j), 1.0]), "E")
     m3 = CatGroupMorphism(m1.rep_source,
                           group_mul(m1.rep_target, phase), ext)
     assert morphism_distance(m1, m3) > 0.1

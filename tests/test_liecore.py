@@ -19,6 +19,7 @@ from holotwist.liecore import (
     group_conj,
     group_inv,
     group_mul,
+    log_principal,
     make_extension,
     path_ordered_exp,
     rotation3_family,
@@ -67,6 +68,17 @@ def test_tag_checks():
     b = GroupElement(np.eye(2, dtype=complex), "G")
     with pytest.raises(TagMismatch):
         group_mul(a, b)
+    # each tagged map of every extension rejects an argument of another tag
+    x_e, x_g = (AlgebraElement(np.zeros((1, 1)), tag) for tag in "eg")
+    for name in sorted(BUILTIN_EXTENSIONS):
+        ext = make_extension(name)
+        for apply, wrong in ((ext.include, ext.unit("G")),
+                             (ext.project, ext.unit("H")),
+                             (ext.alg_include, x_e),
+                             (ext.alg_project, x_g),
+                             (ext.local_section, ext.unit("E"))):
+            with pytest.raises(TagMismatch):
+                apply(wrong)
 
 
 def test_exp_matrix_matches_series():
@@ -104,24 +116,42 @@ def test_extension_exactness(name):
 
 @pytest.mark.parametrize("name", sorted(BUILTIN_EXTENSIONS))
 def test_centrality(name):
+    """include(H) commutes with E, and central_fit_mat inverts include_mat."""
     ext = make_extension(name)
     rng = np.random.default_rng(3)
     for _ in range(10):
         e = ext.random_element("E", rng)
-        h = ext.include(ext.random_element("H", rng))
+        h_raw = ext.random_element("H", rng)
+        h = ext.include(h_raw)
         comm = group_mul(group_mul(e, h), group_inv(group_mul(h, e)))
         assert np.linalg.norm(comm.entries - np.eye(len(comm.entries))) < 1e-10
+        fit, res = ext.central_fit_mat(h.entries)
+        assert res <= 1e-12
+        assert np.allclose(fit, h_raw.entries, atol=1e-12)
 
 
-def test_u2_pu2_alg_project_is_tangent_to_project():
-    ext = make_extension("u2-pu2")
+@pytest.mark.parametrize("name", sorted(BUILTIN_EXTENSIONS))
+def test_alg_maps_are_tangent_to_group_maps(name):
+    """alg_include_mat and alg_project_mat are the derivatives at t = 0 of
+    include_mat(exp(t x)) and project_mat(exp(t x))."""
+    ext = make_extension(name)
     rng = np.random.default_rng(5)
-    x = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    x = AlgebraElement(x - x.conj().T, "e")
+    assert ext.discrete_kernel == (name == "roots-of-unity-3")
+    x_h = log_principal(ext.random_mat("H", rng))
+    if ext.discrete_kernel:
+        # L(H) = 0: the differential of include vanishes, and so does
+        # the only tangent vector of H
+        assert not ext.alg_include_mat(x_h).any()
+        x_h = np.zeros_like(x_h)
+    x_e = log_principal(ext.random_mat("E", rng))
     t = 1e-6
-    u = exp_matrix(AlgebraElement(t * x.entries, "e"))
-    fd = (ext.project(u).entries - np.eye(3)) / t
-    assert np.allclose(ext.alg_project(x).entries, fd, atol=1e-5)
+    for group_map, alg_map, x, tag in (
+            (ext.include_mat, ext.alg_include_mat, x_h, "h"),
+            (ext.project_mat, ext.alg_project_mat, x_e, "e")):
+        plus, minus = (exp_matrix(AlgebraElement(s * t * x, tag)).entries
+                       for s in (1.0, -1.0))
+        fd = (group_map(plus) - group_map(minus)) / (2.0 * t)
+        assert np.allclose(alg_map(x), fd, atol=1e-8)
 
 
 def test_section_undefined_near_cut():

@@ -6,10 +6,10 @@ import pytest
 from holotwist import catalog, reconstruct as R
 from holotwist.bundle import gauge_transform, random_gauge, sample_region
 from holotwist.catgroup import CatGroupMorphism, morphism_distance
-from holotwist.errors import ConfigError, StepTooLarge
+from holotwist.errors import ConfigError, StepTooLarge, TagMismatch
 from holotwist.families import monopole_bundle, pu2_bundle, trivial_bundle
 from holotwist.geometry import constant_cylinder, make_cover
-from holotwist.liecore import group_mul
+from holotwist.liecore import AlgebraElement, exp_matrix, group_mul
 
 
 @pytest.fixture(scope="module")
@@ -238,6 +238,21 @@ def test_trivial_curving_vanishes(triv):
     w = np.cross(p, v)
     f = R.reconstruct_curving(oracle, scaffold, 0, p, v, w)
     assert np.abs(f.entries).max() < 1e-8
+
+
+def test_samples_are_tagged_with_their_algebras(triv):
+    """The connection sample lives in the algebra e and the curving
+    sample in h, so both exponentiate; group tags are refused."""
+    bundle, scaffold, oracle = triv
+    p = scaffold.anchors[0]
+    v = np.cross(p, [0.2, 0.9, 0.4])
+    v /= np.linalg.norm(v)
+    a = R.reconstruct_connection(oracle, scaffold, 0, p, v)
+    f = R.reconstruct_curving(oracle, scaffold, 0, p, v, np.cross(p, v))
+    assert (a.algebra_tag, exp_matrix(a).group_tag) == ("e", "E")
+    assert (f.algebra_tag, exp_matrix(f).group_tag) == ("h", "H")
+    with pytest.raises(TagMismatch):
+        AlgebraElement(a.entries, "E")
 
 
 def test_monopole_curving_antisymmetric_and_scale_stable(mono):
