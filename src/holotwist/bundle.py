@@ -23,7 +23,7 @@ import scipy.linalg
 from . import dual as dm
 from .dual import value
 from .errors import ChartMismatch, MissingField, TagMismatch
-from .formsexpr.forms import LocalForm, exterior_derivative, native_form, zero_form
+from .formsexpr.forms import LocalForm, exterior_derivative, zero_form
 from .liecore import CentralExtension, GroupElement
 
 
@@ -110,15 +110,6 @@ class GroupMap:
         return GroupMap(jet, self.tag,
                         lambda p: np.linalg.inv(self._value(p)))
 
-    def power(self, n: int) -> "GroupMap":
-        if n == 0:
-            raise ValueError("use GroupMap.constant for the unit")
-        base = self if n > 0 else self.inv()
-        out = base
-        for _ in range(abs(n) - 1):
-            out = out.mul(base)
-        return out
-
     def pushforward(self, hom, alg_hom, tag) -> "GroupMap":
         """Compose with a group homomorphism `hom` on matrices (an
         extension's include or project map) whose differential is
@@ -133,14 +124,13 @@ class GroupMap:
 
     # --- derived forms --------------------------------------------------
 
-    def maurer_cartan(self, dim, coord_names, value_tag=None) -> LocalForm:
-        """The 1-form g^-1 dg."""
+    def maurer_cartan(self, dim) -> LocalForm:
+        """The 1-form g^-1 dg, valued in the algebra of the map's group."""
         def evalfn(p, v):
             a, da = self._jet(p, v)
             return np.linalg.inv(a) @ da
 
-        return LocalForm(1, dim, coord_names, evalfn,
-                         value_tag or self.tag.lower())
+        return LocalForm(1, dim, evalfn, self.tag.lower())
 
     def conjugated_form(self, form: LocalForm) -> LocalForm:
         """(p, v) -> g(p)^-1 form(p, v) g(p)."""
@@ -148,15 +138,7 @@ class GroupMap:
             a = self._value(p)
             return np.linalg.inv(a) @ form(p, *t) @ a
 
-        return LocalForm(form.degree, form.dim, form.coord_names, evalfn,
-                         form.value_tag)
-
-
-def add_forms(*forms):
-    out = forms[0]
-    for f in forms[1:]:
-        out = out + f
-    return out
+        return LocalForm(form.degree, form.dim, evalfn, form.value_tag)
 
 
 # --------------------------------------------------------------------------
@@ -361,7 +343,6 @@ def gauge_transform(bundle: TwistedBundleData,
     """The standard primed data of an equivalence of twisted bundles."""
     ext = bundle.extension
     n = bundle.nc
-    coord_names = bundle.cover.model.coord_names
     dim_h, dim_e, dim_g = ext.H.dim, ext.E.dim, ext.G.dim
 
     g_i = {i: gauge.g_i(ext, i) for i in range(n)}
@@ -383,23 +364,21 @@ def gauge_transform(bundle: TwistedBundleData,
 
     for i in range(n):
         gi = g_i[i]
-        new_D[i] = add_forms(gi.conjugated_form(bundle.D[i]),
-                             gi.maurer_cartan(dim_g, coord_names, "g"))
+        new_D[i] = gi.conjugated_form(bundle.D[i]) + gi.maurer_cartan(dim_g)
         ei = gauge.e_i[i]
-        iota_B = _include_form(ext, gauge.B_i[i], dim_e, coord_names)
-        new_A[i] = add_forms(ei.conjugated_form(bundle.A[i]), iota_B,
-                             ei.maurer_cartan(dim_e, coord_names, "e"))
+        new_A[i] = ei.conjugated_form(bundle.A[i]) \
+            + _include_form(ext, gauge.B_i[i], dim_e) + ei.maurer_cartan(dim_e)
         dB = exterior_derivative(gauge.B_i[i])
         new_F[i] = bundle.F[i] + dB
 
     dBs = {i: exterior_derivative(gauge.B_i[i]) for i in range(n)}
     for (i, j) in overlap_pairs(n):
-        mc = gauge.h_ij[(i, j)].maurer_cartan(dim_h, coord_names, "h")
-        new_form = add_forms(bundle.Aij[(i, j)], gauge.B_i[j],
-                             gauge.B_i[i] * (-1.0), mc * (-1.0))
+        mc = gauge.h_ij[(i, j)].maurer_cartan(dim_h)
+        new_form = bundle.Aij[(i, j)] + gauge.B_i[j] + gauge.B_i[i] * (-1.0) \
+            + mc * (-1.0)
         # H is abelian, so d(h^-1 dh) = 0 and dA'_ij has a closed form
         dAij = exterior_derivative(bundle.Aij[(i, j)])
-        new_form.d = add_forms(dAij, dBs[j], dBs[i] * (-1.0))
+        new_form.d = dAij + dBs[j] + dBs[i] * (-1.0)
         new_Aij[(i, j)] = new_form
 
     return TwistedBundleData(
@@ -408,22 +387,21 @@ def gauge_transform(bundle: TwistedBundleData,
         params=dict(bundle.params))
 
 
-def _include_form(ext, form_h: LocalForm, dim_e, coord_names) -> LocalForm:
+def _include_form(ext, form_h: LocalForm, dim_e) -> LocalForm:
     def evalfn(p, *t):
         return ext.alg_include_mat(form_h(p, *t))
 
-    return LocalForm(form_h.degree, dim_e, coord_names, evalfn, "e")
+    return LocalForm(form_h.degree, dim_e, evalfn, "e")
 
 
 def identity_gauge(bundle: TwistedBundleData) -> GaugeData:
     ext = bundle.extension
     n = bundle.nc
-    coords = bundle.cover.model.coord_names
     return GaugeData(
         e_i={i: GroupMap.constant(np.eye(ext.E.dim), "E") for i in range(n)},
         h_ij={ij: GroupMap.constant(np.eye(ext.H.dim), "H")
               for ij in overlap_pairs(n)},
-        B_i={i: zero_form(1, ext.H.dim, coords, value_tag="h")
+        B_i={i: zero_form(1, ext.H.dim, value_tag="h")
              for i in range(n)},
     )
 
@@ -470,7 +448,7 @@ def _smooth_scalar(rng, dim, scale, periodic, basepoint=None):
     return lambda pt: raw(pt) - shift
 
 
-def _coeff_form(cfns, Y, coords, tag) -> LocalForm:
+def _coeff_form(cfns, Y, tag) -> LocalForm:
     """sum_k c_k(x) dx_k . Y with scalar fields c_k, carrying its exact
     exterior derivative."""
     Y = np.asarray(Y, dtype=complex)
@@ -492,8 +470,8 @@ def _coeff_form(cfns, Y, coords, tag) -> LocalForm:
                 - _dot(c, p, w) * v[..., k]
         return np.asarray(total)[..., None, None] * Y
 
-    d = native_form(2, d_eval, Y.shape[0], coords, value_tag=tag)
-    return native_form(1, evalfn, Y.shape[0], coords, value_tag=tag, d=d)
+    d = LocalForm(2, Y.shape[0], d_eval, tag)
+    return LocalForm(1, Y.shape[0], evalfn, tag, d)
 
 
 def random_gauge(bundle: TwistedBundleData, seed=0, scale=0.4,
@@ -510,9 +488,7 @@ def random_gauge(bundle: TwistedBundleData, seed=0, scale=0.4,
     model = bundle.cover.model
     rng = np.random.default_rng(seed)
     n = bundle.nc
-    coords = model.coord_names
-    dim = len(coords)
-    periodic = model.kind == "torus"
+    dim, periodic = model.ambient_dim, model.periodic
     bp = model.reduce(model.basepoint) if based else None
 
     def alg_gen(tag):
@@ -544,10 +520,10 @@ def random_gauge(bundle: TwistedBundleData, seed=0, scale=0.4,
     B_i = {}
     for i in range(n):
         if ext.discrete_kernel:
-            B_i[i] = zero_form(1, ext.H.dim, coords, value_tag="h")
+            B_i[i] = zero_form(1, ext.H.dim, value_tag="h")
         else:
             cfns = [_smooth_scalar(rng, dim, scale, periodic)
                     for _ in range(dim)]
-            B_i[i] = _coeff_form(cfns, alg_gen("H"), coords, "h")
+            B_i[i] = _coeff_form(cfns, alg_gen("H"), "h")
 
     return GaugeData(e_i=e_i, h_ij=h_ij, B_i=B_i)

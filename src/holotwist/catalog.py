@@ -162,11 +162,19 @@ def _bump_at(u, center):
 def _displacement(model, direction):
     """move(p, amount): p shifted by amount along the direction on the
     torus, rotated by the angle amount about the direction axis on the
-    sphere."""
-    d = np.asarray(direction, dtype=float)
+    sphere.  ConfigError unless the direction has one finite entry per
+    ambient coordinate, and a finite nonzero norm on the sphere."""
+    d = np.array([float_setting(c, "direction entry") for c in direction])
+    if len(d) != model.ambient_dim:
+        raise ConfigError(f"direction needs {model.ambient_dim} entries on "
+                          f"the {model.kind}, got {len(d)}")
     if model.kind == "torus":
         return lambda p, amount: [c + amount * dk for c, dk in zip(p, d)]
-    axis = d / np.linalg.norm(d)
+    norm = np.linalg.norm(d)
+    if not 0.0 < norm < math.inf:
+        raise ConfigError(f"direction needs a finite nonzero norm on the "
+                          f"sphere, got {norm}")
+    axis = d / norm
     return lambda p, amount: _rotate_about(p, axis, amount)
 
 

@@ -21,7 +21,7 @@ from . import dual as dm
 from .bundle import GroupMap, TwistedBundleData, overlap_pairs, overlap_triples
 from .dual import value
 from .errors import ConfigError, DomainError, float_setting, integer_setting
-from .formsexpr.forms import LocalForm, native_form, zero_form
+from .formsexpr.forms import LocalForm, zero_form
 from .geometry import COVER_FOR_MODEL, SPHERE_CAP_AXES, make_cover
 from .liecore import SIGMA, diag_stack, make_extension
 
@@ -100,7 +100,7 @@ def _linear_tau(pi, pj, kappa, mu):
     return tau, coeff
 
 
-def _sphere_fiber_layer(nc, coords, kappa, mu):
+def _sphere_fiber_layer(nc, kappa, mu):
     """The abelian layer shared by the sphere families: the linear
     phases tau_ij, the cocycle h_ijk = exp(i(tau_ij + tau_jk + tau_ki))
     and the closed overlap forms A_ij = -i dtau_ij (so d A_ij = 0)."""
@@ -112,9 +112,8 @@ def _sphere_fiber_layer(nc, coords, kappa, mu):
         def aij_eval(p, v, coeff=coeff):
             return -1j * (v @ coeff)[..., None, None]
 
-        aij_forms[(i, j)] = native_form(
-            1, aij_eval, 1, coords, value_tag="h",
-            d=zero_form(2, 1, coords, value_tag="h"))
+        aij_forms[(i, j)] = LocalForm(1, 1, aij_eval, "h",
+                                      zero_form(2, 1, value_tag="h"))
 
     def h_fn(i, j, k):
         ti, tj, tk = taus[(i, j)], taus[(j, k)], taus[(k, i)]
@@ -136,7 +135,7 @@ def _section_jet(axis, p, v):
     return tuple(c.val for c in q), tuple(c.dot for c in q)
 
 
-def _const_2form(scale_matrix, component, dim, coords):
+def _const_2form(scale_matrix, component, dim):
     """A 2-form with constant coefficient `scale_matrix` on the given
     coordinate wedge; used on the flat torus."""
     a, b = component
@@ -145,7 +144,7 @@ def _const_2form(scale_matrix, component, dim, coords):
         factor = v[..., a] * w[..., b] - v[..., b] * w[..., a]
         return factor[..., None, None] * scale_matrix
 
-    return native_form(2, evalfn, dim, coords, value_tag="h")
+    return LocalForm(2, dim, evalfn, "h")
 
 
 def sphere_area_form(scale) -> LocalForm:
@@ -155,7 +154,7 @@ def sphere_area_form(scale) -> LocalForm:
         tr = np.einsum("...i,...i->...", p, np.cross(v, w))
         return scale * tr[..., None, None] * np.eye(1, dtype=complex)
 
-    return native_form(2, evalfn, 1, ("x", "y", "z"), value_tag="h")
+    return LocalForm(2, 1, evalfn, "h")
 
 
 # --------------------------------------------------------------------------
@@ -170,12 +169,11 @@ def trivial_bundle(model="sphere", extension="u1-squared"
     ext = make_extension(extension)
     cover = make_cover(COVER_FOR_MODEL[model])
     n = len(cover)
-    coords = cover.model.coord_names
     unit_e = np.eye(ext.E.dim)
-    zero1_e = zero_form(1, ext.E.dim, coords, value_tag="e")
-    zero1_g = zero_form(1, ext.G.dim, coords, value_tag="g")
-    zero1_h = zero_form(1, ext.H.dim, coords, value_tag="h")
-    zero2_h = zero_form(2, ext.H.dim, coords, value_tag="h")
+    zero1_e = zero_form(1, ext.E.dim, value_tag="e")
+    zero1_g = zero_form(1, ext.G.dim, value_tag="g")
+    zero1_h = zero_form(1, ext.H.dim, value_tag="h")
+    zero2_h = zero_form(2, ext.H.dim, value_tag="h")
     return TwistedBundleData(
         name=f"trivial-{model}-{extension}", cover=cover, extension=ext,
         g={ij: GroupMap.constant(np.eye(ext.G.dim), "G")
@@ -211,7 +209,6 @@ def torus_flat_bundle(k=1, order=3, flux=0.7) -> TwistedBundleData:
     ext = make_extension("u1-squared")
     cover = make_cover("torus-4squares")
     n = len(cover)
-    coords = cover.model.coord_names
 
     def m_of(i, j):
         if (i, j) in TORUS_M:
@@ -238,13 +235,12 @@ def torus_flat_bundle(k=1, order=3, flux=0.7) -> TwistedBundleData:
     def d_eval(p, v):
         return 1j * (d1 * v[..., 0] + d2 * v[..., 1])[..., None, None]
 
-    a_form = native_form(1, a_eval, 2, coords, value_tag="e",
-                         d=zero_form(2, 2, coords, value_tag="e"))
-    d_form = native_form(1, d_eval, 1, coords, value_tag="g")
+    a_form = LocalForm(1, 2, a_eval, "e", zero_form(2, 2, value_tag="e"))
+    d_form = LocalForm(1, 1, d_eval, "g")
     f_form = _const_2form(2j * math.pi * flux * np.eye(1, dtype=complex),
-                          (0, 1), 1, coords)
+                          (0, 1), 1)
 
-    zero1_h = zero_form(1, 1, coords, value_tag="h")
+    zero1_h = zero_form(1, 1, value_tag="h")
     return TwistedBundleData(
         name="torus-flat", cover=cover, extension=ext,
         g={ij: GroupMap.constant(np.eye(1), "G") for ij in overlap_pairs(n)},
@@ -294,10 +290,9 @@ def monopole_bundle(n=1, kappa=0.8, mu=0.5) -> TwistedBundleData:
     ext = make_extension("u1-squared")
     cover = make_cover("sphere-3caps")
     nc = len(cover)
-    coords = cover.model.coord_names
     axes = SPHERE_CAP_AXES
 
-    taus, h_maps, aij_forms = _sphere_fiber_layer(nc, coords, kappa, mu)
+    taus, h_maps, aij_forms = _sphere_fiber_layer(nc, kappa, mu)
 
     def e_fn(i, j):
         phase = _sphere_transition_phase(axes[i], axes[j])
@@ -333,8 +328,8 @@ def monopole_bundle(n=1, kappa=0.8, mu=0.5) -> TwistedBundleData:
         def a_eval(p, v, vert=vert):
             return diag_stack([0.0, -1j * n * vert(p, v)])
 
-        d_forms[i] = native_form(1, d_eval, 1, coords, value_tag="g")
-        a_forms[i] = native_form(1, a_eval, 2, coords, value_tag="e")
+        d_forms[i] = LocalForm(1, 1, d_eval, "g")
+        a_forms[i] = LocalForm(1, 2, a_eval, "e")
 
     f_form = sphere_area_form(0.5j * n)
     return TwistedBundleData(
@@ -363,10 +358,9 @@ def pu2_bundle(kappa=0.8, mu=0.5, spin=0.6, flux=0.7) -> TwistedBundleData:
     ext = make_extension("u2-pu2")
     cover = make_cover("sphere-3caps")
     nc = len(cover)
-    coords = cover.model.coord_names
     axes = SPHERE_CAP_AXES
 
-    taus, h_maps, aij_forms = _sphere_fiber_layer(nc, coords, kappa, mu)
+    taus, h_maps, aij_forms = _sphere_fiber_layer(nc, kappa, mu)
 
     def e_fn(i, j):
         tau = taus[(i, j)]
@@ -407,8 +401,8 @@ def pu2_bundle(kappa=0.8, mu=0.5, spin=0.6, flux=0.7) -> TwistedBundleData:
         def d_eval(p, v, a_eval=a_eval):
             return ext.alg_project_mat(a_eval(p, v))
 
-        a_forms[i] = native_form(1, a_eval, 2, coords, value_tag="e")
-        d_forms[i] = native_form(1, d_eval, 3, coords, value_tag="g")
+        a_forms[i] = LocalForm(1, 2, a_eval, "e")
+        d_forms[i] = LocalForm(1, 3, d_eval, "g")
 
     f_form = sphere_area_form(0.5j * flux)
     return TwistedBundleData(

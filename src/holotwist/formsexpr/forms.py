@@ -4,9 +4,10 @@ A LocalForm of degree 0/1/2 evaluates at an ambient point (plus one or
 two tangent vectors) to a square matrix living in a tagged Lie algebra.
 Each form carries one derivative, its exterior derivative `d`, fixed
 when the form is built: expression-backed forms derive it exactly by
-forward AD, native callables carry the one their caller supplies, and
-sums and scalar multiples combine those of their parts.  A form built
-without `d` has none.
+forward AD, a form built from a callable takes the one its builder
+passes, and sums and scalar multiples combine those of their parts.  A
+form built without `d` has none.  Forms hold no coordinate names; only
+expr_form takes them, to bind expression variables.
 
 Forms of every degree are evaluated on stacks: points and tangents of
 shape (N, n) give an (N, d, d) stack of values, and one point of shape
@@ -34,13 +35,11 @@ class LocalForm:
     evalfn maps a (..., n) point stack and `degree` (..., n) tangent
     stacks to a (..., d, d) stack."""
 
-    def __init__(self, degree, dim, coord_names, evalfn, value_tag="h",
-                 d=None):
+    def __init__(self, degree, dim, evalfn, value_tag="h", d=None):
         if degree not in (0, 1, 2):
             raise DegreeUnsupported(f"degree {degree}")
         self.degree = degree
         self.dim = dim
-        self.coord_names = tuple(coord_names)
         self.value_tag = value_tag
         self._evalfn = evalfn
         self.d = d
@@ -62,14 +61,12 @@ class LocalForm:
         d = None
         if self.d is not None and other.d is not None:
             d = self.d + other.d
-        return LocalForm(self.degree, self.dim, self.coord_names, evalfn,
-                         self.value_tag, d)
+        return LocalForm(self.degree, self.dim, evalfn, self.value_tag, d)
 
     def __mul__(self, scalar):
         evalfn = lambda p, *t: scalar * np.asarray(self._evalfn(p, *t), dtype=complex)
         d = self.d * scalar if self.d is not None else None
-        return LocalForm(self.degree, self.dim, self.coord_names, evalfn,
-                         self.value_tag, d)
+        return LocalForm(self.degree, self.dim, evalfn, self.value_tag, d)
 
     __rmul__ = __mul__
 
@@ -128,8 +125,7 @@ def expr_form(degree, components, coord_names, value_tag="h"):
             return _eval_expr_matrix(mat, env(p, v), p.shape[:-1],
                                      dm.derivative)
 
-        d = LocalForm(1, dim, coord_names, grad, value_tag,
-                      zero_form(2, dim, coord_names, value_tag))
+        d = LocalForm(1, dim, grad, value_tag, zero_form(2, dim, value_tag))
 
     elif degree == 1:
         comp = {c: _as_expr_matrix(m, coord_names) for c, m in components.items()}
@@ -151,7 +147,7 @@ def expr_form(degree, components, coord_names, value_tag="h"):
             return contract(env(p, v), w, dm.derivative) \
                 - contract(env(p, w), v, dm.derivative)
 
-        d = LocalForm(2, dim, coord_names, curl, value_tag)
+        d = LocalForm(2, dim, curl, value_tag)
 
     elif degree == 2:
         comp = {}
@@ -176,19 +172,12 @@ def expr_form(degree, components, coord_names, value_tag="h"):
     else:
         raise DegreeUnsupported(f"degree {degree}")
 
-    return LocalForm(degree, dim, coord_names, evalfn, value_tag, d)
+    return LocalForm(degree, dim, evalfn, value_tag, d)
 
 
-def native_form(degree, fn, dim, coord_names, value_tag="h", d=None):
-    """Wrap a native callable (point, *tangents) -> matrix as a LocalForm,
-    with `d` its exterior derivative if the caller has one."""
-    return LocalForm(degree, dim, coord_names, fn, value_tag, d)
-
-
-def zero_form(degree, dim, coord_names, value_tag="h"):
-    d = zero_form(degree + 1, dim, coord_names, value_tag) if degree < 2 \
-        else None
-    return LocalForm(degree, dim, coord_names,
+def zero_form(degree, dim, value_tag="h"):
+    d = zero_form(degree + 1, dim, value_tag) if degree < 2 else None
+    return LocalForm(degree, dim,
                      lambda p, *t: np.zeros(np.shape(p)[:-1] + (dim, dim),
                                             dtype=complex), value_tag, d)
 

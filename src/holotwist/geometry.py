@@ -41,15 +41,9 @@ STACK_TOL = 1e-10   # boundary mismatch allowed when stacking cylinders
 # Smooth C-infinity steps and warps (all dual-capable)
 # --------------------------------------------------------------------------
 
-def smooth_step(u):
-    """Monotone C-infinity step: 0 for u <= 0, 1 for u >= 1; the
-    closed-form dual primitive dual.smooth_step."""
-    return dm.smooth_step(u)
-
-
 def collar_warp(t, delta=DEFAULT_COLLAR):
     """[0,1] -> [0,1], constant 0 on [0, delta], constant 1 on [1-delta, 1]."""
-    return smooth_step((t - delta) / (1.0 - 2.0 * delta))
+    return dm.smooth_step((t - delta) / (1.0 - 2.0 * delta))
 
 
 def _pick(k, options):
@@ -93,9 +87,8 @@ class Reparam:
     the curve is unchanged.
     """
 
-    def __init__(self, fn, label=""):
+    def __init__(self, fn):
         self.fn = fn
-        self.label = label
         ts = np.linspace(0.0, 1.0, 97)
         vs = np.broadcast_to(np.real(value(fn(ts))), ts.shape)
         if abs(vs[0]) > 1e-9 or abs(vs[-1] - 1.0) > 1e-9:
@@ -108,14 +101,10 @@ class Reparam:
         return self.fn(t)
 
 
-def identity_reparam():
-    return Reparam(lambda t: t, "identity")
-
-
 def monotone_warp():
     """Collar-fixing monotone warp w(t) = collar_warp(t)^2, smooth where
     the collar profile vanishes."""
-    return Reparam(lambda t: collar_warp(t) ** 2, "power-2")
+    return Reparam(lambda t: collar_warp(t) ** 2)
 
 
 def fold_reparam(waypoints=(0.0, 0.7, 0.4, 1.0)):
@@ -129,9 +118,9 @@ def fold_reparam(waypoints=(0.0, 0.7, 0.4, 1.0)):
     def fn(t):
         k = dm.cell_index(value(t).real, n)
         u = (t - k / n) * n
-        return pts[k] + (pts[k + 1] - pts[k]) * smooth_step(u)
+        return pts[k] + (pts[k + 1] - pts[k]) * dm.smooth_step(u)
 
-    return Reparam(fn, "fold")
+    return Reparam(fn)
 
 
 # --------------------------------------------------------------------------
@@ -163,11 +152,33 @@ class ManifoldModel:
         p = np.asarray(point, dtype=float)
         return np.mod(p, 1.0) if self.periodic else p
 
+    def wrap(self, d):
+        """A displacement d, or a stack of them, wrapped into [-1/2, 1/2]
+        componentwise on the torus."""
+        return d - np.round(d) if self.periodic else d
+
+    def project(self, q):
+        """One ambient point q, radially projected onto the sphere."""
+        return q / np.linalg.norm(q) if self.kind == "sphere" else q
+
+    def project_components(self, comps):
+        """project for a point given as its components (node arrays or
+        Duals over the nodes)."""
+        if self.kind != "sphere":
+            return comps
+        inv = 1.0 / dm.sqrt(sum(c * c for c in comps))
+        return [c * inv for c in comps]
+
+    def tangent(self, point, v):
+        """The ambient vector v at one point, projected onto the sphere's
+        tangent plane there."""
+        if self.kind == "sphere":
+            return v - np.dot(v, point) * np.asarray(point)
+        return v
+
     def same_point(self, a, b, tol=BASEPOINT_TOL):
         """Whether a and b agree, at one point or at each of a stack."""
-        d = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
-        if self.periodic:
-            d = d - np.round(d)
+        d = self.wrap(np.asarray(a, dtype=float) - np.asarray(b, dtype=float))
         return np.linalg.norm(d, axis=-1) <= tol
 
     def is_basepoint(self, p, tol=BASEPOINT_TOL):
@@ -175,17 +186,13 @@ class ManifoldModel:
 
     def random_point(self, rng):
         if self.kind == "sphere":
-            v = rng.normal(size=3)
-            return v / np.linalg.norm(v)
+            return self.project(rng.normal(size=3))
         if self.kind == "torus":
             return rng.uniform(0.0, 1.0, size=2)
         return rng.uniform(-1.0, 1.0, size=2)
 
     def random_tangent(self, rng, point):
-        v = rng.normal(size=self.ambient_dim)
-        if self.kind == "sphere":
-            v = v - np.dot(v, point) * np.asarray(point)
-        return v
+        return self.tangent(point, rng.normal(size=self.ambient_dim))
 
 
 def make_model(kind) -> ManifoldModel:

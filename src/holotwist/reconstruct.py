@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import dual as dm
 from .bundle import sample_region
 from .catgroup import CatGroupMorphism, morphism_distance
 from .errors import (
@@ -43,7 +42,6 @@ from .geometry import (
     SPHERE_CAP_AXES,
     TORUS_SQUARE_CENTERS,
     Cylinder,
-    Loop,
     _segment_path,
     assign_charts_interval,
     collar_warp,
@@ -91,8 +89,7 @@ def _chain_cylinder(model, waypoints) -> Cylinder:
         base, scale, vec = wp if isinstance(wp, tuple) else (wp, 0.0, None)
         base = lifted = np.asarray(base, dtype=float)
         if model.periodic and given is not None:
-            d = base - given
-            lifted = ends[-1][0] + (d - np.round(d))
+            lifted = ends[-1][0] + model.wrap(base - given)
         ends.append((lifted, scale, vec))
         given = base
 
@@ -105,12 +102,8 @@ def _chain_cylinder(model, waypoints) -> Cylinder:
 
     def fn(s, t):
         points = [at(end, s) for end in ends]
-        comps = _segment_path(t, list(zip(points[:-1], points[1:])),
-                              SEG_COLLAR)
-        if model.kind == "sphere":
-            inv = 1.0 / dm.sqrt(sum(c * c for c in comps))
-            comps = [c * inv for c in comps]
-        return comps
+        return model.project_components(_segment_path(
+            t, list(zip(points[:-1], points[1:])), SEG_COLLAR))
 
     return Cylinder(model, fn, collar_width=SEG_COLLAR / (len(ends) - 1),
                     check=False)
@@ -166,14 +159,8 @@ class BasepointScaffold:
     # -- path plans -------------------------------------------------------
 
     def _in_chart(self, i, q):
-        if self.model.kind == "sphere":
-            q = q / np.linalg.norm(q)
-        return self.cover.charts[i].contains(self.model.reduce(q),
-                                             with_margin=True)
-
-    def pair_loop(self, i, j, y) -> Loop:
-        """The based loop * -> x_i -> y -> x_j -> * through fixed anchors."""
-        return self.pair_cylinder(i, j, y).top_loop()
+        return self.cover.charts[i].contains(
+            self.model.reduce(self.model.project(q)), with_margin=True)
 
     def pair_cylinder(self, i, j, y) -> Cylinder:
         """Homotopy from the anchor loop to the loop through y.
@@ -184,9 +171,7 @@ class BasepointScaffold:
         """
         model = self.model
         xij = np.asarray(self.pair_anchor(i, j), dtype=float)
-        d = np.asarray(y, dtype=float) - xij
-        if model.periodic:
-            d = d - np.round(d)
+        d = model.wrap(np.asarray(y, dtype=float) - xij)
         bp = model.basepoint
         return _chain_cylinder(model, [bp, self.anchors[i], (xij, 1.0, d),
                                        self.anchors[j], bp])
@@ -422,37 +407,24 @@ def reconstruct_connection(oracle, scaffold, chart, point, tangent,
     return AlgebraElement((r_plus - r_minus) / (2.0 * step), "e")
 
 
-def _shift(model, point, delta):
-    q = np.asarray(point, dtype=float) + delta
-    if model.kind == "sphere":
-        q = q / np.linalg.norm(q)
-    return q
-
-
-def _project_tangent(model, point, v):
-    if model.kind == "sphere":
-        return v - np.dot(v, point) * np.asarray(point)
-    return v
-
-
 def reconstruct_curvature_of_connection(oracle, scaffold, chart, point,
                                         v, w):
     """Curvature dA + [A(v), A(w)] of the reconstructed connection, with
     dA a central difference of step 2e-3."""
     model = scaffold.model
+    point = np.asarray(point, dtype=float)
     fd = 2e-3
 
     def a_at(p, u):
-        return reconstruct_connection(
-            oracle, scaffold, chart, p,
-            _project_tangent(model, p, u)).entries
+        return reconstruct_connection(oracle, scaffold, chart, p,
+                                      model.tangent(p, u)).entries
 
-    d_vw = (a_at(_shift(model, point, fd * v), w)
-            - a_at(_shift(model, point, -fd * v), w)) / (2.0 * fd)
-    d_wv = (a_at(_shift(model, point, fd * w), v)
-            - a_at(_shift(model, point, -fd * w), v)) / (2.0 * fd)
-    av = a_at(np.asarray(point, dtype=float), v)
-    aw = a_at(np.asarray(point, dtype=float), w)
+    d_vw = (a_at(model.project(point + fd * v), w)
+            - a_at(model.project(point - fd * v), w)) / (2.0 * fd)
+    d_wv = (a_at(model.project(point + fd * w), v)
+            - a_at(model.project(point - fd * w), v)) / (2.0 * fd)
+    av = a_at(point, v)
+    aw = a_at(point, w)
     return d_vw - d_wv + av @ aw - aw @ av
 
 

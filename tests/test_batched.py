@@ -28,7 +28,6 @@ from holotwist.formsexpr.forms import (
     expr_form,
     integrate_1form,
     integrate_2form,
-    native_form,
 )
 from holotwist.liecore import (
     BUILTIN_EXTENSIONS,
@@ -318,7 +317,7 @@ def test_smooth_step_is_flat_where_its_exponentials_underflow():
     is exactly 0 or 1 there with derivative 0, never NaN."""
     x = np.array([-1.0, -0.0, 0.0, 5e-324, 1e-300, 1e-160, 1e-3, 0.5,
                   1.0 - 1e-16, 1.0, 2.0])
-    out = G.smooth_step(Dual(x, np.stack([np.ones_like(x), -2.0 * x])))
+    out = dm.smooth_step(Dual(x, np.stack([np.ones_like(x), -2.0 * x])))
     assert np.array_equal(out.val[:7], np.zeros(7))
     assert np.array_equal(out.val[8:], np.ones(3))
     assert out.val[7] == 0.5
@@ -336,9 +335,9 @@ def _counting(fn, calls):
 
 def test_one_patch_and_form_call_per_cell():
     patch_calls, form_calls = [], []
-    area = native_form(2, _counting(
+    area = LocalForm(2, 1, _counting(
         lambda p, v, w: np.einsum("...i,...i->...", p, np.cross(v, w))
-        [..., None, None] + 0j, form_calls), 1, ("x", "y", "z"))
+        [..., None, None] + 0j, form_calls))
     patch = C.cap_sweep_cylinder(math.pi).eval_with_partials
     val = integrate_2form(area, _counting(patch, patch_calls), order=7,
                           cells=(2, 3)).entries
@@ -468,9 +467,9 @@ def test_face_cells_are_fetched_per_row_and_per_split(label, monkeypatch):
 
 def test_one_segment_call_per_edge_and_one_field_call_per_path():
     seg_calls, form_calls = [], []
-    form = native_form(1, _counting(
+    form = LocalForm(1, 1, _counting(
         lambda p, v: (p[..., 0] * v[..., 1])[..., None, None] + 0j,
-        form_calls), 1, ("x", "y"))
+        form_calls))
 
     def circle(t):
         th = 2.0 * math.pi * t
@@ -506,8 +505,8 @@ def test_line_holonomy_evaluates_loop_jets_once_per_cell():
 
 def _recording(form, calls):
     """The form with every evaluation's point-stack shape recorded."""
-    return LocalForm(form.degree, form.dim, form.coord_names,
-                     _counting(form._evalfn, calls), form.value_tag, form.d)
+    return LocalForm(form.degree, form.dim, _counting(form._evalfn, calls),
+                     form.value_tag, form.d)
 
 
 def test_one_form_call_per_line_cell_and_per_edge():

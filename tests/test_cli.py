@@ -52,6 +52,27 @@ def test_invalid_json_is_usage_error(tmp_path, capsys):
     assert "invalid JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("family, base, direction", [
+    ("monopole", "cap-sweep", [0, 0]),
+    ("monopole", "cap-sweep", [0, 0, 0]),
+    ("monopole", "cap-sweep", [1, 0, 0, 5]),
+    ("monopole", "cap-sweep", [math.nan, 0, 1]),
+    ("torus-flat", "constant", [1]),
+    ("torus-flat", "constant", [0, 1, 7]),
+])
+def test_bad_perturbation_direction_is_usage_error(tmp_path, capsys, family,
+                                                   base, direction):
+    """A direction without one finite entry per ambient coordinate, or
+    zero on the sphere, is a config error (RuntimeWarnings are errors
+    under pytest, so none may be raised on the way)."""
+    cfg = write_cfg(tmp_path, {"bundle": {"family": family}, "cylinder": {
+        "name": "perturbed",
+        "params": {"base": base, "direction": direction}}})
+    assert main(["functor", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "direction" in err and "cylinder.params" in err
+
+
 def test_unknown_family_reports_key_path(tmp_path, capsys):
     cfg = write_cfg(tmp_path, {"bundle": {"family": "nope"}})
     assert main(["validate", "--config", cfg]) == 2

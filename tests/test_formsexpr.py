@@ -16,6 +16,7 @@ from holotwist.formsexpr import (
     Bin,
     Call,
     Coord,
+    LocalForm,
     Num,
     Unary,
     eval_ad,
@@ -24,7 +25,6 @@ from holotwist.formsexpr import (
     exterior_derivative,
     integrate_1form,
     integrate_2form,
-    native_form,
     parse,
     to_source,
 )
@@ -210,7 +210,7 @@ def test_top_degree_rejected():
 
 
 def test_zero_form_chain():
-    z = zero_form(1, 2, ("x", "y"))
+    z = zero_form(1, 2)
     dz = exterior_derivative(z)
     assert dz.degree == 2
     assert np.all(dz(np.zeros(2), np.eye(2)[0], np.eye(2)[1]) == 0)
@@ -290,22 +290,21 @@ def test_rank_one_patch_integrates_to_zero():
     assert abs(val) < 1e-10
 
 
-def test_native_form_with_supplied_derivative():
+def test_callable_form_with_supplied_derivative():
     fn = lambda p, v: np.array([[p[0] * v[1] - p[1] * v[0]]], dtype=complex)
     dfn = lambda p, v, w: np.array([[2.0 * (v[0] * w[1] - v[1] * w[0])]],
                                    dtype=complex)
-    nf = native_form(1, fn, 1, ("x", "y"), d=native_form(2, dfn, 1, ("x", "y")))
+    nf = LocalForm(1, 1, fn, d=LocalForm(2, 1, dfn))
     d = exterior_derivative(nf)
     got = d(np.array([0.2, 0.5]), np.array([1.0, 0.0]),
             np.array([0.0, 1.0]))[0, 0]
     assert got == pytest.approx(2.0, abs=1e-12)
 
 
-def test_native_form_without_derivative_has_none():
+def test_callable_form_without_derivative_has_none():
     fn = lambda p, v: np.array([[p[0] * v[1]]], dtype=complex)
     with pytest.raises(DegreeUnsupported):
-        exterior_derivative(native_form(1, fn, 1, ("x", "y")))
-    f0 = native_form(0, lambda p: np.array([[p[0]]], dtype=complex), 1,
-                     ("x", "y"))
+        exterior_derivative(LocalForm(1, 1, fn))
+    f0 = LocalForm(0, 1, lambda p: np.array([[p[0]]], dtype=complex))
     with pytest.raises(DegreeUnsupported):
         exterior_derivative(f0)

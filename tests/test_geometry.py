@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from holotwist import geometry as G
+from holotwist import dual as dm, geometry as G
 from holotwist.dual import Dual
 from holotwist.errors import (
     BoundaryMismatch,
@@ -16,13 +16,13 @@ from holotwist.errors import (
 
 
 def test_smooth_step_profile():
-    assert G.smooth_step(-0.5) == 0.0
-    assert G.smooth_step(1.5) == 1.0
-    assert 0.0 < G.smooth_step(0.5) < 1.0
+    assert dm.smooth_step(-0.5) == 0.0
+    assert dm.smooth_step(1.5) == 1.0
+    assert 0.0 < dm.smooth_step(0.5) < 1.0
     for u in (0.2, 0.5, 0.9):
-        d = G.smooth_step(Dual(u, 1.0))
+        d = dm.smooth_step(Dual(u, 1.0))
         h = 1e-6
-        fd = (G.smooth_step(u + h) - G.smooth_step(u - h)) / (2 * h)
+        fd = (dm.smooth_step(u + h) - dm.smooth_step(u - h)) / (2 * h)
         assert abs(d.dot.real - fd) < 1e-6
 
 
@@ -40,6 +40,28 @@ def test_models():
     assert not torus.same_point([0.0, 0.0], [0.5, 0.0])
     with pytest.raises(ValueError):
         G.make_model("mobius")
+
+
+def test_model_wrap_project_and_tangent():
+    sphere, torus, plane = map(G.make_model, ("sphere", "torus", "plane"))
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        p = sphere.random_point(rng)
+        assert abs(np.dot(sphere.tangent(p, rng.normal(size=3)), p)) <= 1e-15
+        q = rng.normal(size=3) * rng.uniform(0.1, 10.0)
+        assert abs(np.linalg.norm(sphere.project(q)) - 1.0) <= 1e-15
+    d = rng.uniform(-5.0, 5.0, size=(100, 2))
+    w = torus.wrap(d)
+    assert np.all(np.abs(w) <= 0.5)
+    assert np.array_equal(d - w, np.round(d - w))
+    assert np.array_equal(plane.wrap(d), d)
+    assert np.array_equal(sphere.wrap(d[:, :1]), d[:, :1])
+    assert np.array_equal(plane.project(d[0]), d[0])
+    # across the seam u = 0 ~ 1, one point and a stack
+    assert torus.same_point([1.0 - 1e-14, 0.3], [1e-14, 0.3])
+    assert torus.same_point([[0.5, 1.0], [0.0, 0.2]],
+                            [[0.5, 0.0], [-1.0, 1.2]]).all()
+    assert not torus.same_point([0.999, 0.3], [0.001, 0.3])
 
 
 def test_covers_basepoint_in_chart0():
@@ -143,7 +165,7 @@ def test_reparam_rules():
 
 def test_deform_thin_identity_and_warp():
     loop = _torus_winding()
-    same = G.deform_thin(loop, G.identity_reparam())
+    same = G.deform_thin(loop, G.Reparam(lambda t: t))
     for t in np.linspace(0, 1, 7):
         assert np.allclose(same.eval(float(t)), loop.eval(float(t)))
     warped = G.deform_thin(loop, G.monotone_warp())

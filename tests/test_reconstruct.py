@@ -46,7 +46,7 @@ def test_pair_loop_is_based_with_collars(mono):
     bundle, scaffold, _ = mono
     model = bundle.cover.model
     y = scaffold.pair_anchor(0, 1)
-    loop = scaffold.pair_loop(0, 1, y)
+    loop = scaffold.pair_cylinder(0, 1, y).top_loop()
     for t in (0.0, 1.0, 0.005, 0.995):
         assert model.is_basepoint(loop.eval(t), tol=1e-9)
     assert np.linalg.norm(loop.deriv(0.004)) < 1e-9
