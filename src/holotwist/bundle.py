@@ -145,17 +145,41 @@ class GroupMap:
 # Region sampling
 # --------------------------------------------------------------------------
 
+SAMPLE_BUDGET = 20000    # candidate draws before sample_region gives up
+
+
 def sample_region(cover, indices, rng, count):
-    """Random points lying in every margin-shrunk chart of `indices`."""
-    out = []
+    """`count` random points lying in every margin-shrunk chart of
+    `indices`, as a (count, n) stack: the first hits among at most
+    SAMPLE_BUDGET candidates.
+
+    Candidates are drawn and tested in growing blocks.  Once a block
+    holds the count-th hit, the generator is reset and exactly the
+    candidates up to that hit are drawn again, so the points and the
+    generator's final state are those of drawing and testing one
+    candidate at a time."""
+    if count < 1:
+        raise ValueError(f"count must be positive, got {count}")
+    model = cover.model
     charts = [cover.charts[i] for i in indices]
-    for _ in range(20000):
-        p = cover.model.random_point(rng)
-        q = cover.model.reduce(p)
-        if all(c.contains(q, with_margin=True) for c in charts):
-            out.append(q)
-            if len(out) == count:
-                return out
+
+    def candidates(n):
+        q = model.reduce(model.random_points(rng, n))
+        return q, np.logical_and.reduce(
+            [c.contains(q, with_margin=True) for c in charts])
+
+    start = rng.bit_generator.state
+    drawn, missing, block = 0, count, 4 * count
+    while drawn < SAMPLE_BUDGET:
+        block = min(block, SAMPLE_BUDGET - drawn)
+        hits = np.flatnonzero(candidates(block)[1])
+        if len(hits) >= missing:
+            rng.bit_generator.state = start
+            q, fit = candidates(drawn + hits[missing - 1] + 1)
+            return q[fit]
+        drawn += block
+        missing -= len(hits)
+        block *= 2
     raise ChartMismatch(
         f"could not sample region {tuple(indices)}: overlap too small?")
 
@@ -244,10 +268,12 @@ class ValidationReport:
 # --------------------------------------------------------------------------
 
 def _tangents(cover, rng, pts, count):
-    """`count` random tangents at each point, drawn point by point, as
-    `count` (N, n) stacks."""
-    return np.array([[cover.model.random_tangent(rng, p)
-                      for _ in range(count)] for p in pts]).swapaxes(0, 1)
+    """`count` random tangents at each of the (N, n) points, as `count`
+    (N, n) stacks, drawn in one block in the order of drawing them point
+    by point."""
+    model = cover.model
+    v = rng.normal(size=(len(pts), count, model.ambient_dim))
+    return model.tangent(pts[:, None], v).swapaxes(0, 1)
 
 
 def _worst(stack):
@@ -277,7 +303,7 @@ def validate(bundle: TwistedBundleData, sample_count=40, tol=1e-8,
     for (i, j) in overlap_pairs(n):
         if i > j:
             continue
-        p = np.array(sample_region(cover, (i, j), rng, sample_count))
+        p = sample_region(cover, (i, j), rng, sample_count)
         v, w = _tangents(cover, rng, p, 2)
         eij, deij = bundle.e[(i, j)].jet(p, v)
         eji = bundle.e[(j, i)].value(p).entries
@@ -307,8 +333,7 @@ def validate(bundle: TwistedBundleData, sample_count=40, tol=1e-8,
     for (i, j, k) in overlap_triples(n):
         if not (i < j and j < k):
             continue
-        p = np.array(sample_region(cover, (i, j, k), rng,
-                                   max(4, sample_count // 4)))
+        p = sample_region(cover, (i, j, k), rng, max(4, sample_count // 4))
         v, = _tangents(cover, rng, p, 1)
         eij = bundle.e[(i, j)].value(p).entries
         ejk = bundle.e[(j, k)].value(p).entries
@@ -321,8 +346,7 @@ def validate(bundle: TwistedBundleData, sample_count=40, tol=1e-8,
 
     for quad in itertools.combinations(range(n), 4):
         i, j, k, l = quad
-        p = np.array(sample_region(cover, quad, rng,
-                                   max(3, sample_count // 8)))
+        p = sample_region(cover, quad, rng, max(3, sample_count // 8))
         hv = {t: bundle.h[t].value(p).entries
               for t in ((j, k, l), (i, k, l), (i, j, l), (i, j, k))}
         delta = hv[(j, k, l)] @ np.linalg.inv(hv[(i, k, l)]) \

@@ -19,7 +19,8 @@ import time
 import numpy as np
 
 from . import catalog
-from .bundle import gauge_transform, identity_gauge, random_gauge, validate
+from .bundle import (SAMPLE_BUDGET, gauge_transform, identity_gauge,
+                     random_gauge, validate)
 from .catgroup import morphism_distance
 from .errors import ConfigError, ExprSyntaxError, HolotwistError, \
     UnknownIdentifier, float_setting, integer_setting
@@ -33,6 +34,7 @@ from .liecore import BUILTIN_EXTENSIONS
 from .reconstruct import (
     BasepointScaffold,
     FunctorOracle,
+    _battery_loops,
     rebuild_transitions_and_cocycle,
     round_trip_check,
 )
@@ -105,6 +107,16 @@ class Config:
         return integer_setting(self.get(key, default), key, least,
                                self._at(key))
 
+    def sample_count(self, key, default):
+        """A positive integer no larger than sample_region's draw
+        budget, since no larger count can be met."""
+        val = self.integer(key, default)
+        if val > SAMPLE_BUDGET:
+            raise ConfigError(f"must be at most {SAMPLE_BUDGET}, the number "
+                              f"of region sampling draws, got {val}",
+                              self._at(key))
+        return val
+
 
 # --------------------------------------------------------------------------
 # Serialization
@@ -125,8 +137,8 @@ def _numerics(cfg: Config, args, tol):
     the command's default tolerance."""
     nc = cfg.sub("numerics", None)
     num = {key: nc.integer(key, default) for key, default in (
-        ("steps", 256), ("order", 8), ("edge_cells", 4),
-        ("sample_count", 40))}
+        ("steps", 256), ("order", 8), ("edge_cells", 4))}
+    num["sample_count"] = nc.sample_count("sample_count", 40)
     num["face_tol"] = nc.positive("face_tol", 2e-9)
     num["tol"] = nc.positive("tol", tol)
     num["seed"] = nc.integer("seed", 0, least=0)
@@ -272,14 +284,26 @@ def _cmd_gauge(cfg, num, bundle):
     return _cmd_validate(cfg, {**num, "tol": max(num["tol"], 1e-8)}, gauged)
 
 
+def _check_rebuildable(bundle):
+    """A ConfigError at `bundle` when a rebuild from holonomy would
+    check nothing: a cover without overlaps, on a model without battery
+    loops."""
+    cover = bundle.cover
+    if len(cover) < 2 and not _battery_loops(cover.model):
+        raise ConfigError(
+            f"nothing to check: cover {cover.name} has no overlaps and the "
+            f"{cover.model.kind} model has no battery loops", "bundle")
+
+
 def _cmd_reconstruct(cfg, num, bundle):
     rc = cfg.sub("reconstruct", None)
     tol = 10.0 * rc.positive("tol_rec", 1e-4)
+    samples = rc.sample_count("samples_per_overlap", 1)
+    _check_rebuildable(bundle)
     oracle = FunctorOracle(bundle)
     scaffold = BasepointScaffold.for_cover(bundle.cover, seed=num["seed"])
     trans, anti, cocycle = rebuild_transitions_and_cocycle(
-        oracle, scaffold, np.random.default_rng(num["seed"]),
-        rc.integer("samples_per_overlap", 1))
+        oracle, scaffold, np.random.default_rng(num["seed"]), samples)
     values = {}
     for (i, j) in sorted(scaffold.pair_anchors):
         values[f"e_{i}{j}"] = [{"point": [float(c) for c in y],
@@ -294,10 +318,11 @@ def _cmd_reconstruct(cfg, num, bundle):
 
 def _cmd_roundtrip(cfg, num, bundle):
     rc = cfg.sub("reconstruct", None)
-    report = round_trip_check(
-        bundle, seed=num["seed"],
-        samples_per_overlap=rc.integer("samples_per_overlap", 2),
-        tol_rec=rc.positive("tol_rec", 1e-4))
+    samples = rc.sample_count("samples_per_overlap", 2)
+    tol_rec = rc.positive("tol_rec", 1e-4)
+    _check_rebuildable(bundle)
+    report = round_trip_check(bundle, seed=num["seed"],
+                              samples_per_overlap=samples, tol_rec=tol_rec)
     checks = {**{f"battery:{label}": d for label, d in report.items},
               **report.checks}
     return checks, {"max_deviation": float(report.max_deviation),

@@ -158,8 +158,13 @@ class ManifoldModel:
         return d - np.round(d) if self.periodic else d
 
     def project(self, q):
-        """One ambient point q, radially projected onto the sphere."""
-        return q / np.linalg.norm(q) if self.kind == "sphere" else q
+        """An ambient point q, or a stack of them, radially projected onto
+        the sphere.  One dot product per point: it matches
+        np.linalg.norm of one vector bit for bit, where a stacked norm
+        does not."""
+        if self.kind != "sphere":
+            return q
+        return q / np.sqrt(np.vecdot(q, q))[..., None]
 
     def project_components(self, comps):
         """project for a point given as its components (node arrays or
@@ -170,10 +175,10 @@ class ManifoldModel:
         return [c * inv for c in comps]
 
     def tangent(self, point, v):
-        """The ambient vector v at one point, projected onto the sphere's
-        tangent plane there."""
+        """The ambient vector v at a point, or a stack of them at a stack
+        of points, projected onto the sphere's tangent plane there."""
         if self.kind == "sphere":
-            return v - np.dot(v, point) * np.asarray(point)
+            return v - np.vecdot(v, point)[..., None] * point
         return v
 
     def same_point(self, a, b, tol=BASEPOINT_TOL):
@@ -184,15 +189,15 @@ class ManifoldModel:
     def is_basepoint(self, p, tol=BASEPOINT_TOL):
         return self.same_point(p, self.basepoint, tol)
 
-    def random_point(self, rng):
+    def random_points(self, rng, n):
+        """n random points as an (n, dim) stack.  The generator fills the
+        stack value by value, so these are the points (and the final
+        state) of n one-point draws."""
         if self.kind == "sphere":
-            return self.project(rng.normal(size=3))
+            return self.project(rng.normal(size=(n, 3)))
         if self.kind == "torus":
-            return rng.uniform(0.0, 1.0, size=2)
-        return rng.uniform(-1.0, 1.0, size=2)
-
-    def random_tangent(self, rng, point):
-        return self.tangent(point, rng.normal(size=self.ambient_dim))
+            return rng.uniform(0.0, 1.0, size=(n, 2))
+        return rng.uniform(-1.0, 1.0, size=(n, 2))
 
 
 def make_model(kind) -> ManifoldModel:
@@ -236,7 +241,9 @@ def cap_chart(label, axis, cos_threshold):
     axis = axis / np.linalg.norm(axis)
 
     def member(p, shrink):
-        return p @ axis > cos_threshold + shrink
+        # vecdot, not p @ axis: a stack then gives each point the bits of
+        # its one-point dot product
+        return np.vecdot(p, axis) > cos_threshold + shrink
 
     return Chart(label, member, 0.05)
 

@@ -221,7 +221,7 @@ def _central_point(cover, indices, rng):
     """A well-inside point of the (multi-)overlap: of 64 sampled points,
     the first that maximizes its depth, the shortest of 8 fixed rays
     that leaves the region, in one array pass."""
-    pts = np.array(sample_region(cover, indices, rng, 64))
+    pts = sample_region(cover, indices, rng, 64)
     rays = _RAY_ANGLES[None]
     if cover.model.kind == "sphere":
         t1 = np.cross(pts, [0.1, 0.25, 0.96])

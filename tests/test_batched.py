@@ -13,6 +13,8 @@ import pytest
 from holotwist import catalog as C, dual as dm, geometry as G, \
     holonomy as H, reconstruct as R
 from holotwist.bundle import (
+    SAMPLE_BUDGET,
+    _tangents,
     gauge_transform,
     identity_gauge,
     random_gauge,
@@ -20,7 +22,12 @@ from holotwist.bundle import (
     validate,
 )
 from holotwist.dual import Dual
-from holotwist.errors import DomainError, HolotwistError, MaxDepthExceeded
+from holotwist.errors import (
+    ChartMismatch,
+    DomainError,
+    HolotwistError,
+    MaxDepthExceeded,
+)
 from holotwist.families import make_bundle, monopole_bundle
 from holotwist.formsexpr.forms import (
     LocalForm,
@@ -35,6 +42,8 @@ from holotwist.liecore import (
     path_ordered_exp,
 )
 from holotwist.reconstruct import SEG_COLLAR, BasepointScaffold
+
+import pointwise
 
 # Joints of the three-piece and two-piece maps, collar edges of the
 # default and the chain collars, and the ends.
@@ -872,6 +881,62 @@ def test_anchors_match_per_point_reference(cover, monkeypatch):
                        for k in mine), seed
 
 
+# Regions of one to four charts on each model; the plane and torus
+# quadruple overlaps are small, so their blocks grow.
+_SAMPLE_REGIONS = [
+    ("sphere-3caps", (0,)), ("sphere-3caps", (1, 2)),
+    ("sphere-3caps", (0, 1, 2)), ("sphere-2caps-band", (0, 2)),
+    ("torus-4squares", (3,)), ("torus-4squares", (0, 1)),
+    ("torus-4squares", (0, 2, 3)), ("torus-4squares", (0, 1, 2, 3)),
+    ("plane-1", (0,)), ("plane-4", (1, 3)), ("plane-4", (0, 1, 2, 3)),
+]
+
+
+@pytest.mark.parametrize("cover,region", _SAMPLE_REGIONS)
+def test_region_blocks_match_per_point_draws(cover, region):
+    cover = G.make_cover(cover)
+    for seed in range(10):
+        for count in (1, 5, 40, 64):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = sample_region(cover, region, rng, count)
+            want = pointwise.sample_region(cover, region, ref, count)
+            assert got.tobytes() == np.array(want).tobytes(), (seed, count)
+            assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("cover,region,count", [
+    ("sphere-2caps-band", (0, 1), 1),      # disjoint caps: no hit at all
+    ("torus-4squares", (0, 1, 2, 3), SAMPLE_BUDGET),
+])
+def test_region_blocks_give_up_where_per_point_draws_do(cover, region,
+                                                        count):
+    cover = G.make_cover(cover)
+    rng, ref = np.random.default_rng(3), np.random.default_rng(3)
+    with pytest.raises(ChartMismatch) as exc:
+        sample_region(cover, region, rng, count)
+    with pytest.raises(ChartMismatch) as want:
+        pointwise.sample_region(cover, region, ref, count)
+    assert str(exc.value) == str(want.value)
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("cover", ["sphere-3caps", "torus-4squares",
+                                   "plane-4"])
+def test_tangent_block_matches_per_point_draws(cover):
+    cover = G.make_cover(cover)
+    for seed in range(10):
+        for count in (1, 2):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            pts = sample_region(cover, (0, 1), rng, 40)
+            pointwise.sample_region(cover, (0, 1), ref, 40)
+            got = _tangents(cover, rng, pts, count)
+            want = pointwise.tangents(cover.model, ref, pts, count)
+            assert got.shape == want.shape == (count, 40,
+                                               cover.model.ambient_dim)
+            assert got.tobytes() == want.tobytes()
+            assert rng.bit_generator.state == ref.bit_generator.state
+
+
 def test_one_evaluation_per_validation_region():
     bundle = monopole_bundle(1)
     calls = []
@@ -910,9 +975,10 @@ N_POINTS = 5
 
 def _region_stack(bundle, region, rng, tangents):
     """Points of a chart region and random tangents at them, as stacks."""
-    p = np.array(sample_region(bundle.cover, region, rng, N_POINTS))
-    return p, [np.array([bundle.cover.model.random_tangent(rng, x)
-                         for x in p]) for _ in range(tangents)]
+    model = bundle.cover.model
+    p = sample_region(bundle.cover, region, rng, N_POINTS)
+    v = rng.normal(size=(tangents, N_POINTS, model.ambient_dim))
+    return p, list(model.tangent(p, v))
 
 
 def _stack_matches_points(fn, *stacks):

@@ -176,7 +176,7 @@ def test_projected_jets_are_exact():
     worst = 0.0
     for (i, j) in overlap_pairs(b.nc):
         for p in sample_region(b.cover, (i, j), rng, 5):
-            v = b.cover.model.random_tangent(rng, p)
+            v = b.cover.model.tangent(p, rng.normal(size=3))
             pairs = [(b.e[(i, j)], b.g[(i, j)]),
                      (gauge.e_i[i], gauge.g_i(b.extension, i))]
             for emap, gmap in pairs:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from holotwist import cli
+from holotwist.bundle import SAMPLE_BUDGET, ValidationReport
 from holotwist.cli import COMMANDS, main
 from holotwist.liecore import make_extension
 
@@ -485,3 +486,55 @@ def test_sphere_pu2_through_the_cli(tmp_path):
             json.loads(out.read_text())["body"]["values"]["holonomy"])
     projected = make_extension("u2-pu2").project_mat(hol["hol1"])
     assert np.abs(projected - hol["hol0"]).max() <= 1e-9
+
+
+def _computed(*args, **kwargs):
+    pytest.fail("computed")
+
+
+@pytest.mark.parametrize("command, key", [
+    ("validate", "numerics.sample_count"),
+    ("gauge", "numerics.sample_count"),
+    ("reconstruct", "reconstruct.samples_per_overlap"),
+    ("roundtrip", "reconstruct.samples_per_overlap"),
+])
+def test_sample_count_over_the_draw_budget_exits_two_before_computing(
+        command, key, tmp_path, capsys, monkeypatch):
+    for name in ("validate", "random_gauge", "FunctorOracle",
+                 "round_trip_check"):
+        monkeypatch.setattr(cli, name, _computed)
+    section, name = key.split(".")
+    cfg = write_cfg(tmp_path, {"bundle": MONOPOLE,
+                               section: {name: SAMPLE_BUDGET + 1}})
+    assert main([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert f"at most {SAMPLE_BUDGET}" in err and f"(at {key})" in err
+
+
+def test_sample_count_at_the_draw_budget_is_accepted(tmp_path, monkeypatch):
+    seen = []
+
+    def fake_validate(bundle, sample_count, seed):
+        seen.append(sample_count)
+        return ValidationReport({}, 1e-8, sample_count)
+
+    monkeypatch.setattr(cli, "validate", fake_validate)
+    cfg = write_cfg(tmp_path, {"bundle": MONOPOLE,
+                               "numerics": {"sample_count": SAMPLE_BUDGET}})
+    assert main(["validate", "--config", cfg]) == 0
+    assert seen == [SAMPLE_BUDGET]
+
+
+@pytest.mark.parametrize("command", ["reconstruct", "roundtrip"])
+def test_rebuild_that_checks_nothing_exits_two_before_any_oracle_call(
+        command, tmp_path, capsys, monkeypatch):
+    # the plane-1 cover has no overlaps and the plane no battery loops
+    monkeypatch.setattr(cli, "FunctorOracle", _computed)
+    monkeypatch.setattr(cli, "round_trip_check", _computed)
+    cfg = write_cfg(tmp_path, {"bundle": {
+        "family": "trivial",
+        "params": {"model": "plane", "extension": "roots-of-unity-3"}}})
+    assert main([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "(at bundle)" in err
+    assert "no overlaps" in err and "no battery loops" in err

@@ -46,7 +46,7 @@ def test_model_wrap_project_and_tangent():
     sphere, torus, plane = map(G.make_model, ("sphere", "torus", "plane"))
     rng = np.random.default_rng(5)
     for _ in range(200):
-        p = sphere.random_point(rng)
+        p = sphere.random_points(rng, 1)[0]
         assert abs(np.dot(sphere.tangent(p, rng.normal(size=3)), p)) <= 1e-15
         q = rng.normal(size=3) * rng.uniform(0.1, 10.0)
         assert abs(np.linalg.norm(sphere.project(q)) - 1.0) <= 1e-15
@@ -75,18 +75,44 @@ def test_covers_basepoint_in_chart0():
 def test_margin_implies_plain_membership():
     cover = G.make_cover("sphere-3caps")
     rng = np.random.default_rng(0)
-    for _ in range(300):
-        p = cover.model.random_point(rng)
+    for p in cover.model.random_points(rng, 300):
         for chart in cover.charts:
             if chart.contains(p, with_margin=True):
                 assert chart.contains(p)
 
 
+def _near_cap_boundary(axis, cos_threshold, n, rng):
+    """n points p with p . axis within a few ulps of cos_threshold."""
+    u = rng.normal(size=(n, 3))
+    u -= np.outer(u @ axis, axis)
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    p = cos_threshold * axis + math.sqrt(1.0 - cos_threshold ** 2) * u
+    for _ in range(3):
+        p = np.nextafter(p, rng.choice([-np.inf, np.inf], size=p.shape))
+    return p
+
+
+def test_cap_membership_of_a_stack_matches_each_point():
+    """Within a few ulps of a cap's edge, a stack of points is judged as
+    each point alone, so batched region sampling accepts what the
+    per-point loop accepts (a matrix-vector product disagrees on about
+    3% of these points)."""
+    cover = G.make_cover("sphere-3caps")
+    rng = np.random.default_rng(0)
+    for axis, chart in zip(G.SPHERE_CAP_AXES, cover.charts):
+        for shrink in (False, True):
+            p = _near_cap_boundary(axis, -0.25 + shrink * chart.margin,
+                                   2000, rng)
+            stack = chart.contains(p, with_margin=shrink)
+            assert 0.2 < stack.mean() < 0.8
+            assert stack.tolist() == [
+                bool(chart.contains(x, with_margin=shrink)) for x in p]
+
+
 def test_sphere_cover_covers_with_margin():
     cover = G.make_cover("sphere-3caps")
     rng = np.random.default_rng(1)
-    for _ in range(2000):
-        p = cover.model.random_point(rng)
+    for p in cover.model.random_points(rng, 2000):
         assert any(c.contains(p, with_margin=True) for c in cover.charts)
 
 

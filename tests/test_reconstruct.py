@@ -10,6 +10,7 @@ from holotwist.errors import ConfigError, StepTooLarge, TagMismatch
 from holotwist.families import monopole_bundle, pu2_bundle, trivial_bundle
 from holotwist.geometry import constant_cylinder, make_cover
 from holotwist.liecore import AlgebraElement, exp_matrix, group_mul
+from pointwise import random_tangent
 
 
 @pytest.fixture(scope="module")
@@ -77,13 +78,13 @@ def _scaffold_probes(cover_name):
     cover = make_cover(cover_name)
     scaffold = R.BasepointScaffold.for_cover(cover, seed=0)
     rng = np.random.default_rng(12)
-    p = scaffold.anchors[0] + 0.1 * cover.model.random_tangent(
-        rng, scaffold.anchors[0])
+    p = scaffold.anchors[0] + 0.1 * random_tangent(
+        cover.model, rng, scaffold.anchors[0])
     if cover.model.kind == "sphere":
         p /= np.linalg.norm(p)
-    v = cover.model.random_tangent(rng, p)
+    v = random_tangent(cover.model, rng, p)
     v /= np.linalg.norm(v)
-    w = cover.model.random_tangent(rng, p)
+    w = random_tangent(cover.model, rng, p)
     w -= np.dot(w, v) * v
     w /= np.linalg.norm(w)
     y = sample_region(cover, (0, 1), rng, 1)[0]
