@@ -22,7 +22,7 @@ import scipy.linalg
 
 from . import dual as dm
 from .dual import value
-from .errors import ChartMismatch, MissingField, TagMismatch
+from .errors import MissingField, RegionUndersampled, TagMismatch
 from .formsexpr.forms import LocalForm, exterior_derivative, zero_form
 from .liecore import CentralExtension, GroupElement
 
@@ -180,8 +180,9 @@ def sample_region(cover, indices, rng, count):
         drawn += block
         missing -= len(hits)
         block *= 2
-    raise ChartMismatch(
-        f"could not sample region {tuple(indices)}: overlap too small?")
+    raise RegionUndersampled(f"could not sample region {tuple(indices)}: "
+                             f"{count - missing} of {count} points accepted "
+                             f"in {drawn} draws")
 
 
 def overlap_pairs(n):

@@ -23,7 +23,7 @@ from .bundle import (SAMPLE_BUDGET, gauge_transform, identity_gauge,
                      random_gauge, validate)
 from .catgroup import morphism_distance
 from .errors import ConfigError, ExprSyntaxError, HolotwistError, \
-    UnknownIdentifier, float_setting, integer_setting
+    RegionUndersampled, UnknownIdentifier, float_setting, integer_setting
 from .families import FAMILY_NAMES, make_bundle
 from .formsexpr.forms import expr_form
 from .formsexpr.parser import parse
@@ -213,16 +213,18 @@ def _parsed(src, coords, path):
 
 
 def _quadrature(num):
-    return {k: num[k] for k in ("order", "edge_cells", "face_tol")}
+    """The face settings and a fresh face table for one command's runs."""
+    return {"faces": {},
+            **{k: num[k] for k in ("order", "edge_cells", "face_tol")}}
 
 
 def _functor_with_invariance(bundle, cyl, num):
-    res = holonomy_functor(bundle, cyl, steps=num["steps"],
-                           **_quadrature(num))
+    quad = _quadrature(num)
+    res = holonomy_functor(bundle, cyl, steps=num["steps"], **quad)
     bot, top, rect = res.subdivision
     fine = holonomy_functor(bundle, cyl, bottom_sub=bot, top_sub=top,
                             rect=refine_rect(rect), steps=2 * num["steps"],
-                            **_quadrature(num))
+                            **quad)
     return res.value, morphism_distance(res.value, fine.value)
 
 
@@ -231,8 +233,13 @@ def _functor_with_invariance(bundle, cyl, num):
 # --------------------------------------------------------------------------
 
 def _validation(bundle, num):
-    return validate(bundle, sample_count=num["sample_count"],
-                    seed=num["seed"])
+    """validate; a ConfigError when a region cannot meet sample_count."""
+    try:
+        return validate(bundle, sample_count=num["sample_count"],
+                        seed=num["seed"])
+    except RegionUndersampled as exc:
+        raise ConfigError(f"too large for the cover: {exc}",
+                          "numerics.sample_count") from None
 
 
 def _cmd_validate(cfg, num, bundle):
@@ -250,9 +257,9 @@ def _cmd_hol(fn, cfg, num, bundle):
 
 def _cmd_surface(cfg, num, bundle):
     cyl = _cylinder(cfg, bundle)
-    res = epsilon(bundle, cyl, **_quadrature(num))
-    fine = epsilon(bundle, cyl, rect=refine_rect(res.subdivision),
-                   **_quadrature(num))
+    quad = _quadrature(num)
+    res = epsilon(bundle, cyl, **quad)
+    fine = epsilon(bundle, cyl, rect=refine_rect(res.subdivision), **quad)
     drift = np.abs(res.value.entries - fine.value.entries).max()
     return ({"grid_doubling_drift": drift},
             {"epsilon": _ser_matrix(res.value.entries)}, num["tol"])
@@ -272,9 +279,9 @@ def _cmd_trace(cfg, num, bundle):
     if not _starts_at_basepoint(bundle, cyl):
         raise ConfigError("the trace needs a cylinder whose bottom loop "
                           "is constant at the basepoint", "cylinder")
-    tr = kapustin_trace(bundle, cyl, steps=num["steps"], **_quadrature(num))
-    tr2 = kapustin_trace(bundle, cyl, steps=2 * num["steps"],
-                         **_quadrature(num))
+    quad = _quadrature(num)
+    tr = kapustin_trace(bundle, cyl, steps=num["steps"], **quad)
+    tr2 = kapustin_trace(bundle, cyl, steps=2 * num["steps"], **quad)
     return ({"refinement_invariance": abs(tr - tr2)},
             {"trace": [tr.real, tr.imag]}, num["tol"])
 

@@ -48,6 +48,10 @@ class ChartMismatch(HolotwistError):
     """Evaluation requested outside the declared chart."""
 
 
+class RegionUndersampled(ChartMismatch):
+    """Random sampling met fewer points of a region than asked."""
+
+
 class DegreeUnsupported(HolotwistError):
     """Form degree out of range for this operation."""
 

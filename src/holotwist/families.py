@@ -88,6 +88,13 @@ def stabilizer_phase(q):
 # Shared pieces
 # --------------------------------------------------------------------------
 
+def _cross(a, b):
+    """np.cross of two (..., 3) stacks, without its axis handling."""
+    return np.stack((a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1],
+                     a[..., 2] * b[..., 0] - a[..., 0] * b[..., 2],
+                     a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]), axis=-1)
+
+
 def _linear_tau(pi, pj, kappa, mu):
     """Antisymmetric smooth overlap phases tau_ij(x) = coeff . x."""
     coeff = kappa * (np.asarray(pi) - np.asarray(pj)) \
@@ -151,7 +158,7 @@ def sphere_area_form(scale) -> LocalForm:
     """scale times the round area form x . (v x w) on the unit sphere,
     as a 1x1 kernel-valued 2-form."""
     def evalfn(p, v, w):
-        tr = np.einsum("...i,...i->...", p, np.cross(v, w))
+        tr = np.einsum("...i,...i->...", p, _cross(v, w))
         return scale * tr[..., None, None] * np.eye(1, dtype=complex)
 
     return LocalForm(2, 1, evalfn, "h")
@@ -384,7 +391,7 @@ def pu2_bundle(kappa=0.8, mu=0.5, spin=0.6, flux=0.7) -> TwistedBundleData:
 
     def global_su2(p, v):
         """(i spin / 2) sigma . (x cross v): a global su(2) 1-form."""
-        return 0.5j * spin * np.einsum("...k,kab->...ab", np.cross(p, v),
+        return 0.5j * spin * np.einsum("...k,kab->...ab", _cross(p, v),
                                        SIGMA)
 
     a_forms, d_forms = {}, {}

@@ -15,6 +15,10 @@ while they disagree.  The cylinder is evaluated once per grid row (every
 cell of the row at both orders) and once per split cell (its four
 quadrants at both orders); each cell's rows are handed down to it, and
 integrate_2form, called once per (cell, order), takes them as its patch.
+Each cell's (lo, hi) integrals go into a table that one command shares
+across its runs, keyed by cylinder, form, exact bounds and order: a grid
+refined by halving (refine_rect) repeats the coarse run's split quadrants
+bit for bit, so only the cells the coarse run never saw are integrated.
 
 Grid conventions (fixed once, documented here):
   * faces are enumerated row-major; the face integral uses the (t, s)
@@ -130,34 +134,48 @@ def hol1(bundle, loop, subdivision=None, steps=96,
 # Surface factor
 # --------------------------------------------------------------------------
 
-def _rows(cylinder, cells, order):
-    """The patch rows of cells (s0, s1, t0, t1) at order and order + 5,
-    from one cylinder call: one (cylinder, lo, hi) entry per cell, where
-    lo and hi answer integrate_2form's patch call on that cell at each
-    order."""
-    nodes = [_cell_nodes(*cell, k)[:2]
-             for cell in cells for k in (order, order + 5)]
+def _rows(cylinder, cells, order, faces):
+    """The patch entries of cells (form, s0, s1, t0, t1) at order and
+    order + 5: one (cylinder, faces, lo, hi) entry per cell, where lo and
+    hi answer integrate_2form's patch call on that cell at each order.
+    The cells whose integrals the table faces holds get no rows; the
+    others are fetched in one cylinder call."""
+    fetch = [k for k, cell in enumerate(cells)
+             if (cylinder, *cell, order) not in faces]
+    entries = [(cylinder, faces, None, None)] * len(cells)
+    if not fetch:
+        return entries
+    nodes = [_cell_nodes(*cells[k][1:], n)[:2]
+             for k in fetch for n in (order, order + 5)]
     ends = np.cumsum([s.size for s, _ in nodes])[:-1]
     stacks = cylinder.eval_with_partials(
         *(np.concatenate(x) for x in zip(*nodes)))
     rows = list(zip(*(np.split(x, ends) for x in stacks)))
-    return [(cylinder, lo, hi) for lo, hi in zip(rows[::2], rows[1::2])]
+    for k, lo, hi in zip(fetch, rows[::2], rows[1::2]):
+        entries[k] = (cylinder, faces, lo, hi)
+    return entries
 
 
 def _adaptive_face(form, patch, s0, s1, t0, t1, order, tol, depth):
     """Face integral with error control: compare two Gauss orders and
     split the cell in four while they disagree.  patch is the cell's
-    (cylinder, lo, hi) entry from _rows; the four quadrants of a split
-    cell are evaluated in one call.
+    (cylinder, faces, lo, hi) entry from _rows; the four quadrants of a
+    split cell are fetched in one call.  The cell's (lo, hi) integrals
+    are read from the table faces, or computed from its rows and stored
+    there, keyed by (cylinder, form, s0, s1, t0, t1, order).
 
     Returns (integral, error): the error is the sum of |hi - lo| over
     the accepted cells, including any accepted at depth 0 above its
     tolerance."""
-    cylinder, lo_rows, hi_rows = patch
-    lo = integrate_2form(form, lambda s, t: lo_rows, (s0, s1), (t0, t1),
-                         order=order).entries
-    hi = integrate_2form(form, lambda s, t: hi_rows, (s0, s1), (t0, t1),
-                         order=order + 5).entries
+    cylinder, faces, lo_rows, hi_rows = patch
+    key = (cylinder, form, s0, s1, t0, t1, order)
+    if key not in faces:
+        faces[key] = (
+            integrate_2form(form, lambda s, t: lo_rows, (s0, s1), (t0, t1),
+                            order=order).entries,
+            integrate_2form(form, lambda s, t: hi_rows, (s0, s1), (t0, t1),
+                            order=order + 5).entries)
+    lo, hi = faces[key]
     gap = mat_norm(hi - lo)
     if depth == 0 or gap <= tol:
         return hi, gap
@@ -166,21 +184,23 @@ def _adaptive_face(form, patch, s0, s1, t0, t1, order, tol, depth):
              (sm, s1, t0, tm), (sm, s1, tm, t1))
     q = tol / 4.0
     total, err = 0.0, 0.0
-    for quad, sub in zip(quads, _rows(cylinder, quads, order)):
+    subs = _rows(cylinder, [(form, *quad) for quad in quads], order, faces)
+    for quad, sub in zip(quads, subs):
         val, e = _adaptive_face(form, sub, *quad, order, q, depth - 1)
         total, err = total + val, err + e
     return total, err
 
 
 def epsilon(bundle, cylinder, rect=None, order=8, edge_cells=4,
-            face_tol=2e-9, max_split=6) -> HolonomyResult:
+            face_tol=2e-9, max_split=6, faces=None) -> HolonomyResult:
     """The abelian surface factor over a grid.
 
     Continuous contributions are accumulated in L(H) and exponentiated
     once; when the kernel H is discrete the vertex cocycle values are
     multiplied exactly in the component group instead.  The error
     estimate is the sum of |hi - lo| over the accepted face cells; it
-    does not cover the edge quadrature.
+    does not cover the edge quadrature.  faces is the command's table
+    of face integrals (see _adaptive_face), a fresh one when None.
     """
     ext = bundle.extension
     if rect is None:
@@ -194,19 +214,19 @@ def epsilon(bundle, cylinder, rect=None, order=8, edge_cells=4,
     sb, tb = rect.s_breaks, rect.t_breaks
     ch = rect.charts
 
-    # faces, each row's cells evaluated at both orders in one call
+    # faces, a row's cells not in the table fetched at both orders at once
+    faces = {} if faces is None else faces
     face_err = 0.0
     for r in range(rows):
-        row = _rows(cylinder, [(sb[r], sb[r + 1], tb[c], tb[c + 1])
-                               for c in range(cols)], order)
-        for c, patch in enumerate(row):
-            a = ch[r][c]
-            val, err = _adaptive_face(
-                bundle.F[a], patch, sb[r], sb[r + 1],
-                tb[c], tb[c + 1], order, face_tol, max_split)
+        row = [(bundle.F[ch[r][c]], sb[r], sb[r + 1], tb[c], tb[c + 1])
+               for c in range(cols)]
+        for c, ((form, *cell), patch) in enumerate(
+                zip(row, _rows(cylinder, row, order, faces))):
+            val, err = _adaptive_face(form, patch, *cell, order, face_tol,
+                                      max_split)
             acc = acc - val
             face_err += err
-            cells.append((f"face[{r},{c}] chart {a}", -val))
+            cells.append((f"face[{r},{c}] chart {ch[r][c]}", -val))
 
     # interior edges: the horizontal ones (constant s, traversed in +t,
     # A_{north,south}) row by row, then the vertical ones (constant t,
@@ -277,17 +297,17 @@ def _subdivisions(bundle, cylinder, bot=None, top=None, rect=None):
 
 def holonomy_functor(bundle, cylinder, bottom_sub=None, top_sub=None,
                      rect=None, steps=256, order=8, edge_cells=4,
-                     face_tol=2e-9, max_split=6) -> HolonomyResult:
+                     face_tol=2e-9, max_split=6, faces=None) -> HolonomyResult:
     """H(c) = [H1(bottom), iota(epsilon(c)) . H1(top)] as a morphism of
     the categorical group, sharing the boundary subdivisions between the
     line holonomies and the grid.  The error estimate is epsilon's face
-    estimate."""
+    estimate; faces goes to epsilon."""
     bot, top, rect = _subdivisions(bundle, cylinder, bottom_sub, top_sub,
                                    rect)
     h1b = hol1(bundle, cylinder.bottom_loop(), bot, steps, with_error=False)
     h1t = hol1(bundle, cylinder.top_loop(), top, steps, with_error=False)
     eps = epsilon(bundle, cylinder, rect, order, edge_cells, face_tol,
-                  max_split)
+                  max_split, faces)
     target = bundle.extension.include_mat(eps.value.entries) \
         @ h1t.value.entries
     morphism = CatGroupMorphism(h1b.value,
@@ -329,13 +349,14 @@ def _starts_at_basepoint(bundle, cylinder):
 
 
 def kapustin_trace(bundle, cylinder, steps=256, order=8, edge_cells=4,
-                   face_tol=2e-9) -> complex:
+                   face_tol=2e-9, faces=None) -> complex:
     """tr(iota(epsilon(c)) . H1(top)) for a cylinder whose bottom
     boundary is the constant loop at the basepoint, with the functor's
-    quadrature settings."""
+    quadrature settings and face table."""
     if not _starts_at_basepoint(bundle, cylinder):
         raise PreconditionViolated(
             "Kapustin trace needs a constant start boundary")
     res = holonomy_functor(bundle, cylinder, steps=steps, order=order,
-                           edge_cells=edge_cells, face_tol=face_tol)
+                           edge_cells=edge_cells, face_tol=face_tol,
+                           faces=faces)
     return complex(np.trace(res.value.rep_target.entries))

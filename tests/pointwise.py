@@ -4,7 +4,7 @@ tangent at a time, as the package drew them before it drew in blocks."""
 import numpy as np
 
 from holotwist.bundle import SAMPLE_BUDGET
-from holotwist.errors import ChartMismatch
+from holotwist.errors import RegionUndersampled
 
 
 def random_point(model, rng):
@@ -33,8 +33,9 @@ def sample_region(cover, indices, rng, count):
             out.append(q)
             if len(out) == count:
                 return out
-    raise ChartMismatch(
-        f"could not sample region {tuple(indices)}: overlap too small?")
+    raise RegionUndersampled(f"could not sample region {tuple(indices)}: "
+                             f"{len(out)} of {count} points accepted in "
+                             f"{SAMPLE_BUDGET} draws")
 
 
 def tangents(model, rng, pts, count):

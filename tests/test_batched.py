@@ -474,6 +474,71 @@ def test_face_cells_are_fetched_per_row_and_per_split(label, monkeypatch):
         assert splits
 
 
+def _recording_face_calls(monkeypatch):
+    """integrate_2form, patched to record (form, s_range, t_range,
+    order) per call."""
+    calls = []
+
+    def recording(form, patch, s_range, t_range, order):
+        calls.append((form, *s_range, *t_range, order))
+        return integrate_2form(form, patch, s_range, t_range, order=order)
+
+    monkeypatch.setattr(H, "integrate_2form", recording)
+    return calls
+
+
+# refined-run integrate_2form calls with and without the coarse table
+# (the cheap full-sphere coarse run splits no cell, so its table holds
+# no cell of the refined grid)
+_REFINED_CALLS = {"monopole cap-sweep oracle": (528, 256),
+                  "sphere-pu2 cap-sweep": (560, 144),
+                  "torus-flat morph": (336, 16),
+                  "monopole full-sphere cheap": (1920, 1920),
+                  "monopole probe chain oracle": (56, 32)}
+
+
+@pytest.mark.parametrize("label", sorted(_FACE_CASES))
+def test_refined_run_integrates_only_cells_the_coarse_run_never_saw(
+        label, monkeypatch):
+    """epsilon on refine_rect(rect) with the coarse run's table of face
+    integrals gives the bytes of a run with a fresh table, and makes the
+    fresh run's integrate_2form calls less those the table holds, in the
+    same order."""
+    bundle, cyl, numerics = _FACE_CASES[label]()
+    rect = H._subdivisions(bundle, cyl)[2]
+    fine = G.refine_rect(rect)
+    faces = {}
+    H.epsilon(bundle, cyl, rect=rect, faces=faces, **numerics)
+    seen = set(faces)
+    calls = _recording_face_calls(monkeypatch)
+    fresh = H.epsilon(bundle, cyl, rect=fine, **numerics)
+    order = numerics.get("order", 8)
+    want = [c for c in calls if (cyl, *c[:5], order) not in seen]
+    fresh_calls = len(calls)
+    calls.clear()
+    shared = H.epsilon(bundle, cyl, rect=fine, faces=faces, **numerics)
+    assert calls == want
+    assert (fresh_calls, len(calls)) == _REFINED_CALLS[label]
+    assert shared.value.entries.tobytes() == fresh.value.entries.tobytes()
+    assert [(k, v.tobytes()) for k, v in shared.cells] \
+        == [(k, v.tobytes()) for k, v in fresh.cells]
+    assert shared.error_estimate == fresh.error_estimate
+
+
+def test_second_trace_run_integrates_no_face(monkeypatch):
+    """trace's second run, at twice the steps on the same grid, reads
+    every face integral from the first run's table."""
+    bundle, cyl = monopole_bundle(1), C.cap_sweep_cylinder(2.0)
+    quad = {"order": 4, "edge_cells": 1, "face_tol": 1e-4}
+    faces = {}
+    H.kapustin_trace(bundle, cyl, steps=32, faces=faces, **quad)
+    calls = _recording_face_calls(monkeypatch)
+    shared = H.kapustin_trace(bundle, cyl, steps=64, faces=faces, **quad)
+    assert calls == []
+    assert shared == H.kapustin_trace(bundle, cyl, steps=64, **quad)
+    assert calls
+
+
 def test_one_segment_call_per_edge_and_one_field_call_per_path():
     seg_calls, form_calls = [], []
     form = LocalForm(1, 1, _counting(

@@ -525,6 +525,25 @@ def test_sample_count_at_the_draw_budget_is_accepted(tmp_path, monkeypatch):
     assert seen == [SAMPLE_BUDGET]
 
 
+@pytest.mark.parametrize("command", ["validate", "gauge", "verify"])
+@pytest.mark.parametrize("bundle, count, region", [
+    ({"family": "torus-flat"}, 5000, "region (0, 1): 3476 of 5000"),
+    (MONOPOLE, 4000, "region (0, 1, 2): 995 of 1000"),
+])
+def test_sample_count_a_region_cannot_meet_is_a_config_error(
+        command, bundle, count, region, tmp_path, capsys):
+    """A sample count within the draw budget that a region's acceptance
+    rate cannot meet exits 2 at the key, with the region, the points it
+    accepted and the draws used."""
+    cfg = write_cfg(tmp_path, {"bundle": bundle,
+                               "numerics": {"sample_count": count}})
+    assert main([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert f"{region} points accepted in {SAMPLE_BUDGET} draws" in err
+    assert "(at numerics.sample_count)" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", ["reconstruct", "roundtrip"])
 def test_rebuild_that_checks_nothing_exits_two_before_any_oracle_call(
         command, tmp_path, capsys, monkeypatch):

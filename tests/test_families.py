@@ -9,6 +9,7 @@ from holotwist.bundle import validate
 from holotwist.errors import ConfigError
 from holotwist.families import (
     FAMILY_NAMES,
+    _cross,
     make_bundle,
     monopole_bundle,
     pu2_bundle,
@@ -35,6 +36,19 @@ def test_rotor_rotates_p_to_x():
         rp = qmul(qmul(q, (0.0, *p)), qconj(q))
         assert abs(rp[0]) < 1e-12
         assert np.allclose(rp[1:], x, atol=1e-12)
+
+
+def test_cross_matches_numpy_bit_for_bit():
+    """_cross gives np.cross's bytes, and so does the contraction the
+    area form takes of it, on stacks and on broadcast shapes."""
+    rng = np.random.default_rng(0)
+    for shape_a, shape_b in [((3,), (3,)), ((13, 13, 3), (13, 13, 3)),
+                             ((4, 1, 3), (1, 6, 3)), ((169, 3), (3,))]:
+        for _ in range(50):
+            a, b = rng.normal(size=shape_a), rng.normal(size=shape_b)
+            assert _cross(a, b).tobytes() == np.cross(a, b).tobytes()
+            assert np.einsum("...i,...i->...", a, _cross(a, b)).tobytes() \
+                == np.einsum("...i,...i->...", a, np.cross(a, b)).tobytes()
 
 
 def test_section_transition_stabilizes_k():
