@@ -344,11 +344,14 @@ def _cmd_verify(cfg, num, bundle):
     kind = bundle.cover.model.kind
     cyl = _cylinder(cfg, bundle) if "cylinder" in cfg.data \
         else catalog.make_cylinder(kind, *_VERIFY_CYLINDER[kind])
+    # both validations first: they find the config errors
+    validation = _validation(bundle, num).max_residual
     gauged = gauge_transform(bundle, random_gauge(bundle, seed=num["seed"]))
+    gauge_validation = _validation(gauged, num).max_residual
     _, drift = _functor_with_invariance(bundle, cyl, num)
-    return {"validation": _validation(bundle, num).max_residual,
+    return {"validation": validation,
             "functor_invariance": drift,
-            "gauge_validation": _validation(gauged, num).max_residual,
+            "gauge_validation": gauge_validation,
             }, {}, num["tol"]
 
 

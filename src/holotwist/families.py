@@ -90,9 +90,12 @@ def stabilizer_phase(q):
 
 def _cross(a, b):
     """np.cross of two (..., 3) stacks, without its axis handling."""
-    return np.stack((a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1],
-                     a[..., 2] * b[..., 0] - a[..., 0] * b[..., 2],
-                     a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]), axis=-1)
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape),
+                   dtype=np.result_type(a, b))
+    out[..., 0] = a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1]
+    out[..., 1] = a[..., 2] * b[..., 0] - a[..., 0] * b[..., 2]
+    out[..., 2] = a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
+    return out
 
 
 def _linear_tau(pi, pj, kappa, mu):
@@ -154,12 +157,16 @@ def _const_2form(scale_matrix, component, dim):
     return LocalForm(2, dim, evalfn, "h")
 
 
+_EYE1 = np.eye(1, dtype=complex)
+_EYE1.setflags(write=False)
+
+
 def sphere_area_form(scale) -> LocalForm:
     """scale times the round area form x . (v x w) on the unit sphere,
     as a 1x1 kernel-valued 2-form."""
     def evalfn(p, v, w):
         tr = np.einsum("...i,...i->...", p, _cross(v, w))
-        return scale * tr[..., None, None] * np.eye(1, dtype=complex)
+        return scale * tr[..., None, None] * _EYE1
 
     return LocalForm(2, 1, evalfn, "h")
 

@@ -204,30 +204,52 @@ def _gauss_nodes(a, b, order):
     return mid + half * x, half * w
 
 
+@functools.lru_cache(maxsize=None)
+def _unit_cell(order):
+    """The tensor-product Gauss rule of [-1, 1]^2 at order, read-only:
+    node columns repeat(x), tile(x) and weight columns repeat(w),
+    tile(w), each of order^2 entries."""
+    x, w = _leggauss(order)
+    table = (np.repeat(x, order), np.tile(x, order),
+             np.repeat(w, order), np.tile(w, order))
+    for col in table:
+        col.setflags(write=False)
+    return table
+
+
 def _cell_nodes(s0, s1, t0, t1, order):
     """The tensor-product Gauss nodes of the cell [s0, s1] x [t0, t1]:
-    node arrays S, T of order^2 entries and their weights."""
-    ss, sw = _gauss_nodes(s0, s1, order)
-    ts, tw = _gauss_nodes(t0, t1, order)
-    return np.repeat(ss, order), np.tile(ts, order), np.outer(sw, tw).ravel()
+    node arrays S, T of order^2 entries and their weights, scaled from
+    the unit table (the floats of repeat, tile and outer of the
+    one-dimensional rules)."""
+    xs, xt, ws, wt = _unit_cell(order)
+    sm, sh = 0.5 * (s0 + s1), 0.5 * (s1 - s0)
+    tm, th = 0.5 * (t0 + t1), 0.5 * (t1 - t0)
+    return sm + sh * xs, tm + th * xt, (sh * ws) * (th * wt)
+
+
+def _line_nodes(a, b, order, cells):
+    """The Gauss nodes of [a, b] cut into cells equal cells, and their
+    weights."""
+    edges = np.linspace(a, b, cells + 1)
+    nodes = [_gauss_nodes(edges[k], edges[k + 1], order)
+             for k in range(cells)]
+    return (np.concatenate([t for t, _ in nodes]),
+            np.concatenate([w for _, w in nodes]))
 
 
 def integrate_1form(form: LocalForm, segment, a=0.0, b=1.0, order=8,
                     cells=1) -> AlgebraElement:
     """Gauss-Legendre integral of the pullback of a 1-form.
 
-    segment(ts) takes the array of all Gauss nodes of [a, b] and returns
-    (points, tangents), each of shape (N, n), with the tangents the
-    curve velocity in ambient coordinates; the form is evaluated once on
-    those stacks.
+    segment(ts) takes the array of all Gauss nodes of [a, b]
+    (_line_nodes) and returns (points, tangents), each of shape (N, n),
+    with the tangents the curve velocity in ambient coordinates; the
+    form is evaluated once on those stacks.
     """
     if form.degree != 1:
         raise DegreeUnsupported("integrate_1form needs a degree-1 form")
-    edges = np.linspace(a, b, cells + 1)
-    nodes = [_gauss_nodes(edges[k], edges[k + 1], order)
-             for k in range(cells)]
-    ts = np.concatenate([t for t, _ in nodes])
-    ws = np.concatenate([w for _, w in nodes])
+    ts, ws = _line_nodes(a, b, order, cells)
     points, tangents = segment(ts)
     vals = form(points, np.asarray(tangents, dtype=float))
     return AlgebraElement(np.einsum("n,nij->ij", ws, vals), form.value_tag)
@@ -245,8 +267,11 @@ def integrate_2form(form: LocalForm, patch, s_range=(0.0, 1.0),
     if form.degree != 2:
         raise DegreeUnsupported("integrate_2form needs a degree-2 form")
     total = np.zeros((form.dim, form.dim), dtype=complex)
-    s_edges = np.linspace(s_range[0], s_range[1], cells[0] + 1)
-    t_edges = np.linspace(t_range[0], t_range[1], cells[1] + 1)
+    # one cell: linspace would return exactly the two ends
+    s_edges = s_range if cells[0] == 1 else \
+        np.linspace(s_range[0], s_range[1], cells[0] + 1)
+    t_edges = t_range if cells[1] == 1 else \
+        np.linspace(t_range[0], t_range[1], cells[1] + 1)
     for i in range(cells[0]):
         for j in range(cells[1]):
             s, t, w = _cell_nodes(s_edges[i], s_edges[i + 1], t_edges[j],

@@ -13,8 +13,11 @@ the tests only.
 Face quadrature compares two Gauss orders per cell and splits the cell
 while they disagree.  The cylinder is evaluated once per grid row (every
 cell of the row at both orders) and once per split cell (its four
-quadrants at both orders); each cell's rows are handed down to it, and
-integrate_2form, called once per (cell, order), takes them as its patch.
+quadrants at both orders); each cell's rows are sliced from the batch by
+offset and handed down to it, and integrate_2form, called once per
+(cell, order), takes them as its patch.  The interior edges take one
+cylinder call in all, on the Gauss nodes of every edge; integrate_1form,
+called once per edge, takes that edge's slice as its segment.
 Each cell's (lo, hi) integrals go into a table that one command shares
 across its runs, keyed by cylinder, form, exact bounds and order: a grid
 refined by halving (refine_rect) repeats the coarse run's split quadrants
@@ -41,7 +44,8 @@ import numpy as np
 
 from .catgroup import TOL_MORPHISM, CatGroupMorphism
 from .errors import NonFinite, NotSameFiber, PreconditionViolated
-from .formsexpr.forms import _cell_nodes, integrate_1form, integrate_2form
+from .formsexpr.forms import (_cell_nodes, _line_nodes, integrate_1form,
+                              integrate_2form)
 from .geometry import assign_charts_interval, assign_charts_rect
 from .liecore import (GroupElement, _exp_stack, log_principal, mat_norm,
                       path_ordered_exp)
@@ -147,12 +151,15 @@ def _rows(cylinder, cells, order, faces):
         return entries
     nodes = [_cell_nodes(*cells[k][1:], n)[:2]
              for k in fetch for n in (order, order + 5)]
-    ends = np.cumsum([s.size for s, _ in nodes])[:-1]
     stacks = cylinder.eval_with_partials(
         *(np.concatenate(x) for x in zip(*nodes)))
-    rows = list(zip(*(np.split(x, ends) for x in stacks)))
-    for k, lo, hi in zip(fetch, rows[::2], rows[1::2]):
-        entries[k] = (cylinder, faces, lo, hi)
+    # each fetched cell holds order^2 rows, then (order + 5)^2
+    n_lo, n_hi = order ** 2, (order + 5) ** 2
+    for m, k in enumerate(fetch):
+        start = m * (n_lo + n_hi)
+        mid = start + n_lo
+        entries[k] = (cylinder, faces, tuple(x[start:mid] for x in stacks),
+                      tuple(x[mid:mid + n_hi] for x in stacks))
     return entries
 
 
@@ -228,21 +235,32 @@ def epsilon(bundle, cylinder, rect=None, order=8, edge_cells=4,
             face_err += err
             cells.append((f"face[{r},{c}] chart {ch[r][c]}", -val))
 
-    # interior edges: the horizontal ones (constant s, traversed in +t,
-    # A_{north,south}) row by row, then the vertical ones (constant t,
-    # traversed in +s, A_{west,east}) column by column
+    # interior edges with different charts on their two sides: the
+    # horizontal ones (constant s, traversed in +t, A_{north,south}) row
+    # by row, then the vertical ones (constant t, traversed in +s,
+    # A_{west,east}) column by column.  The cylinder is evaluated once on
+    # the Gauss nodes of all of them; each edge's segment answers
+    # integrate_1form with its slice.
     edges = [(f"hedge[{r},{c}]", ch[r][c], ch[r - 1][c], 1, sb[r],
               tb[c], tb[c + 1]) for r in range(1, rows) for c in range(cols)]
     edges += [(f"vedge[{r},{c}]", ch[r][c - 1], ch[r][c], 0, tb[c],
                sb[r], sb[r + 1]) for c in range(1, cols) for r in range(rows)]
-    for label, i, j, axis, fixed, u0, u1 in edges:
-        if i == j:
-            continue
+    edges = [edge for edge in edges if edge[1] != edge[2]]
+    s_nodes, t_nodes = [], []
+    for *_, axis, fixed, u0, u1 in edges:
+        us = _line_nodes(u0, u1, order, edge_cells)[0]
+        line = np.full(us.size, fixed)
+        s_nodes.append(line if axis else us)
+        t_nodes.append(us if axis else line)
+    if edges:
+        point, *partials = cylinder.eval_with_partials(
+            np.concatenate(s_nodes), np.concatenate(t_nodes))
+    size = order * edge_cells
+    for k, (label, i, j, axis, _, u0, u1) in enumerate(edges):
+        rows_k = slice(k * size, (k + 1) * size)
 
-        def seg(us, axis=axis, fixed=fixed):
-            p, *partials = cylinder.eval_with_partials(
-                *((fixed, us) if axis else (us, fixed)))
-            return p, partials[axis]
+        def seg(us, rows_k=rows_k, tangent=partials[axis]):
+            return point[rows_k], tangent[rows_k]
 
         val = integrate_1form(bundle.Aij[(i, j)], seg, u0, u1,
                               order=order, cells=edge_cells).entries

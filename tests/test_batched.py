@@ -368,6 +368,39 @@ _BATCH_CELLS = ((0.0, 0.1, 0.95, 1.0), (0.3, 0.4, 0.45, 0.55),
                 (0.9, 1.0, 0.0, 0.05), (0.25, 0.75, 0.0, 1.0))
 
 
+def _reference_cell_nodes(s0, s1, t0, t1, order):
+    """The cell nodes from the one-dimensional rules by repeat, tile and
+    outer, as the package built them before its per-order tables."""
+    x, w = np.polynomial.legendre.leggauss(order)
+
+    def gauss(a, b):
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        return mid + half * x, half * w
+
+    ss, sw = gauss(s0, s1)
+    ts, tw = gauss(t0, t1)
+    return np.repeat(ss, order), np.tile(ts, order), np.outer(sw, tw).ravel()
+
+
+@pytest.mark.parametrize("cell", [
+    (0.0, 1.0, 0.0, 1.0), (0.25, 0.3125, 0.7, 0.71), (1.0, 0.0, 0.6, 0.2),
+    (0.3, 0.3 + 1e-12, 0.5 - 3e-15, 0.5), (-4e6, 7e6, 123.25, -9e5),
+    *_BATCH_CELLS])
+def test_cell_nodes_from_the_unit_table_match_repeat_tile_outer(cell):
+    """_cell_nodes gives the bytes of the repeat/tile/outer formula at
+    every order from 1 to 20, on reversed, tiny and large cells; and
+    linspace of one cell is exactly its two ends, which integrate_2form
+    uses without calling it."""
+    for order in range(1, 21):
+        got = _cell_nodes(*cell, order)
+        want = _reference_cell_nodes(*cell, order)
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes(), (order, cell)
+    s0, s1, t0, t1 = cell
+    assert tuple(np.linspace(s0, s1, 2)) == (s0, s1)
+    assert tuple(np.linspace(t0, t1, 2)) == (t0, t1)
+
+
 @pytest.mark.parametrize("label", [label for label, _ in CYLINDERS])
 def test_batched_cells_match_separate_calls(label):
     """The patch on the Gauss nodes of several cells at two orders,
@@ -433,8 +466,9 @@ _FACE_CASES = {
 def test_face_cells_are_fetched_per_row_and_per_split(label, monkeypatch):
     """epsilon makes the integrate_2form calls of the recursion with one
     patch call per (cell, order), with the same values, bit for bit; its
-    cylinder calls are one per grid row, one per split cell and one per
-    edge, none larger than a row or a split at both orders."""
+    cylinder calls are one per grid row, one per split cell and one for
+    all edges, none larger than a row or a split at both orders or the
+    Gauss nodes of every edge."""
     bundle, cyl, numerics = _FACE_CASES[label]()
     order = numerics.get("order", 8)
     rect = H._subdivisions(bundle, cyl)[2]
@@ -468,8 +502,9 @@ def test_face_cells_are_fetched_per_row_and_per_split(label, monkeypatch):
                             numerics.get("max_split", 6), splits)
     assert got == calls
     edges = sum("edge" in label for label, _ in res.cells)
-    assert len(sizes) == rows + len(splits) + edges
-    assert max(sizes) <= max(cols, 4) * (order ** 2 + (order + 5) ** 2)
+    assert len(sizes) == rows + len(splits) + (edges > 0)
+    assert max(sizes) <= max(max(cols, 4) * (order ** 2 + (order + 5) ** 2),
+                             edges * order * numerics.get("edge_cells", 4))
     if label == "monopole cap-sweep oracle":
         assert splits
 
@@ -686,6 +721,49 @@ def test_edge_terms_match_per_point_gauss_integrals():
         assert np.allclose(edges[label], value, rtol=1e-13, atol=1e-14), \
             label
     assert all(np.abs(v).max() > 1e-3 for v in edges.values())
+
+
+def _per_edge_terms(bundle, cyl, rect, order, edge_cells):
+    """The edge terms of epsilon with one cylinder call per edge, the
+    fixed parameter passed as a scalar, keyed by their cell labels."""
+    ch, sb, tb = rect.charts, rect.s_breaks, rect.t_breaks
+    rows, cols = rect.shape
+    edges = [(f"hedge[{r},{c}]", ch[r][c], ch[r - 1][c], 1, sb[r],
+              tb[c], tb[c + 1]) for r in range(1, rows) for c in range(cols)]
+    edges += [(f"vedge[{r},{c}]", ch[r][c - 1], ch[r][c], 0, tb[c],
+               sb[r], sb[r + 1]) for c in range(1, cols) for r in range(rows)]
+    out = {}
+    for label, i, j, axis, fixed, u0, u1 in edges:
+        if i == j:
+            continue
+
+        def seg(us, axis=axis, fixed=fixed):
+            p, *partials = cyl.eval_with_partials(
+                *((fixed, us) if axis else (us, fixed)))
+            return p, partials[axis]
+
+        out[f"{label} {i},{j}"] = integrate_1form(
+            bundle.Aij[(i, j)], seg, u0, u1, order=order,
+            cells=edge_cells).entries
+    return out
+
+
+@pytest.mark.parametrize("label", sorted(_FACE_CASES))
+@pytest.mark.parametrize("edge_cells", [1, 3])
+def test_batched_edge_terms_match_per_edge_calls_bit_for_bit(label,
+                                                             edge_cells):
+    """Every edge term of epsilon, whose cylinder call covers all edges,
+    has the bytes of the term from a cylinder call of its own edge."""
+    bundle, cyl, numerics = _FACE_CASES[label]()
+    numerics = {**numerics, "edge_cells": edge_cells}
+    rect = H._subdivisions(bundle, cyl)[2]
+    res = H.epsilon(bundle, cyl, rect=rect, **numerics)
+    got = {k: v.tobytes() for k, v in res.cells if "edge" in k}
+    want = _per_edge_terms(bundle, cyl, rect, numerics.get("order", 8),
+                           edge_cells)
+    assert got == {k: v.tobytes() for k, v in want.items()}
+    # the probe chain's grid is one cell
+    assert bool(got) == (label != "monopole probe chain oracle")
 
 
 def test_one_evaluation_per_chart_assignment_level():

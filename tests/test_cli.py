@@ -557,3 +557,22 @@ def test_rebuild_that_checks_nothing_exits_two_before_any_oracle_call(
     err = capsys.readouterr().err
     assert "(at bundle)" in err
     assert "no overlaps" in err and "no battery loops" in err
+
+
+def test_verify_finds_a_sample_count_error_before_any_functor_call(
+        tmp_path, capsys, monkeypatch):
+    """verify runs both validations before its gauge and functor, so a
+    sample count a region cannot meet exits 2 with no functor run."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return holonomy_functor(*args, **kwargs)
+
+    holonomy_functor = cli.holonomy_functor
+    monkeypatch.setattr(cli, "holonomy_functor", counting)
+    cfg = write_cfg(tmp_path, {"bundle": MONOPOLE,
+                               "numerics": {"sample_count": 4000}})
+    assert main(["verify", "--config", cfg]) == 2
+    assert "(at numerics.sample_count)" in capsys.readouterr().err
+    assert calls == []

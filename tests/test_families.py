@@ -40,12 +40,17 @@ def test_rotor_rotates_p_to_x():
 
 def test_cross_matches_numpy_bit_for_bit():
     """_cross gives np.cross's bytes, and so does the contraction the
-    area form takes of it, on stacks and on broadcast shapes."""
+    area form takes of it, on stacks and on broadcast shapes, at unit,
+    tiny and large magnitudes."""
     rng = np.random.default_rng(0)
     for shape_a, shape_b in [((3,), (3,)), ((13, 13, 3), (13, 13, 3)),
-                             ((4, 1, 3), (1, 6, 3)), ((169, 3), (3,))]:
-        for _ in range(50):
-            a, b = rng.normal(size=shape_a), rng.normal(size=shape_b)
+                             ((4, 1, 3), (1, 6, 3)), ((169, 3), (3,)),
+                             ((3,), (169, 3))]:
+        for k in range(60):
+            scale = (1.0, 1e-160, 1e150)[k % 3]
+            a = scale * rng.normal(size=shape_a)
+            b = rng.normal(size=shape_b)
+            assert _cross(a, b).shape == np.cross(a, b).shape
             assert _cross(a, b).tobytes() == np.cross(a, b).tobytes()
             assert np.einsum("...i,...i->...", a, _cross(a, b)).tobytes() \
                 == np.einsum("...i,...i->...", a, np.cross(a, b)).tobytes()
