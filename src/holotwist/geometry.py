@@ -166,14 +166,6 @@ class ManifoldModel:
             return q
         return q / np.sqrt(np.vecdot(q, q))[..., None]
 
-    def project_components(self, comps):
-        """project for a point given as its components (node arrays or
-        Duals over the nodes)."""
-        if self.kind != "sphere":
-            return comps
-        inv = 1.0 / dm.sqrt(sum(c * c for c in comps))
-        return [c * inv for c in comps]
-
     def tangent(self, point, v):
         """The ambient vector v at a point, or a stack of them at a stack
         of points, projected onto the sphere's tangent plane there."""
@@ -477,6 +469,13 @@ class Cylinder:
             d[..., k] = np.real(dm.derivative(c))
         return p, d[0], d[1]
 
+    @_on_nodes
+    def eval_with_t_partial(self, s, t):
+        """Points and t-partials in one call of fn, t seeded alone: at
+        s = 0 (1) the bits of bottom_loop (top_loop) eval_with_deriv."""
+        out = self.fn(s, _seed(t))
+        return _components(out, s.shape), _dots(out, s.shape)
+
     def bottom_loop(self) -> Loop:
         return Loop(self.model, lambda t: self.fn(_like(0.0, t), t),
                     self.collar_width, check=False)
@@ -658,30 +657,61 @@ def _fits(cover, pts, cells):
                      for chart in cover.charts])
 
 
+def _bisect_charts(evaluate, cover, slices, max_depth=14,
+                   samples_per_cell=17):
+    """Chart assignment by bisection, one call evaluate(s, ts) per level
+    for every loop s of slices in lockstep (s[i] names the loop of node
+    ts[i]): a cell takes the lowest chart that holds its samples with
+    margin; a cell that fits none is split in two for the next level.
+    Returns one IntervalSubdivision per loop; at max_depth the first
+    loop with a cell left raises MaxDepthExceeded, as alone it would."""
+    n = samples_per_cell
+    cells = np.array([[0.0, 1.0, s] for s in slices])      # (a, b, s)
+    done = []
+    for depth in range(max_depth + 1):
+        ts = _cell_rows(cells[:, 0], cells[:, 1], n)
+        fits = _fits(cover, evaluate(np.repeat(cells[:, 2], n), ts.ravel()),
+                     len(cells))
+        ok = fits.any(axis=0)
+        done += zip(cells[ok, 2].tolist(), cells[ok, 0].tolist(),
+                    fits[:, ok].argmax(axis=0).tolist())
+        cells = cells[~ok]
+        if not len(cells):
+            subs = []
+            for s in slices:
+                a, charts = zip(*sorted(d[1:] for d in done if d[0] == s))
+                subs.append(IntervalSubdivision(a + (1.0,), charts, n))
+            return subs
+        if depth == max_depth:
+            # the cell a depth-first search, right half first, meets first
+            s = next(s for s in slices if (cells[:, 2] == s).any())
+            a, b = cells[cells[:, 2] == s][-1, :2].tolist()
+            raise MaxDepthExceeded(
+                f"interval [{a},{b}] fits no chart at depth {depth}")
+        mid = 0.5 * (cells[:, 0] + cells[:, 1])
+        cells = np.stack([cells[:, 0], mid, cells[:, 2], mid, cells[:, 1],
+                          cells[:, 2]], axis=-1).reshape(-1, 3)
+
+
 def assign_charts_interval(loop: Loop, cover: Cover, max_depth=14,
                            samples_per_cell=17) -> IntervalSubdivision:
     """Bisection, one loop call per level: a cell takes the lowest chart
     that holds its samples with margin; a cell that fits none is split
     in two for the next level."""
-    done = []
-    cells = np.array([[0.0, 1.0]])
-    for depth in range(max_depth + 1):
-        ts = _cell_rows(cells[:, 0], cells[:, 1], samples_per_cell)
-        fits = _fits(cover, loop.eval(ts.ravel()), len(cells))
-        ok = fits.any(axis=0)
-        done += zip(cells[ok, 0].tolist(), fits[:, ok].argmax(axis=0).tolist())
-        cells = cells[~ok]
-        if not len(cells):
-            a, charts = zip(*sorted(done))
-            return IntervalSubdivision(a + (1.0,), charts, samples_per_cell)
-        if depth == max_depth:
-            # the cell a depth-first search, right half first, meets first
-            a, b = cells[-1].tolist()
-            raise MaxDepthExceeded(
-                f"interval [{a},{b}] fits no chart at depth {depth}")
-        mid = 0.5 * (cells[:, 0] + cells[:, 1])
-        cells = np.stack([cells[:, 0], mid, mid, cells[:, 1]],
-                         axis=-1).reshape(-1, 2)
+    return _bisect_charts(lambda s, ts: loop.eval(ts), cover, [0.0],
+                          max_depth, samples_per_cell)[0]
+
+
+def _assign_charts_boundaries(cylinder: Cylinder, cover: Cover, bottom=None,
+                              top=None):
+    """The bottom and top subdivisions of a cylinder, each assigned
+    unless given: both boundary loops bisected in lockstep, one cylinder
+    call at s = 0 and s = 1 per level, with the subdivisions and the
+    errors of assign_charts_interval on bottom_loop(), then top_loop()."""
+    ends = [s for s, sub in ((0.0, bottom), (1.0, top)) if sub is None]
+    subs = dict(zip(ends, _bisect_charts(cylinder.eval, cover, ends))) \
+        if ends else {}
+    return subs.get(0.0, bottom), subs.get(1.0, top)
 
 
 def certify_interval(loop: Loop, cover: Cover, sub: IntervalSubdivision):

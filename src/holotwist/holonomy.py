@@ -3,12 +3,17 @@
 hol0/hol1 compute ordered products of path-ordered exponentials and
 transition values over an interval subdivision, in one cell walk
 (_line_product) that the rebuild from holonomy (reconstruct) also runs,
-on its own fields and transitions.  epsilon computes the abelian
-surface factor from the curving, the overlap 1-forms and the fiber
-2-cocycle over a grid; the holonomy functor assembles both into a
-morphism of the categorical group.  Charts are assigned from samples
-(geometry.assign_charts_*); the denser certify_* re-checks are run by
-the tests only.
+on its own fields and transitions.  The walk's nodes (every cell's
+path_ordered_exp nodes, then the cell ends) are planned first and the
+loop's jets fetched in one call per line holonomy, both step counts of
+the step-halving check included; the functor's bottom and top
+holonomies share one cylinder call at s = 0 and s = 1.  epsilon
+computes the abelian surface factor from the curving, the overlap
+1-forms and the fiber 2-cocycle over a grid; the holonomy functor
+assembles both into a morphism of the categorical group.  Charts are
+assigned from samples (geometry.assign_charts_*; the functor bisects
+both boundary loops in lockstep, one cylinder call per level); the
+denser certify_* re-checks are run by the tests only.
 
 Face quadrature compares two Gauss orders per cell and splits the cell
 while they disagree.  The cylinder is evaluated once per grid row (every
@@ -46,9 +51,10 @@ from .catgroup import TOL_MORPHISM, CatGroupMorphism
 from .errors import NonFinite, NotSameFiber, PreconditionViolated
 from .formsexpr.forms import (_cell_nodes, _line_nodes, integrate_1form,
                               integrate_2form)
-from .geometry import assign_charts_interval, assign_charts_rect
-from .liecore import (GroupElement, _exp_stack, log_principal, mat_norm,
-                      path_ordered_exp)
+from .geometry import (_assign_charts_boundaries, assign_charts_interval,
+                       assign_charts_rect)
+from .liecore import (GroupElement, _exp_stack, _log_stack, _magnus_nodes,
+                      mat_norm, path_ordered_exp)
 
 @dataclass
 class HolonomyResult:
@@ -77,20 +83,35 @@ def _h_values(bundle, triples, points):
 # Line holonomy
 # --------------------------------------------------------------------------
 
-def _line_product(loop, sub, fields, transition, dim, cell_steps, tag):
+def _walk_nodes(sub, cell_steps):
+    """The nodes of _line_product's walk over sub: each cell's
+    path_ordered_exp nodes on cell_steps(length) steps, in cell order,
+    then the breakpoints past 0."""
+    return np.concatenate(
+        [_magnus_nodes(a, b, cell_steps(b - a))[1] for a, b in sub.cells]
+        + [sub.breakpoints[1:]])
+
+
+def _line_product(sub, points, vels, fields, transition, dim, cell_steps,
+                  tag):
     """The ordered product along a chart-assigned subdivision: in each
     cell the path-ordered exponential of its chart's field,
     fields[chart](points, velocities), on cell_steps(length) steps; at
     each cell end the factor transition(chart, next chart, point), the
-    unit where the chart does not change.  Returns (total, cells)."""
+    unit where the chart does not change.  points and vels are the
+    loop's jets at _walk_nodes(sub, cell_steps); each cell's field reads
+    its slice.  Returns (total, cells)."""
     total = eye = np.eye(dim, dtype=complex)
     cells = []
     charts = sub.charts
-    ends = loop.eval(np.array(sub.breakpoints[1:]))
+    ends = points[-len(charts):]
+    start = 0
     for k, ((a, b), chart) in enumerate(zip(sub.cells, charts)):
-        field = fields[chart]
-        u = path_ordered_exp(lambda ts: field(*loop.eval_with_deriv(ts)),
-                             a, b, steps=cell_steps(b - a), tag=tag).entries
+        field, steps = fields[chart], cell_steps(b - a)
+        rows = slice(start, start + 2 * steps)
+        start = rows.stop
+        u = path_ordered_exp(lambda ts: field(points[rows], vels[rows]),
+                             a, b, steps=steps, tag=tag).entries
         total = total @ u
         cells.append((f"cell[{k}] chart {chart}", u))
         nxt = charts[(k + 1) % len(charts)]
@@ -104,21 +125,48 @@ def _line_product(loop, sub, fields, transition, dim, cell_steps, tag):
     return total, cells
 
 
+def _line_products(jets, walks, fields, transition, dim, tag):
+    """(total, cells) of _line_product for each walk (s, sub, cell_steps)
+    of walks, with the jets at the nodes of every walk from one call
+    jets(s, ts): s holds each node's walk's s, which a cylinder's
+    eval_with_t_partial reads as the slice and a loop's jets ignore."""
+    ts = [_walk_nodes(sub, steps) for _, sub, steps in walks]
+    slices = np.repeat([w[0] for w in walks], [x.size for x in ts])
+    points, vels = jets(slices, np.concatenate(ts))
+    out, start = [], 0
+    for (_, sub, steps), x in zip(walks, ts):
+        rows = slice(start, start + x.size)
+        start = rows.stop
+        out.append(_line_product(sub, points[rows], vels[rows], fields,
+                                 transition, dim, steps, tag))
+    return out
+
+
+def _cell_steps(steps):
+    """The line holonomy's step rule: max(4, round(steps * length))."""
+    return lambda length: max(4, int(round(steps * length)))
+
+
+def _layer(bundle, tag):
+    """(fields, transition, dim) of layer "G" (D and g) or "E" (A and
+    e) of a bundle, as _line_product takes them."""
+    forms, trans = (bundle.D, bundle.g) if tag == "G" else (bundle.A, bundle.e)
+    return (forms, lambda a, b, p: trans[(a, b)].value(p).entries,
+            bundle.extension.families[tag].dim)
+
+
 def _line_holonomy(bundle, loop, tag, subdivision, steps, with_error):
     """Holonomy of one layer: tag "G" transports with D and g, tag "E"
-    with A and e, max(4, round(steps * length)) steps per cell."""
+    with A and e, max(4, round(steps * length)) steps per cell.  The
+    step-halving check walks the same loop call's jets."""
     sub = subdivision or assign_charts_interval(loop, bundle.cover)
-    forms, trans = (bundle.D, bundle.g) if tag == "G" else (bundle.A, bundle.e)
-    dim = bundle.extension.families[tag].dim
-
-    def product(n):
-        return _line_product(
-            loop, sub, forms, lambda a, b, p: trans[(a, b)].value(p).entries,
-            dim, lambda length: max(4, int(round(n * length))), tag.lower())
-
-    total, cells = product(steps)
-    err = mat_norm(total - product(max(8, steps // 2))[0]) \
-        if with_error else 0.0
+    counts = (steps, max(8, steps // 2)) if with_error else (steps,)
+    products = _line_products(
+        lambda s, ts: loop.eval_with_deriv(ts),
+        [(0.0, sub, _cell_steps(n)) for n in counts], *_layer(bundle, tag),
+        tag.lower())
+    total, cells = products[0]
+    err = mat_norm(total - products[1][0]) if with_error else 0.0
     return HolonomyResult(GroupElement(total, tag), sub, cells, err)
 
 
@@ -282,13 +330,15 @@ def epsilon(bundle, cylinder, rect=None, order=8, edge_cells=4,
                    for r, c in verts] \
             + [(ch[r - 1][c - 1], ch[r][c - 1], ch[r][c]) for r, c in verts]
         hs = _h_values(bundle, triples, np.concatenate([points, points]))
-        for (r, c), first, second in zip(verts, hs, hs[len(verts):]):
-            if discrete:
+        if discrete:
+            for (r, c), first, second in zip(verts, hs, hs[len(verts):]):
                 step = first @ np.linalg.inv(second)
                 vert_prod = vert_prod @ step
                 cells.append((f"vertex[{r},{c}]", step))
-            else:
-                val = log_principal(first) - log_principal(second)
+        else:
+            logs = _log_stack(hs)
+            terms = logs[:len(verts)] - logs[len(verts):]
+            for (r, c), val in zip(verts, terms):
                 acc = acc + val
                 cells.append((f"vertex[{r},{c}]", val))
 
@@ -306,8 +356,7 @@ def _subdivisions(bundle, cylinder, bot=None, top=None, rect=None):
     """The bottom and top subdivisions and the grid of a cylinder, each
     assigned unless given; the grid shares the boundary subdivisions."""
     cover = bundle.cover
-    bot = bot or assign_charts_interval(cylinder.bottom_loop(), cover)
-    top = top or assign_charts_interval(cylinder.top_loop(), cover)
+    bot, top = _assign_charts_boundaries(cylinder, cover, bot, top)
     if rect is None:
         rect = assign_charts_rect(cylinder, cover, bottom=bot, top=top)
     return bot, top, rect
@@ -318,22 +367,23 @@ def holonomy_functor(bundle, cylinder, bottom_sub=None, top_sub=None,
                      face_tol=2e-9, max_split=6, faces=None) -> HolonomyResult:
     """H(c) = [H1(bottom), iota(epsilon(c)) . H1(top)] as a morphism of
     the categorical group, sharing the boundary subdivisions between the
-    line holonomies and the grid.  The error estimate is epsilon's face
-    estimate; faces goes to epsilon."""
+    line holonomies and the grid; both line holonomies walk the jets of
+    one cylinder call at s = 0 and s = 1.  The error estimate is
+    epsilon's face estimate; faces goes to epsilon."""
     bot, top, rect = _subdivisions(bundle, cylinder, bottom_sub, top_sub,
                                    rect)
-    h1b = hol1(bundle, cylinder.bottom_loop(), bot, steps, with_error=False)
-    h1t = hol1(bundle, cylinder.top_loop(), top, steps, with_error=False)
+    rule = _cell_steps(steps)
+    (h1b, _), (h1t, _) = _line_products(
+        cylinder.eval_with_t_partial, [(0.0, bot, rule), (1.0, top, rule)],
+        *_layer(bundle, "E"), "e")
     eps = epsilon(bundle, cylinder, rect, order, edge_cells, face_tol,
                   max_split, faces)
-    target = bundle.extension.include_mat(eps.value.entries) \
-        @ h1t.value.entries
-    morphism = CatGroupMorphism(h1b.value,
+    target = bundle.extension.include_mat(eps.value.entries) @ h1t
+    morphism = CatGroupMorphism(GroupElement(h1b, "E"),
                                 GroupElement(target, "E"),
                                 bundle.extension)
-    cells = [("H1(bottom)", h1b.value.entries),
-             ("epsilon", eps.value.entries),
-             ("H1(top)", h1t.value.entries)]
+    cells = [("H1(bottom)", h1b), ("epsilon", eps.value.entries),
+             ("H1(top)", h1t)]
     return HolonomyResult(morphism, (bot, top, rect), cells,
                           eps.error_estimate)
 

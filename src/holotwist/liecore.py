@@ -411,6 +411,15 @@ def log_principal(m):
     return logm(np.asarray(m, dtype=complex))
 
 
+def _log_stack(a):
+    """log_principal of every slice of an (N, d, d) complex stack: one
+    elementwise log when d == 1 (the scalar branch's bits), logm slice
+    by slice otherwise."""
+    if a.shape[-1] == 1:
+        return np.log(a)
+    return np.array([log_principal(m) for m in a])
+
+
 _SMALL = 1e-4     # |delta| below which the 2x2 closed form uses series
 
 
@@ -491,6 +500,18 @@ _C1 = 0.5 - math.sqrt(3.0) / 6.0
 _C2 = 0.5 + math.sqrt(3.0) / 6.0
 
 
+def _magnus_nodes(a, b, steps):
+    """The step h and the 2 * steps Gauss nodes, in parameter order, at
+    which path_ordered_exp evaluates its field on [a, b]: a caller that
+    evaluates a loop on the nodes of many cells at once plans them
+    here."""
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
+    h = (b - a) / steps
+    t0 = a + np.arange(steps) * h
+    return h, np.stack([t0 + _C1 * h, t0 + _C2 * h], axis=1).ravel()
+
+
 def path_ordered_exp(field, a=0.0, b=1.0, steps=64, tag="e"):
     """Ordered product integral P exp int_a^b field(t) dt.
 
@@ -507,11 +528,7 @@ def path_ordered_exp(field, a=0.0, b=1.0, steps=64, tag="e"):
     pairwise: each level multiplies neighbouring factors, left by right,
     in one stacked matmul.
     """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    h = (b - a) / steps
-    t0 = a + np.arange(steps) * h
-    nodes = np.stack([t0 + _C1 * h, t0 + _C2 * h], axis=1).ravel()
+    h, nodes = _magnus_nodes(a, b, steps)
     values = np.asarray(field(nodes), dtype=complex)
     check_finite(values)
     a1, a2 = values[0::2], values[1::2]

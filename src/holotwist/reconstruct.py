@@ -32,6 +32,8 @@ import numpy as np
 
 from .bundle import sample_region
 from .catgroup import CatGroupMorphism, morphism_distance
+from . import dual as dm
+from .dual import Dual, value
 from .errors import (
     ConfigError,
     HolotwistError,
@@ -42,12 +44,11 @@ from .geometry import (
     SPHERE_CAP_AXES,
     TORUS_SQUARE_CENTERS,
     Cylinder,
-    _segment_path,
     assign_charts_interval,
     collar_warp,
     constant_cylinder,
 )
-from .holonomy import _line_product, holonomy_functor
+from .holonomy import _line_products, holonomy_functor
 from .liecore import (
     AlgebraElement,
     GroupElement,
@@ -70,43 +71,79 @@ ORACLE_NUMERICS = dict(steps=64, order=5, edge_cells=1, face_tol=1e-6,
 # Waypoint chains
 # --------------------------------------------------------------------------
 
+def _lift(x):
+    """A node array or a Dual over the nodes with a trailing axis of
+    length 1, to broadcast against (..., dim) stacks of points."""
+    if isinstance(x, Dual):
+        return Dual(x.val[..., None], np.asarray(x.dot)[..., None])
+    return x[..., None]
+
+
+def _column(x, c):
+    """Component c of a (..., dim) stack of points or of a Dual over it."""
+    if isinstance(x, Dual):
+        return Dual(x.val[..., c], x.dot[..., c])
+    return x[..., c]
+
+
 def _chain_cylinder(model, waypoints) -> Cylinder:
     """A homotopy through a chain of fixed and moving waypoints.
 
     A waypoint is a point or a moving point (base, scale, vector) that
-    sits at base + (k(s) * scale) * vector, k = collar_warp(s, SEG_COLLAR).
-    Consecutive waypoints are joined by collared straight segments of
-    equal parameter length (geometry._segment_path), projected radially
-    onto the sphere: fn(s, t) evaluates every waypoint once and gathers
-    the two ends of each node's segment.  On the torus each base is
+    sits at (k(s) * scale) * vector + base, k = collar_warp(s,
+    SEG_COLLAR); the first and the last are fixed.  Consecutive
+    waypoints are joined by collared straight segments of equal
+    parameter length, projected radially onto the sphere.  fn(s, t) runs
+    on (..., dim) stacks: it gathers the ends a, b of each node's
+    segment from the table of waypoints by cell index, with the moving
+    waypoints' rows overwritten (as Duals of derivative 0 at the fixed
+    ones when s is a Dual), and takes a + w * (b - a),
+    w = collar_warp(t * n - k, SEG_COLLAR), and the sphere projection
+    by 1 / sqrt(((0 + x^2) + y^2) + z^2), all as Dual operations: node
+    by node those of geometry._segment_path and a projection component
+    by component, so the bits are theirs.  On the torus each base is
     lifted next to the previous one: by the wrapped displacement between
     the two bases as given, so a segment between two given points runs
     the same way wherever the chain has lifted them (a half-period tie
     included).
     """
-    ends, given = [], None
-    for wp in waypoints:
+    bases, moving, given = [], [], None
+    for j, wp in enumerate(waypoints):
         base, scale, vec = wp if isinstance(wp, tuple) else (wp, 0.0, None)
         base = lifted = np.asarray(base, dtype=float)
         if model.periodic and given is not None:
-            lifted = ends[-1][0] + model.wrap(base - given)
-        ends.append((lifted, scale, vec))
+            lifted = bases[-1] + model.wrap(base - given)
+        bases.append(lifted)
+        if vec is not None:
+            moving.append((j, scale, np.asarray(vec, dtype=float)))
         given = base
+    table = np.array(bases)
+    n, dim = len(bases) - 1, table.shape[1]
 
-    def at(end, s):
-        base, scale, vec = end
-        if vec is None:
-            return list(base)
-        k = collar_warp(s, SEG_COLLAR)
-        return [b + (k * scale) * v for b, v in zip(base, vec)]
+    def ends(k, rows, dual):
+        val, dot = table[k], 0.0
+        for j, row in rows.items():
+            at = (k == j)[..., None]
+            val = np.where(at, value(row), val)
+            if dual:
+                dot = np.where(at, row.dot, dot)
+        return Dual(val, dot) if dual else val
 
     def fn(s, t):
-        points = [at(end, s) for end in ends]
-        return model.project_components(_segment_path(
-            t, list(zip(points[:-1], points[1:])), SEG_COLLAR))
+        k = dm.cell_index(value(t).real, n)
+        warp = _lift(collar_warp(s, SEG_COLLAR))
+        rows = {j: table[j] + (warp * scale) * vec
+                for j, scale, vec in moving}
+        dual = isinstance(s, Dual) and bool(rows)
+        a, b = ends(k, rows, dual), ends(k + 1, rows, dual)
+        q = a + _lift(collar_warp(t * n - k, SEG_COLLAR)) * (b - a)
+        if model.kind == "sphere":
+            sq = q * q
+            q = q * _lift(1.0 / dm.sqrt(sum(_column(sq, c)
+                                            for c in range(dim))))
+        return [_column(q, c) for c in range(dim)]
 
-    return Cylinder(model, fn, collar_width=SEG_COLLAR / (len(ends) - 1),
-                    check=False)
+    return Cylinder(model, fn, collar_width=SEG_COLLAR / n, check=False)
 
 
 # --------------------------------------------------------------------------
@@ -494,10 +531,11 @@ def holonomy_from_samples(oracle, scaffold, bases, loop):
 
     fields = {k: functools.partial(connection, k)
               for k in range(len(scaffold.cover))}
-    total, _ = _line_product(
-        loop, assign_charts_interval(loop, scaffold.cover), fields,
-        transition, dim, lambda length: max(3, math.ceil(18.0 * length)),
-        "e")
+    [(total, _)] = _line_products(
+        lambda s, ts: loop.eval_with_deriv(ts),
+        [(0.0, assign_charts_interval(loop, scaffold.cover),
+          lambda length: max(3, math.ceil(18.0 * length)))],
+        fields, transition, dim, "e")
     return GroupElement(total, "E")
 
 

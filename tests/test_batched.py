@@ -38,7 +38,9 @@ from holotwist.formsexpr.forms import (
 )
 from holotwist.liecore import (
     BUILTIN_EXTENSIONS,
+    log_principal,
     make_extension,
+    mat_norm,
     path_ordered_exp,
 )
 from holotwist.reconstruct import SEG_COLLAR, BasepointScaffold
@@ -258,6 +260,88 @@ def test_one_map_call_per_patch():
 def _same_bits(a, b):
     a, b = np.broadcast_arrays(np.asarray(a), np.asarray(b))
     return a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _chains():
+    """(label, chain, reference, segments): the pair, anchor pair
+    (displacement 0), probe and sweep chains of a scaffold on each
+    model, each with the component-by-component reference built on the
+    same waypoints."""
+    made, out = [], []
+    build = R._chain_cylinder
+
+    def recording(model, waypoints):
+        made.append(pointwise.chain_cylinder(model, waypoints))
+        return build(model, waypoints)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(R, "_chain_cylinder", recording)
+        for cover in ("sphere-3caps", "torus-4squares", "plane-4"):
+            sc = BasepointScaffold.for_cover(G.make_cover(cover), seed=0)
+            i, j = sorted(sc.pair_anchors)[0]
+            xij = np.asarray(sc.pair_anchor(i, j))
+            y = 0.9 * xij + 0.1 * np.asarray(sc.anchors[j])
+            v = np.ones(len(xij)) / len(xij)
+            w = np.roll(v, 1) - v
+            if cover.startswith("sphere"):
+                y = y / np.linalg.norm(y)
+                v, w = v - np.dot(v, y) * y, w - np.dot(w, y) * y
+            for name, cyl in (
+                    ("pair", sc.pair_cylinder(i, j, y)),
+                    ("anchor pair", sc.pair_cylinder(i, j, xij)),
+                    ("probe", sc.probe_cylinder(i, y, v, 1e-3)),
+                    ("sweep", sc.sweep_cylinder(i, y, v, w, 0.02))):
+                ref = made.pop(0)
+                out.append((f"{cover} {name}", cyl, ref,
+                            round(SEG_COLLAR / ref.collar_width)))
+    return out
+
+
+CHAINS = {label: rest for label, *rest in _chains()}
+
+
+def _same_components(got, want):
+    """Whether two component lists have the same kinds and the same bits
+    in their values and derivative parts."""
+    return len(got) == len(want) and all(
+        isinstance(g, Dual) == isinstance(w, Dual)
+        and _same_bits(dm.value(g), dm.value(w))
+        and _same_bits(dm.derivative(g), dm.derivative(w))
+        for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("label", sorted(CHAINS))
+def test_chain_kernel_matches_per_component_chain(label):
+    """The stacked chain kernel against the chain evaluated component by
+    component, as bytes: eval, one-pass partials, plain, one-direction
+    and two-direction seeds on the joint grid and on batches inside one
+    segment (the one-cell path of geometry._segment_path), one node, and
+    both boundary loops."""
+    cyl, ref, n = CHAINS[label]
+    s, t = (a.ravel() for a in np.meshgrid(S_NODES, T_NODES, indexing="ij"))
+    assert _same_bits(cyl.eval(s, t), ref.eval(s, t))
+    for got, want in zip(cyl.eval_with_partials(s, t),
+                         ref.eval_with_partials(s, t)):
+        assert _same_bits(got, want)
+    for got, want in zip(cyl.eval_with_partials(0.3, 0.6),
+                         ref.eval_with_partials(0.3, 0.6)):
+        assert _same_bits(got, want)
+    batches = [(s, t)] + [
+        (np.repeat(S_NODES, 7),
+         np.tile(np.linspace(k / n, (k + 1) / n, 9)[1:-1], S_NODES.size))
+        for k in range(n)]
+    unit = np.eye(2)[:, :, None]
+    for sb, tb in batches:
+        for args in ((sb, tb), (Dual(sb, 1.0), tb), (sb, Dual(tb, 1.0)),
+                     (Dual(sb, 1.0), Dual(tb, 1.0)),
+                     (Dual(sb, unit[0]), Dual(tb, unit[1]))):
+            assert _same_components(cyl.fn(*args), ref.fn(*args))
+    for name in ("bottom_loop", "top_loop"):
+        got, want = getattr(cyl, name)(), getattr(ref, name)()
+        assert _same_bits(got.eval(T_NODES), want.eval(T_NODES))
+        for g, w in zip(got.eval_with_deriv(T_NODES),
+                        want.eval_with_deriv(T_NODES)):
+            assert _same_bits(g, w)
 
 
 _ARR = np.linspace(0.3, 0.8, 7)
@@ -608,8 +692,127 @@ def test_line_holonomy_evaluates_loop_jets_once_per_cell():
     calls = []
     loop.eval_with_deriv = _counting(loop.eval_with_deriv, calls)
     H.hol0(bundle, loop, sub, steps=64, with_error=False)
-    assert len(calls) == len(sub.cells) > 1
+    assert len(calls) == 1 < len(sub.cells)
     assert all(len(shape) == 1 and shape[0] % 2 == 0 for shape in calls)
+
+
+# The line holonomy one loop call per cell and one for the cell ends:
+# the reference that the walk over the jets of one call matches bit for
+# bit.
+
+def _reference_line_holonomy(bundle, loop, tag, sub, steps):
+    """(total, cells, error) of hol0 (tag "G") or hol1 (tag "E")."""
+    forms, trans = (bundle.D, bundle.g) if tag == "G" else (bundle.A, bundle.e)
+    dim = bundle.extension.families[tag].dim
+
+    def product(n):
+        total = eye = np.eye(dim, dtype=complex)
+        cells = []
+        ends = loop.eval(np.array(sub.breakpoints[1:]))
+        for k, ((a, b), chart) in enumerate(zip(sub.cells, sub.charts)):
+            field = forms[chart]
+            u = path_ordered_exp(
+                lambda ts: field(*loop.eval_with_deriv(ts)), a, b,
+                steps=max(4, int(round(n * (b - a)))),
+                tag=tag.lower()).entries
+            total = total @ u
+            cells.append((f"cell[{k}] chart {chart}", u))
+            nxt = sub.charts[(k + 1) % len(sub.charts)]
+            tmat = eye
+            if chart != nxt:
+                tmat = trans[(chart, nxt)].value(ends[k]).entries
+                cells.append((f"transition {chart}->{nxt}", tmat))
+            total = total @ tmat
+        return total, cells
+
+    total, cells = product(steps)
+    return total, cells, mat_norm(total - product(max(8, steps // 2))[0])
+
+
+_LINE_BUNDLES = {"sphere": lambda: monopole_bundle(1),
+                 "torus": lambda: make_bundle("torus-flat"),
+                 "plane": lambda: make_bundle("trivial",
+                                              {"model": "plane"})}
+
+
+@pytest.mark.parametrize("label", [label for label, _ in LOOPS])
+def test_line_holonomy_matches_per_cell_reference(label):
+    """hol0 and hol1, step-halving error included, walk the jets of one
+    loop call with the bits of one call per cell and one for the ends."""
+    loop = dict(LOOPS)[label]
+    bundle = _LINE_BUNDLES[loop.model.kind]()
+    sub = G.assign_charts_interval(loop, bundle.cover)
+    for tag, hol in (("G", H.hol0), ("E", H.hol1)):
+        res = hol(bundle, loop, sub, steps=40)
+        total, cells, err = _reference_line_holonomy(bundle, loop, tag, sub,
+                                                     40)
+        assert _same_bits(res.value.entries, total), tag
+        assert [k for k, _ in res.cells] == [k for k, _ in cells]
+        assert all(_same_bits(a, b) for (_, a), (_, b) in zip(res.cells,
+                                                              cells))
+        assert res.error_estimate == err
+
+
+@pytest.mark.parametrize("label", [label for label, _ in CYLINDERS])
+def test_boundary_jets_in_one_call_match_boundary_loops(label):
+    """One call at s = 0 and s = 1 gives the bits of the bottom and top
+    loops' own jets (full-sphere, a vertical composition, takes _glued's
+    mixed path)."""
+    cyl = dict(CYLINDERS)[label]
+    n = T_NODES.size
+    points, vels = cyl.eval_with_t_partial(np.repeat([0.0, 1.0], n),
+                                           np.tile(T_NODES, 2))
+    for rows, loop in ((slice(0, n), cyl.bottom_loop()),
+                       (slice(n, None), cyl.top_loop())):
+        p, v = loop.eval_with_deriv(T_NODES)
+        assert _same_bits(points[rows], p) and _same_bits(vels[rows], v)
+
+
+_FUNCTOR_CASES = {
+    "monopole cap-sweep": lambda: (monopole_bundle(1),
+                                   C.cap_sweep_cylinder(2.0)),
+    "monopole full-sphere": lambda: (monopole_bundle(1),
+                                     C.full_sphere_cylinder()),
+    "torus-flat morph": lambda: (make_bundle("torus-flat"),
+                                 C.make_cylinder("torus", "morph")),
+    "monopole probe chain": lambda: (monopole_bundle(1), _probe_chain()),
+}
+
+
+@pytest.mark.parametrize("label", sorted(_FUNCTOR_CASES))
+def test_functor_boundary_holonomies_match_hol1(label):
+    bundle, cyl = _FUNCTOR_CASES[label]()
+    res = H.holonomy_functor(bundle, cyl, **R.ORACLE_NUMERICS)
+    bot, top, _ = res.subdivision
+    cells = dict(res.cells)
+    for key, loop, sub in (("H1(bottom)", cyl.bottom_loop(), bot),
+                           ("H1(top)", cyl.top_loop(), top)):
+        want = H.hol1(bundle, loop, sub, R.ORACLE_NUMERICS["steps"],
+                      with_error=False).value.entries
+        assert _same_bits(cells[key], want), key
+    assert _same_bits(res.value.rep_source.entries, cells["H1(bottom)"])
+
+
+@pytest.mark.parametrize("name", ["full-sphere", "cap-sweep"])
+def test_vertex_logs_match_per_vertex_log_principal(name, monkeypatch):
+    """The stacked vertex logarithms of a 1x1 kernel: every vertex term
+    has the bits of log_principal called per vertex."""
+    bundle = monopole_bundle(1)
+    assert bundle.extension.H.dim == 1
+    cyl = C.full_sphere_cylinder() if name == "full-sphere" \
+        else C.cap_sweep_cylinder(2.0)
+    numerics = {"order": 4, "edge_cells": 1, "face_tol": 1e-3,
+                "max_split": 1}
+
+    def vertices():
+        res = H.epsilon(bundle, cyl, **numerics)
+        return {k: v.tobytes() for k, v in res.cells
+                if k.startswith("vertex")}
+
+    got = vertices()
+    monkeypatch.setattr(H, "_log_stack", lambda a: np.array(
+        [log_principal(m) for m in a]))
+    assert got == vertices() and len(got) > 1
 
 
 def _recording(form, calls):
@@ -1007,6 +1210,70 @@ def test_assignment_failures_match_per_cell_reference(label):
     with pytest.raises(MaxDepthExceeded) as want:
         reference(*args, **kwargs)
     assert str(exc.value) == str(want.value)
+
+
+def _two_interval_calls(cyl, cover, bottom=None, top=None):
+    """The boundary subdivisions as two assign_charts_interval calls,
+    bottom first: the pair, or the first call's error."""
+    out = [sub if sub is not None else _outcome(G.assign_charts_interval,
+                                                loop, cover)
+           for sub, loop in ((bottom, cyl.bottom_loop()),
+                             (top, cyl.top_loop()))]
+    return next((x for x in out if not isinstance(x, G.IntervalSubdivision)),
+                tuple(out))
+
+
+@pytest.mark.parametrize("label", sorted(_ASSIGN_CYLINDERS))
+def test_lockstep_boundary_assignment_matches_two_interval_calls(label):
+    """Both boundary loops bisected in lockstep, one cylinder call per
+    level, give the two loops' own subdivisions; a given side is kept."""
+    cyl = _ASSIGN_CYLINDERS[label]
+    for name in _COVERS[cyl.model.kind]:
+        cover = G.make_cover(name)
+        want = _two_interval_calls(cyl, cover)
+        assert _outcome(G._assign_charts_boundaries, cyl, cover) == want
+        if isinstance(want, tuple):
+            bottom, top = want
+            for kw in ({"bottom": bottom}, {"top": top},
+                       {"bottom": bottom, "top": top}):
+                assert _outcome(G._assign_charts_boundaries, cyl, cover,
+                                **kw) == want
+
+
+def _tiny_cap_cover():
+    return G.Cover("tiny cap", G.make_model("sphere"),
+                   (G.cap_chart("only", (0.0, 0.0, 1.0), 0.9),))
+
+
+# label -> (cylinder, cover): boundary loops that fit no chart of the
+# cover at full depth, on one side or on both
+_LOCKSTEP_FAILURES = {
+    "bottom fails": lambda: (C.spike_retraction_cylinder(math.pi),
+                             _tiny_cap_cover()),
+    "top fails": lambda: (C.cap_sweep_cylinder(2.0), _tiny_cap_cover()),
+    "both fail": lambda: (C.morph_cylinder(C.latitude_loop(1.0),
+                                           C.latitude_loop(1.3)),
+                          _tiny_cap_cover()),
+}
+
+
+@pytest.mark.parametrize("label", sorted(_LOCKSTEP_FAILURES))
+def test_lockstep_boundary_failures_match_two_interval_calls(label):
+    """The lockstep bisection raises the error of the first boundary
+    loop that fails on its own, bottom first."""
+    cyl, cover = _LOCKSTEP_FAILURES[label]()
+    bottom = _outcome(G.assign_charts_interval, cyl.bottom_loop(), cover)
+    top = _outcome(G.assign_charts_interval, cyl.top_loop(), cover)
+    fails = [not isinstance(x, G.IntervalSubdivision) for x in (bottom, top)]
+    assert fails == {"bottom fails": [True, False], "top fails":
+                     [False, True], "both fail": [True, True]}[label]
+    if all(fails):
+        assert bottom != top
+    want = bottom if fails[0] else top
+    assert want[0] is MaxDepthExceeded
+    with pytest.raises(MaxDepthExceeded) as exc:
+        G._assign_charts_boundaries(cyl, cover)
+    assert str(exc.value) == want[1]
 
 
 @pytest.mark.parametrize("cover", ["sphere-3caps", "torus-4squares",

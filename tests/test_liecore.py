@@ -349,6 +349,20 @@ def test_exp_kernel_falls_back_to_expm(monkeypatch):
     assert calls == [s.shape for s in stacks]
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_log_stack_matches_log_principal_per_slice(dim):
+    """One elementwise log for a 1x1 stack, logm per slice otherwise:
+    every slice has the bits of log_principal, on and off the negative
+    real axis and at units."""
+    rng = np.random.default_rng(23)
+    stack = np.array([random_unitary(dim, rng) for _ in range(40)]
+                     + [np.eye(dim), -np.eye(dim) + 1e-17j,
+                        2.5 * np.eye(dim)], dtype=complex)
+    got = liecore._log_stack(stack)
+    for m, g in zip(stack, got):
+        assert g.tobytes() == log_principal(m).tobytes()
+
+
 @pytest.mark.parametrize("n", range(1, 10))
 def test_ordered_product_matches_sequential(n):
     """The pairwise tree keeps the left-to-right order of the factors."""
