@@ -260,9 +260,6 @@ class ValidationReport:
     def passed(self):
         return self.max_residual <= self.tol
 
-    def worst(self):
-        return max(self.residuals, key=self.residuals.get)
-
 
 # --------------------------------------------------------------------------
 # Validation
@@ -278,8 +275,10 @@ def _tangents(cover, rng, pts, count):
 
 
 def _worst(stack):
-    """The largest Frobenius norm in an (N, d, d) stack."""
-    return float(np.linalg.norm(stack, axis=(-2, -1)).max())
+    """The largest Frobenius norm in an (N, d, d) stack; inf when any
+    entry is NaN, so that the residual fails (max(0.0, nan) is 0.0)."""
+    worst = float(np.linalg.norm(stack, axis=(-2, -1)).max())
+    return np.inf if np.isnan(worst) else worst
 
 
 def validate(bundle: TwistedBundleData, sample_count=40, tol=1e-8,

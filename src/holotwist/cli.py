@@ -10,7 +10,6 @@ except for its "timings" entry.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import os
 import sys
@@ -368,8 +367,10 @@ def _cmd_list_examples(cfg, num, bundle):
 
 _COMMANDS = {
     "validate": _cmd_validate,
-    "hol0": functools.partial(_cmd_hol, hol0),
-    "hol1": functools.partial(_cmd_hol, hol1),
+    # hol0 and hol1 are looked up per call, so that a wrapper put in
+    # their place (a tracer's) is the one that runs
+    "hol0": lambda cfg, num, bundle: _cmd_hol(hol0, cfg, num, bundle),
+    "hol1": lambda cfg, num, bundle: _cmd_hol(hol1, cfg, num, bundle),
     "surface": _cmd_surface,
     "functor": _cmd_functor,
     "trace": _cmd_trace,

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from .. import dual
@@ -17,26 +19,15 @@ _FN = {
     "sqrt": dual.sqrt,
     "atan2": dual.atan2,
 }
+_BIN = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+        "/": operator.truediv, "^": operator.pow}
 
 
 def _eval(node, env):
     if isinstance(node, Call):
         return _FN[node.fn](*[_eval(a, env) for a in node.args])
     if isinstance(node, Bin):
-        left = _eval(node.left, env)
-        right = _eval(node.right, env)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        if node.op == "*":
-            return left * right
-        try:
-            if node.op == "/":
-                return left / right
-            return left ** right
-        except ZeroDivisionError:
-            raise DomainError(f"division by zero in '{node.op}'") from None
+        return _BIN[node.op](_eval(node.left, env), _eval(node.right, env))
     if isinstance(node, Num):
         return node.value
     if isinstance(node, Const):
@@ -57,7 +48,7 @@ def evaluate(node, env):
     try:
         with np.errstate(divide="raise", over="raise", invalid="raise"):
             return _eval(node, env)
-    except FloatingPointError as exc:
+    except (FloatingPointError, ZeroDivisionError, OverflowError) as exc:
         raise DomainError(str(exc)) from None
 
 

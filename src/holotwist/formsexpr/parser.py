@@ -15,6 +15,7 @@ constants `i` and `pi`, or coordinate names supplied by the chart.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 from ..errors import ExprSyntaxError, UnknownIdentifier
@@ -63,77 +64,47 @@ class Call(Expr):
     args: tuple
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # num | ident | op | lparen | rparen | comma | end
-    text: str
-    line: int
-    column: int
+# One alternative per token kind; whitespace is matched unnamed and
+# skipped, and "bad" takes any other character.  \d is exactly the
+# digits float() reads; \w continues an identifier as str.isalnum or _.
+# [^\W\d] also starts one at a numeral such as "²", which _tokenize
+# refuses: an identifier starts with a letter or _.
+_TOKEN = re.compile(
+    r"(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
+    r"|(?P<ident>[^\W\d]\w*)|(?P<op>[-+*/^])|(?P<lparen>\()"
+    r"|(?P<rparen>\))|(?P<comma>,)|[ \t\r\n]+|(?P<bad>.)", re.DOTALL)
+
+# Tokens an expression may have: the parser recurses once or more per
+# token, and at this cap every nesting shape parses, evaluates and
+# renders within Python's default recursion limit.
+MAX_TOKENS = 256
+
+
+def _position(source, offset):
+    """The (line, column) of an offset into source, both from 1."""
+    return (source.count("\n", 0, offset) + 1,
+            offset - source.rfind("\n", 0, offset))
 
 
 def _tokenize(source):
+    """(kind, text, offset) tokens of source, closed by an "end" token."""
     tokens = []
-    i, line, col = 0, 1, 1
-    n = len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        start_col = col
-        if ch.isdigit() or (ch == "." and i + 1 < n and source[i + 1].isdigit()):
-            j = i
-            seen_dot = False
-            while j < n and (source[j].isdigit() or (source[j] == "." and not seen_dot)):
-                if source[j] == ".":
-                    seen_dot = True
-                j += 1
-            if j < n and source[j] in "eE":
-                k = j + 1
-                if k < n and source[k] in "+-":
-                    k += 1
-                if k < n and source[k].isdigit():
-                    j = k
-                    while j < n and source[j].isdigit():
-                        j += 1
-            text = source[i:j]
-            tokens.append(_Token("num", text, line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            tokens.append(_Token("ident", source[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch in "+-*/^":
-            tokens.append(_Token("op", ch, line, start_col))
-        elif ch == "(":
-            tokens.append(_Token("lparen", ch, line, start_col))
-        elif ch == ")":
-            tokens.append(_Token("rparen", ch, line, start_col))
-        elif ch == ",":
-            tokens.append(_Token("comma", ch, line, start_col))
-        else:
-            raise ExprSyntaxError(f"unexpected character {ch!r}", line, start_col)
-        i += 1
-        col += 1
-    tokens.append(_Token("end", "", line, col))
+    for m in _TOKEN.finditer(source):
+        kind, text = m.lastgroup, m.group()
+        if kind == "bad" or kind == "ident" and not (
+                text[0].isalpha() or text[0] == "_"):
+            raise ExprSyntaxError(f"unexpected character {text[0]!r}",
+                                  *_position(source, m.start()))
+        if kind:
+            tokens.append((kind, text, m.start()))
+    tokens.append(("end", "", len(source)))
     return tokens
 
 
 class _Parser:
-    def __init__(self, tokens, coords):
-        self.tokens = tokens
+    def __init__(self, source, coords):
+        self.source = source
+        self.tokens = _tokenize(source)
         self.pos = 0
         self.coords = coords
 
@@ -145,85 +116,96 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def fail(self, message):
-        tok = self.peek()
-        raise ExprSyntaxError(message, tok.line, tok.column)
+    def fail(self, message, tok=None, error=ExprSyntaxError):
+        line, column = _position(self.source, (tok or self.peek())[2])
+        if error is ExprSyntaxError:
+            raise ExprSyntaxError(message, line, column)
+        raise error(f"{message} at line {line}, column {column}")
 
     def expect(self, kind, what):
-        tok = self.peek()
-        if tok.kind != kind:
+        if self.peek()[0] != kind:
             self.fail(f"expected {what}")
         return self.advance()
 
+    def at(self, *ops):
+        """Whether the next token is one of the operators ops (no other
+        token kind has an operator's text)."""
+        return self.peek()[1] in ops
+
     def parse_expr(self):
         node = self.parse_term()
-        while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.advance().text
+        while self.at("+", "-"):
+            op = self.advance()[1]
             node = Bin(op, node, self.parse_term())
         return node
 
     def parse_term(self):
         node = self.parse_unary()
-        while self.peek().kind == "op" and self.peek().text in "*/":
-            op = self.advance().text
+        while self.at("*", "/"):
+            op = self.advance()[1]
             node = Bin(op, node, self.parse_unary())
         return node
 
     def parse_unary(self):
-        if self.peek().kind == "op" and self.peek().text == "-":
+        if self.at("-"):
             self.advance()
             return Unary("-", self.parse_unary())
         return self.parse_power()
 
     def parse_power(self):
         node = self.parse_atom()
-        if self.peek().kind == "op" and self.peek().text == "^":
+        if self.at("^"):
             self.advance()
             return Bin("^", node, self.parse_unary())
         return node
 
     def parse_atom(self):
-        tok = self.peek()
-        if tok.kind == "num":
+        tok = kind, name, _ = self.peek()
+        if kind == "num":
+            value = float(name)
+            if not math.isfinite(value):
+                self.fail("number out of range")
             self.advance()
-            return Num(float(tok.text))
-        if tok.kind == "lparen":
+            return Num(value)
+        if kind == "lparen":
             self.advance()
             node = self.parse_expr()
             self.expect("rparen", "')'")
             return node
-        if tok.kind == "ident":
+        if kind == "ident":
             self.advance()
-            name = tok.text
-            if self.peek().kind == "lparen":
+            if self.peek()[0] == "lparen":
                 if name not in FUNCTIONS:
-                    raise UnknownIdentifier(
-                        f"unknown function {name!r} at line {tok.line}, column {tok.column}")
+                    self.fail(f"unknown function {name!r}", tok,
+                              UnknownIdentifier)
                 self.advance()
                 args = [self.parse_expr()]
-                while self.peek().kind == "comma":
+                while self.peek()[0] == "comma":
                     self.advance()
                     args.append(self.parse_expr())
                 self.expect("rparen", "')'")
                 if len(args) != FUNCTIONS[name]:
-                    raise ExprSyntaxError(
-                        f"{name} takes {FUNCTIONS[name]} argument(s)",
-                        tok.line, tok.column)
+                    self.fail(f"{name} takes {FUNCTIONS[name]} argument(s)",
+                              tok)
                 return Call(name, tuple(args))
             if name in CONSTANTS:
                 return Const(name)
             if self.coords is not None and name not in self.coords:
-                raise UnknownIdentifier(
-                    f"unknown identifier {name!r} at line {tok.line}, column {tok.column}")
+                self.fail(f"unknown identifier {name!r}", tok,
+                          UnknownIdentifier)
             return Coord(name)
         self.fail("expected a number, identifier or '('")
 
 
 def parse(source, coords=None) -> Expr:
-    """Parse expression text; coords, when given, restricts identifiers."""
-    parser = _Parser(_tokenize(source), coords)
+    """Parse expression text of at most MAX_TOKENS tokens; coords, when
+    given, restricts identifiers."""
+    parser = _Parser(source, coords)
+    if len(parser.tokens) > MAX_TOKENS + 1:
+        parser.pos = MAX_TOKENS
+        parser.fail(f"expression longer than {MAX_TOKENS} tokens")
     node = parser.parse_expr()
-    if parser.peek().kind != "end":
+    if parser.peek()[0] != "end":
         parser.fail("unexpected trailing input")
     return node
 

@@ -21,7 +21,7 @@ from holotwist.families import (
     torus_flat_bundle,
     trivial_bundle,
 )
-from holotwist.formsexpr.forms import exterior_derivative
+from holotwist.formsexpr.forms import LocalForm, exterior_derivative
 from holotwist.geometry import make_cover
 from holotwist.liecore import SIGMA, make_extension
 
@@ -107,6 +107,20 @@ def test_validation_flags_corruption():
     rep = validate(b, sample_count=6, seed=2)
     assert not rep.passed
     assert rep.residuals["cocycle"] > 0.1
+
+
+def test_nan_residual_fails():
+    """A residual that is NaN at some sample reads inf: a maximum taken
+    with max() would skip it (max(0.0, nan) is 0.0) and pass."""
+    b = trivial_bundle("torus", "u1-squared")
+    d = b.A[0].dim
+    b.A[0] = LocalForm(1, d, lambda p, v: np.full(p.shape[:-1] + (d, d),
+                                                  np.nan))
+    rep = validate(b, sample_count=6, seed=2)
+    assert not rep.passed
+    assert rep.residuals["A_gluing"] == rep.residuals["D_projection"] \
+        == np.inf
+    assert rep.residuals["cocycle"] == 0.0
 
 
 def test_identity_gauge_is_a_no_op():

@@ -9,6 +9,7 @@ import pytest
 from holotwist import cli
 from holotwist.bundle import SAMPLE_BUDGET, ValidationReport
 from holotwist.cli import COMMANDS, main
+from holotwist.formsexpr import parser
 from holotwist.liecore import make_extension
 
 TRIVIAL = {
@@ -486,6 +487,81 @@ def test_sphere_pu2_through_the_cli(tmp_path):
             json.loads(out.read_text())["body"]["values"]["holonomy"])
     projected = make_extension("u2-pu2").project_mat(hol["hol1"])
     assert np.abs(projected - hol["hol0"]).max() <= 1e-9
+
+
+@pytest.mark.parametrize("command", ["hol0", "hol1"])
+def test_hol_commands_call_the_module_function(tmp_path, monkeypatch,
+                                               command):
+    """hol0/hol1 are looked up when the command runs, so a function put
+    in place of holotwist.cli.hol0 (as the bench tracer does) is called."""
+    calls = []
+    original = getattr(cli, command)
+
+    def counted(*args, **kwargs):
+        calls.append(command)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, command, counted)
+    assert main([command, "--config", write_cfg(tmp_path, TRIVIAL)]) == 0
+    assert calls == [command]
+
+
+TORUS_FLAT = {"family": "torus-flat"}
+
+# gauge.B.u sources that raised a traceback (or, for 1e999, passed on
+# NaN residuals), with the exit they now give: 2 for a source that the
+# parser refuses, 1 for a value that overflows.
+MALFORMED_B = {
+    "superscript-digit": ("0.3*2²", 2),
+    "nested-parentheses": ("(" * 300 + "u" + ")" * 300, 2),
+    "leading-minus": ("-" * 1200 + "u", 2),
+    "power-chain": ("^".join(["u"] * 1200), 2),
+    "nested-calls": ("sin(" * 300 + "u" + ")" * 300, 2),
+    "flat-sum": ("+".join(["u"] * 1500), 2),
+    "constant-overflow": ("999^999", 1),
+    "power-tower": ("2^2^2^2^2", 1),
+    "infinite-literal": ("1e999", 2),
+}
+
+
+def _gauge_b(tmp_path, source):
+    return main(["gauge", "--config", write_cfg(tmp_path, {
+        "bundle": TORUS_FLAT, "gauge": {"B": {"u": source}},
+        "numerics": {"sample_count": 10}})])
+
+
+@pytest.mark.parametrize("label", sorted(MALFORMED_B))
+def test_malformed_gauge_expression_is_a_typed_error(tmp_path, capsys,
+                                                     label):
+    source, code = MALFORMED_B[label]
+    assert _gauge_b(tmp_path, source) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert ("(at gauge.B.u)" if code == 2 else "error [DomainError]") in err
+
+
+# Each nesting shape at the parser's cap of 256 tokens, and at 257.
+CAP_SHAPES = {
+    "parentheses": ("(" * 127 + "-u" + ")" * 127,
+                    "(" * 128 + "u" + ")" * 128),
+    "unary": ("-" * 255 + "u", "-" * 256 + "u"),
+    "power": ("u^" * 127 + "-u", "u^" * 128 + "u"),
+    "calls": ("sin(" * 85 + "u" + ")" * 85,
+              "-" + "sin(" * 85 + "u" + ")" * 85),
+    "flat-sum": ("u+" * 127 + "-u", "u+" * 128 + "u"),
+}
+
+
+@pytest.mark.parametrize("tokens", [256, 257])
+@pytest.mark.parametrize("shape", sorted(CAP_SHAPES))
+def test_token_cap_boundary(tmp_path, capsys, shape, tokens):
+    source = CAP_SHAPES[shape][tokens - 256]
+    assert len(parser._tokenize(source)) == tokens + 1    # and "end"
+    assert _gauge_b(tmp_path, source) == (0 if tokens == 256 else 2)
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if tokens == 257:
+        assert "longer than 256 tokens" in err and "(at gauge.B.u)" in err
 
 
 def _computed(*args, **kwargs):

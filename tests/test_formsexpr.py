@@ -1,21 +1,26 @@
 """Expression language, forward-mode AD, local forms and quadrature."""
 
 import math
+import re
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import charscan
 from holotwist.errors import (
     DegreeUnsupported,
     DomainError,
     ExprSyntaxError,
+    HolotwistError,
     UnknownIdentifier,
 )
 from holotwist.formsexpr import (
     Bin,
     Call,
     Coord,
+    Expr,
     LocalForm,
     Num,
     Unary,
@@ -28,6 +33,7 @@ from holotwist.formsexpr import (
     parse,
     to_source,
 )
+from holotwist.formsexpr import parser
 from holotwist.formsexpr.forms import zero_form
 
 
@@ -75,6 +81,9 @@ def test_roundtrip(src):
     assert parse(to_source(ast)) == ast
 
 
+# st.recursive nests _combine at most 4 deep at max_leaves=12, so a
+# rendered AST has at most 12 leaves and 15 nodes of 3 tokens: 57
+# tokens, far under parser.MAX_TOKENS.
 _leaf = st.one_of(
     st.floats(0.1, 4.0).map(lambda v: Num(round(v, 3))),
     st.sampled_from([Coord("x"), Coord("y")]),
@@ -94,6 +103,83 @@ def _combine(children):
 @given(st.recursive(_leaf, _combine, max_leaves=12))
 def test_roundtrip_random_ast(ast):
     assert parse(to_source(ast)) == ast
+
+
+# The alphabet of the reference scanner's comparison: number, identifier
+# and operator characters, whitespace, a non-ASCII decimal digit and
+# letter, and characters that are no token ("²" is a digit to
+# str.isdigit but not to float).
+_PIECES = (list("0123456789.eE+-*/^(),_abxyz \t\r\n٣é²\f#")
+           + ["sin", "atan2", "pi", "i"])
+
+
+def _offsets(source):
+    """The reference scanner as (kind, text, offset) tokens."""
+    starts = [0] + [k + 1 for k, ch in enumerate(source) if ch == "\n"]
+    return [(kind, text, starts[line - 1] + column - 1)
+            for kind, text, line, column in charscan.tokenize(source)]
+
+
+def _outcome(source, coords):
+    try:
+        return parse(source, coords=coords)
+    except HolotwistError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from(_PIECES), max_size=40).map("".join),
+       st.sampled_from([None, {"x", "y"}]))
+@example("0.3*2²", {"x", "y"})
+@example("²", None)
+@example("q ²", {"x", "y"})
+@example("x²+y", None)
+@example("1.2.3e+4e-", None)
+@example(".5+5.-1e999", None)
+@example("٣*é_1\n\t#", None)
+def test_scanner_matches_character_reference(source, coords):
+    """parse gives the AST, or the error type and message with its line
+    and column, that it gives on the character scanner's tokens, whose
+    tokens it also makes.  Sources with "²" differ: the character
+    scanner read it as a digit, which float() refuses, so there parse
+    keeps the AST where those tokens give one and otherwise raises a
+    typed error, where a ValueError could escape before."""
+    try:
+        with mock.patch.object(parser, "_tokenize", _offsets):
+            want = _outcome(source, coords)
+    except ValueError:
+        want = None
+    got = _outcome(source, coords)
+    if isinstance(want, Expr) or "²" not in source:
+        assert got == want
+    else:
+        assert isinstance(got, tuple)
+    if "²" not in source:
+        try:
+            want = charscan.tokenize(source)
+        except ExprSyntaxError as exc:
+            with pytest.raises(ExprSyntaxError, match=re.escape(str(exc))):
+                parser._tokenize(source)
+        else:
+            assert [(kind, text, *parser._position(source, offset))
+                    for kind, text, offset in parser._tokenize(source)] \
+                == want
+
+
+@pytest.mark.parametrize("src, column", [
+    ("1e999", 1), ("2*1" + "0" * 400, 3), ("x+2e310", 3)],
+    ids=["exponent", "401-digits", "sum"])
+def test_non_finite_literal_is_syntax_error(src, column):
+    with pytest.raises(ExprSyntaxError, match="number out of range") as exc:
+        parse(src)
+    assert (exc.value.line, exc.value.column) == (1, column)
+
+
+def test_token_cap():
+    parse("-" * 255 + "x")
+    with pytest.raises(ExprSyntaxError, match="longer than 256") as exc:
+        parse("x + \n" + "-" * 255 + "x")
+    assert (exc.value.line, exc.value.column) == (2, 255)
 
 
 # --- evaluation and AD -----------------------------------------------------
@@ -155,6 +241,10 @@ def test_domain_errors():
         eval_expr(parse("log(x)"), {"x": 0.0})
     with pytest.raises(DomainError):
         eval_expr(parse("1/x"), {"x": 0.0})
+    # Python float arithmetic: ZeroDivisionError and OverflowError
+    for src in ("1/0", "0^-1", "999^999", "2^2^2^2^2"):
+        with pytest.raises(DomainError):
+            eval_expr(parse(src), {})
 
 
 def test_imaginary_constant():
