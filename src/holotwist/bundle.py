@@ -14,7 +14,7 @@ difference.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -211,7 +211,6 @@ class TwistedBundleData:
     A: dict          # i -> degree-1 LocalForm valued in L(E)
     Aij: dict        # (i,j) -> degree-1 LocalForm valued in L(H)
     F: dict          # i -> degree-2 LocalForm valued in L(H)
-    params: dict = field(default_factory=dict)
 
     @property
     def nc(self):
@@ -250,7 +249,6 @@ class GaugeData:
 class ValidationReport:
     residuals: dict
     tol: float
-    samples: int
 
     @property
     def max_residual(self):
@@ -355,7 +353,7 @@ def validate(bundle: TwistedBundleData, sample_count=40, tol=1e-8,
     if n < 4:
         res.pop("h_coboundary")
 
-    return ValidationReport(res, tol, sample_count)
+    return ValidationReport(res, tol)
 
 
 # --------------------------------------------------------------------------
@@ -407,8 +405,7 @@ def gauge_transform(bundle: TwistedBundleData,
 
     return TwistedBundleData(
         name=bundle.name + "+gauge", cover=bundle.cover, extension=ext,
-        g=new_g, e=new_e, h=new_h, D=new_D, A=new_A, Aij=new_Aij, F=new_F,
-        params=dict(bundle.params))
+        g=new_g, e=new_e, h=new_h, D=new_D, A=new_A, Aij=new_Aij, F=new_F)
 
 
 def _include_form(ext, form_h: LocalForm, dim_e) -> LocalForm:

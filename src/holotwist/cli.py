@@ -28,7 +28,7 @@ from .formsexpr.forms import expr_form
 from .formsexpr.parser import parse
 from .geometry import refine_rect
 from .holonomy import (_starts_at_basepoint, epsilon, hol0, hol1,
-                       holonomy_functor, kapustin_trace)
+                       holonomy_functor)
 from .liecore import BUILTIN_EXTENSIONS
 from .reconstruct import (
     BasepointScaffold,
@@ -279,8 +279,12 @@ def _cmd_trace(cfg, num, bundle):
         raise ConfigError("the trace needs a cylinder whose bottom loop "
                           "is constant at the basepoint", "cylinder")
     quad = _quadrature(num)
-    tr = kapustin_trace(bundle, cyl, steps=num["steps"], **quad)
-    tr2 = kapustin_trace(bundle, cyl, steps=2 * num["steps"], **quad)
+    res = holonomy_functor(bundle, cyl, steps=num["steps"], **quad)
+    bot, top, rect = res.subdivision
+    fine = holonomy_functor(bundle, cyl, bottom_sub=bot, top_sub=top,
+                            rect=rect, steps=2 * num["steps"], **quad)
+    tr, tr2 = (complex(np.trace(r.value.rep_target.entries))
+               for r in (res, fine))
     return ({"refinement_invariance": abs(tr - tr2)},
             {"trace": [tr.real, tr.imag]}, num["tol"])
 

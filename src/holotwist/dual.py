@@ -109,7 +109,7 @@ class Dual:
         if isinstance(other, Dual):
             return exp(other * log(self))
         if isinstance(other, _NUM):
-            if other == 0:
+            if not isinstance(other, np.ndarray) and other == 0:
                 return _dual(1.0 + 0.0 * self.val, 0.0 * self.dot)
             # only nonnegative integer powers are smooth at 0
             if _any(self.val == 0) and not (isinstance(other, int)

@@ -199,7 +199,6 @@ def trivial_bundle(model="sphere", extension="u1-squared"
         A={i: zero1_e for i in range(n)},
         Aij={ij: zero1_h for ij in overlap_pairs(n)},
         F={i: zero2_h for i in range(n)},
-        params={"model": model, "extension": extension},
     )
 
 
@@ -263,7 +262,6 @@ def torus_flat_bundle(k=1, order=3, flux=0.7) -> TwistedBundleData:
         A={i: a_form for i in range(n)},
         Aij={ij: zero1_h for ij in overlap_pairs(n)},
         F={i: f_form for i in range(n)},
-        params={"k": k, "order": order, "flux": flux},
     )
 
 
@@ -351,7 +349,6 @@ def monopole_bundle(n=1, kappa=0.8, mu=0.5) -> TwistedBundleData:
         g=g_maps, e=e_maps, h=h_maps,
         D=d_forms, A=a_forms, Aij=aij_forms,
         F={i: f_form for i in range(nc)},
-        params={"n": n, "kappa": kappa, "mu": mu},
     )
 
 
@@ -424,7 +421,6 @@ def pu2_bundle(kappa=0.8, mu=0.5, spin=0.6, flux=0.7) -> TwistedBundleData:
         g=g_maps, e=e_maps, h=h_maps,
         D=d_forms, A=a_forms, Aij=aij_forms,
         F={i: f_form for i in range(nc)},
-        params={"kappa": kappa, "mu": mu, "spin": spin, "flux": flux},
     )
 
 

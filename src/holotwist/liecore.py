@@ -2,10 +2,10 @@
 
 Everything downstream (the categorical group, holonomy, reconstruction)
 consumes the types defined here: tagged matrix elements, group families
-with membership predicates, and central extensions H -> E -> G, each one
-CentralExtension record of seven maps between matrix groups, built by the
-factory in its BUILTIN_EXTENSIONS entry.  The include and project maps and
-their differentials act on one (d, d) matrix or an (..., d, d) stack.
+and central extensions H -> E -> G, each one CentralExtension record of
+seven maps between matrix groups, built by the factory in its
+BUILTIN_EXTENSIONS entry.  The include and project maps and their
+differentials act on one (d, d) matrix or an (..., d, d) stack.
 """
 
 from __future__ import annotations
@@ -91,76 +91,15 @@ class GroupElement:
         return self.entries.shape[-1]
 
 
+@dataclass(frozen=True, eq=False)
 class GroupFamily:
-    """A family of matrix groups: a name, a dimension, and membership tests.
+    """A family of matrix groups: a name and the matrix dimension."""
 
-    group_residual / algebra_residual return a scalar distance-like
-    residual; membership holds when the residual is below tolerance.
-    """
-
-    def __init__(self, name, dim, group_residual, algebra_residual):
-        self.name = name
-        self.dim = dim
-        self.group_residual = group_residual
-        self.algebra_residual = algebra_residual
+    name: str
+    dim: int
 
     def identity(self):
         return np.eye(self.dim, dtype=complex)
-
-    def __repr__(self):
-        return f"GroupFamily({self.name}, dim={self.dim})"
-
-
-def unitary_family(n):
-    def gres(u):
-        return mat_norm(u.conj().T @ u - np.eye(n))
-
-    def ares(x):
-        return mat_norm(x + x.conj().T)
-
-    return GroupFamily(f"U({n})", n, gres, ares)
-
-
-def torus_family(n):
-    """U(1)^n as diagonal unitary matrices."""
-
-    def gres(u):
-        off = mat_norm(u - np.diag(np.diag(u)))
-        return max(off, float(np.max(np.abs(np.abs(np.diag(u)) - 1.0))))
-
-    def ares(x):
-        off = mat_norm(x - np.diag(np.diag(x)))
-        return max(off, float(np.max(np.abs(np.real(np.diag(x))))))
-
-    return GroupFamily(f"U(1)^{n}", n, gres, ares)
-
-
-def rotation3_family():
-    """SO(3), stored as complex matrices with (numerically) real entries."""
-
-    def gres(r):
-        real = np.real(r)
-        res = mat_norm(real.T @ real - np.eye(3))
-        res = max(res, mat_norm(np.imag(r)))
-        return max(res, abs(np.linalg.det(real) - 1.0))
-
-    def ares(x):
-        real = np.real(x)
-        return max(mat_norm(real + real.T), mat_norm(np.imag(x)))
-
-    return GroupFamily("SO(3)", 3, gres, ares)
-
-
-def cyclic_family(n):
-    """n-th roots of unity as 1x1 matrices; Lie algebra is {0}."""
-
-    def gres(u):
-        return abs(complex(u[0, 0]) ** n - 1.0)
-
-    def ares(x):
-        return abs(complex(x[0, 0]))
-
-    return GroupFamily(f"Z/{n}", 1, gres, ares)
 
 
 def _random_phase(rng):
@@ -223,14 +162,6 @@ class CentralExtension:
     def project(self, e: GroupElement) -> GroupElement:
         return GroupElement(self.project_mat(_entries(e, "project", "E")), "G")
 
-    def alg_include(self, x: AlgebraElement) -> AlgebraElement:
-        return AlgebraElement(
-            self.alg_include_mat(_entries(x, "alg_include", "h")), "e")
-
-    def alg_project(self, x: AlgebraElement) -> AlgebraElement:
-        return AlgebraElement(
-            self.alg_project_mat(_entries(x, "alg_project", "e")), "g")
-
     def local_section(self, g: GroupElement) -> GroupElement:
         return GroupElement(
             self.section_mat(_entries(g, "local_section", "G")), "E")
@@ -266,7 +197,8 @@ def _u1_squared():
         return _random_phase(rng)
 
     return CentralExtension(
-        "u1-squared", unitary_family(1), torus_family(2), unitary_family(1),
+        "u1-squared", GroupFamily("U(1)", 1), GroupFamily("U(1)^2", 2),
+        GroupFamily("U(1)", 1),
         include_mat=include,
         project_mat=project,
         alg_include_mat=lambda x: diag_stack([x[..., 0, 0], 0.0]),
@@ -316,7 +248,8 @@ def _u2_pu2():
         return u if tag == "E" else project(u)
 
     return CentralExtension(
-        "u2-pu2", unitary_family(1), unitary_family(2), rotation3_family(),
+        "u2-pu2", GroupFamily("U(1)", 1), GroupFamily("U(2)", 2),
+        GroupFamily("SO(3)", 3),
         include_mat=include,
         project_mat=project,
         alg_include_mat=include,
@@ -353,8 +286,8 @@ def _roots_of_unity(n):
         return _random_phase(rng)
 
     return CentralExtension(
-        f"roots-of-unity-{n}", cyclic_family(n), unitary_family(1),
-        unitary_family(1),
+        f"roots-of-unity-{n}", GroupFamily(f"Z/{n}", 1),
+        GroupFamily("U(1)", 1), GroupFamily("U(1)", 1),
         include_mat=lambda h: np.array(h, dtype=complex),
         project_mat=lambda e: np.array(e, dtype=complex) ** n,
         alg_include_mat=lambda x: np.zeros(np.shape(x), dtype=complex),
@@ -394,14 +327,6 @@ def group_mul(a: GroupElement, b: GroupElement) -> GroupElement:
 
 def group_inv(a: GroupElement) -> GroupElement:
     return GroupElement(np.linalg.inv(a.entries), a.group_tag)
-
-
-def group_conj(a: GroupElement, by: GroupElement) -> GroupElement:
-    """by^-1 * a * by."""
-    if a.group_tag != by.group_tag or a.dim != by.dim:
-        raise TagMismatch("conjugation operands must share tag and dimension")
-    binv = np.linalg.inv(by.entries)
-    return GroupElement(binv @ a.entries @ by.entries, a.group_tag)
 
 
 def log_principal(m):

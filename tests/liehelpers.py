@@ -1,24 +1,12 @@
-"""Test-only Lie helpers: the SU(n) family and the dense Riemann-product
-oracle for path_ordered_exp."""
+"""Test-only Lie helper: the dense Riemann-product oracle for
+path_ordered_exp."""
 
 import numpy as np
 from scipy.linalg import expm
 
-from holotwist.liecore import GroupElement, GroupFamily, unitary_family
+from holotwist.liecore import GroupElement
 
 _TAG_TO_GROUP = {"h": "H", "e": "E", "g": "G"}
-
-
-def special_unitary_family(n):
-    base = unitary_family(n)
-
-    def gres(u):
-        return max(base.group_residual(u), abs(np.linalg.det(u) - 1.0))
-
-    def ares(x):
-        return max(base.algebra_residual(x), abs(np.trace(x)))
-
-    return GroupFamily(f"SU({n})", n, gres, ares)
 
 
 def riemann_product_exp(field, a=0.0, b=1.0, factors=100000, tag="e"):

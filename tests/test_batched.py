@@ -381,6 +381,26 @@ def test_dual_ops_act_on_each_direction_of_a_stack(name):
         assert _same_bits(np.asarray(out.dot)[k], row.dot)
 
 
+@pytest.mark.parametrize("imag", [0.0, 1.0])
+@pytest.mark.parametrize("directions", [(), (2,)])
+def test_dual_power_with_an_array_exponent_matches_scalar_powers(
+        imag, directions):
+    """Dual ** (node array) gives node by node the bits of Dual ** (that
+    node's exponent); a zero exponent gives value 1 and derivative 0."""
+    rng = np.random.default_rng(5)
+    p = np.concatenate([[0.0, 1.0, 2.0, -1.0, 3.0], rng.uniform(-3, 3, 27)])
+    v = rng.uniform(0.05, 2.0, p.size) + imag * 1j * rng.normal(size=p.size)
+    d = rng.normal(size=directions + p.shape)
+    out = Dual(v, d) ** p
+    for k, pk in enumerate(p):
+        ref = Dual(v, d) ** pk
+        assert _same_bits(out.val[k], ref.val[k])
+        if pk == 0:
+            assert not np.any(out.dot[..., k])
+        else:
+            assert _same_bits(out.dot[..., k], ref.dot[..., k])
+
+
 def _composed_step(u):
     """The step composed from Dual operations: a / (a + b) with
     a = exp(-1/u) on the nodes u > 0 and 0 elsewhere, b likewise at

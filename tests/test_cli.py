@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from holotwist import cli
+from holotwist import cli, geometry, holonomy
 from holotwist.bundle import SAMPLE_BUDGET, ValidationReport
 from holotwist.cli import COMMANDS, main
 from holotwist.formsexpr import parser
@@ -223,6 +223,25 @@ def test_trace_uses_the_functor_quadrature(tmp_path):
     assert abs(complex(re, im) - np.trace(target)) <= 1e-12
 
 
+def test_trace_assigns_charts_once(tmp_path, monkeypatch):
+    """trace's run at twice the steps reuses the first run's boundary
+    subdivisions and grid: one bisection of the boundary loops and one
+    grid assignment for the whole command."""
+    calls = []
+    for module, name in ((geometry, "_bisect_charts"),
+                         (holonomy, "assign_charts_rect")):
+        def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    cfg = write_cfg(tmp_path, {
+        "bundle": MONOPOLE,
+        "cylinder": {"name": "cap-sweep", "params": {"alpha": 2.0}},
+        "numerics": {"face_tol": 1e-2, "edge_cells": 1}})
+    assert main(["trace", "--config", cfg]) == 0
+    assert sorted(calls) == ["_bisect_charts", "assign_charts_rect"]
+
+
 @pytest.mark.parametrize("bundle, cylinder", [
     ({"family": "torus-flat"}, "morph"),
     (MONOPOLE, "spike-retraction")])
@@ -230,7 +249,7 @@ def test_trace_needs_a_constant_bottom_loop(bundle, cylinder, tmp_path,
                                             capsys, monkeypatch):
     """A cylinder whose bottom loop leaves the basepoint is a bad config:
     exit 2 at `cylinder`, before any holonomy is computed."""
-    monkeypatch.setattr(cli, "kapustin_trace",
+    monkeypatch.setattr(cli, "holonomy_functor",
                         lambda *args, **kwargs: pytest.fail("computed"))
     cfg = write_cfg(tmp_path, {"bundle": bundle,
                                "cylinder": {"name": cylinder}})
@@ -540,6 +559,19 @@ def test_malformed_gauge_expression_is_a_typed_error(tmp_path, capsys,
     assert ("(at gauge.B.u)" if code == 2 else "error [DomainError]") in err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_power_with_an_array_exponent(tmp_path, capsys):
+    """atan2 of two node arrays is a Dual, so u's node array meets it as
+    the exponent of a Dual power, which takes it node by node."""
+    out = tmp_path / "rep.json"
+    assert main(["gauge", "--config", write_cfg(tmp_path, {
+        "bundle": TORUS_FLAT,
+        "gauge": {"B": {"u": "atan2(exp(pi), u) ^ u - u - u"}}}),
+        "--out", str(out)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    assert json.loads(out.read_text())["body"]["verdict"] == "pass"
+
+
 # Each nesting shape at the parser's cap of 256 tokens, and at 257.
 CAP_SHAPES = {
     "parentheses": ("(" * 127 + "-u" + ")" * 127,
@@ -592,7 +624,7 @@ def test_sample_count_at_the_draw_budget_is_accepted(tmp_path, monkeypatch):
 
     def fake_validate(bundle, sample_count, seed):
         seen.append(sample_count)
-        return ValidationReport({}, 1e-8, sample_count)
+        return ValidationReport({}, 1e-8)
 
     monkeypatch.setattr(cli, "validate", fake_validate)
     cfg = write_cfg(tmp_path, {"bundle": MONOPOLE,
