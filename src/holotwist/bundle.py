@@ -384,16 +384,15 @@ def gauge_transform(bundle: TwistedBundleData,
             .mul(gauge.h_ij[(i, j)]).mul(gauge.h_ij[(j, k)]) \
             .mul(gauge.h_ij[(k, i)])
 
+    dBs = {i: exterior_derivative(gauge.B_i[i]) for i in range(n)}
     for i in range(n):
         gi = g_i[i]
         new_D[i] = gi.conjugated_form(bundle.D[i]) + gi.maurer_cartan(dim_g)
         ei = gauge.e_i[i]
         new_A[i] = ei.conjugated_form(bundle.A[i]) \
             + _include_form(ext, gauge.B_i[i], dim_e) + ei.maurer_cartan(dim_e)
-        dB = exterior_derivative(gauge.B_i[i])
-        new_F[i] = bundle.F[i] + dB
+        new_F[i] = bundle.F[i] + dBs[i]
 
-    dBs = {i: exterior_derivative(gauge.B_i[i]) for i in range(n)}
     for (i, j) in overlap_pairs(n):
         mc = gauge.h_ij[(i, j)].maurer_cartan(dim_h)
         new_form = bundle.Aij[(i, j)] + gauge.B_i[j] + gauge.B_i[i] * (-1.0) \

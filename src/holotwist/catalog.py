@@ -2,9 +2,8 @@
 
 Everything here is built from collar-warped smooth pieces, so all
 concatenations stay smooth and every object carries exact derivatives.
-Each map takes arrays of nodes (see geometry.Loop); the three-piece
-profiles are tables of segment ends read per node
-(geometry._segment_path).
+Each map takes arrays of nodes (see geometry.Loop); the three-piece cap
+profile reads each node's segment ends from a constant table.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ from .geometry import (
     DEFAULT_COLLAR,
     Cylinder,
     Loop,
-    _segment_path,
     collar_warp,
     compose_cylinders_vertical,
     constant_cylinder,
@@ -53,15 +51,23 @@ def _sphere_point(theta, phi):
 
 
 # (theta / alpha, phi / 2 pi) at the ends of the three segments of the
-# cap profile: down the meridian, around the latitude, back up.
-_CAP_SEGMENTS = (((0, 0), (1, 0)), ((1, 0), (1, 1)), ((1, 0), (0, 0)))
+# cap profile: down the meridian, around the latitude, back up; indexed
+# [segment, end, component].
+_CAP_SEGMENTS = np.array((((0, 0), (1, 0)), ((1, 0), (1, 1)),
+                          ((1, 0), (0, 0))), dtype=float)
+_CAP_SEGMENTS.setflags(write=False)
 
 
 def _cap_profile(alpha, t):
     """(theta, phi) of the three-piece loop: down the phi=0 meridian to
     polar angle alpha (one angle, or one per node), once around the
-    latitude, and back up."""
-    depth, turn = _segment_path(t, _CAP_SEGMENTS, PIECE_COLLAR)
+    latitude, and back up.  A node in segment k sits at a + w * (b - a),
+    w = collar_warp(3 t - k, PIECE_COLLAR), between the ends a, b of
+    segment k, gathered per node."""
+    k = dm.cell_index(value(t).real, 3)
+    a, b = _CAP_SEGMENTS[k, 0].T, _CAP_SEGMENTS[k, 1].T
+    w = collar_warp(t * 3 - k, PIECE_COLLAR)
+    depth, turn = (ac + w * (bc - ac) for ac, bc in zip(a, b))
     return alpha * depth, 2.0 * math.pi * turn
 
 

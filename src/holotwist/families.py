@@ -25,6 +25,20 @@ from .formsexpr.forms import LocalForm, zero_form
 from .geometry import COVER_FOR_MODEL, SPHERE_CAP_AXES, make_cover
 from .liecore import SIGMA, diag_stack, make_extension
 
+# Magnitude bounds of the real family parameters, each far below the
+# smallest value measured to overflow a command (README, Command line).
+PARAM_BOUNDS = {"kappa": 1e150, "mu": 1e150, "spin": 1e8, "flux": 1e150}
+
+
+def _param(x, name):
+    """x as a finite float of magnitude at most PARAM_BOUNDS[name], else
+    ConfigError."""
+    x = float_setting(x, name)
+    if abs(x) > PARAM_BOUNDS[name]:
+        raise ConfigError(f"{name} must have magnitude at most "
+                          f"{PARAM_BOUNDS[name]:g}, got {x!r}")
+    return x
+
 
 # --------------------------------------------------------------------------
 # Quaternions as 4-tuples of node arrays (or Duals over them)
@@ -218,7 +232,7 @@ def torus_flat_bundle(k=1, order=3, flux=0.7) -> TwistedBundleData:
     that surface holonomy separates winding classes.
     """
     k, order = integer_setting(k, "k"), integer_setting(order, "order", 1)
-    flux = float_setting(flux, "flux")
+    flux = _param(flux, "flux")
     ext = make_extension("u1-squared")
     cover = make_cover("torus-4squares")
     n = len(cover)
@@ -298,7 +312,7 @@ def monopole_bundle(n=1, kappa=0.8, mu=0.5) -> TwistedBundleData:
     smooth antisymmetric phases tau_ij, making h_ijk nonconstant.
     """
     n = integer_setting(n, "monopole charge n")
-    kappa, mu = float_setting(kappa, "kappa"), float_setting(mu, "mu")
+    kappa, mu = _param(kappa, "kappa"), _param(mu, "mu")
     ext = make_extension("u1-squared")
     cover = make_cover("sphere-3caps")
     nc = len(cover)
@@ -364,8 +378,8 @@ def pu2_bundle(kappa=0.8, mu=0.5, spin=0.6, flux=0.7) -> TwistedBundleData:
     U_i and adds the section's Maurer-Cartan term, so all gluing
     identities hold exactly.
     """
-    kappa, mu = float_setting(kappa, "kappa"), float_setting(mu, "mu")
-    spin, flux = float_setting(spin, "spin"), float_setting(flux, "flux")
+    kappa, mu = _param(kappa, "kappa"), _param(mu, "mu")
+    spin, flux = _param(spin, "spin"), _param(flux, "flux")
     ext = make_extension("u2-pu2")
     cover = make_cover("sphere-3caps")
     nc = len(cover)

@@ -3,7 +3,7 @@
 A LocalForm of degree 0/1/2 evaluates at an ambient point (plus one or
 two tangent vectors) to a square matrix living in a tagged Lie algebra.
 Each form carries one derivative, its exterior derivative `d`, fixed
-when the form is built: expression-backed forms derive it exactly by
+when the form is built: expression-backed 1-forms derive it exactly by
 forward AD, a form built from a callable takes the one its builder
 passes, and sums and scalar multiples combine those of their parts.  A
 form built without `d` has none.  Forms hold no coordinate names; only
@@ -95,15 +95,21 @@ def _eval_expr_matrix(mat, env, shape, part=dm.value):
 
 
 def expr_form(degree, components, coord_names, value_tag="h"):
-    """Build an expression-backed form with its exact exterior derivative.
+    """Build an expression-backed 1-form with its exact exterior
+    derivative, the curl of its coefficients (a 2-form without one of
+    its own).
 
-    components: degree 0 -> a matrix of expression strings/ASTs;
-    degree 1 -> {coord: matrix}; degree 2 -> {(c1, c2): matrix} giving
-    the coefficient of dc1 ^ dc2 (keys must have c1 before c2 in
-    coord_names order).  Degree-2 forms carry no derivative.
+    components: {coord: matrix of expression strings/ASTs}, the
+    coefficient matrix of dcoord.  Any degree but 1 raises
+    DegreeUnsupported.
     """
+    if degree != 1:
+        raise DegreeUnsupported(
+            f"expression forms have degree 1, got degree {degree}")
     coord_names = tuple(coord_names)
     index = {c: k for k, c in enumerate(coord_names)}
+    comp = {c: _as_expr_matrix(m, coord_names) for c, m in components.items()}
+    dim = len(next(iter(comp.values())))
 
     def env(p, d=None):
         """The coordinates of a (..., n) stack as complex node arrays, so
@@ -113,66 +119,24 @@ def expr_form(degree, components, coord_names, value_tag="h"):
         cols = dm.columns(p) if d is None else dm.seeded(p, d.astype(complex))
         return dict(zip(coord_names, cols))
 
-    if degree == 0:
-        mat = _as_expr_matrix(components, coord_names)
-        dim = len(mat)
+    def contract(e, v, part=dm.value):
+        """sum_c v_c part(A_c) over the components."""
+        total = np.zeros(v.shape[:-1] + (dim, dim), dtype=complex)
+        for c, mat in comp.items():
+            total += v[..., index[c], None, None] \
+                * _eval_expr_matrix(mat, e, v.shape[:-1], part)
+        return total
 
-        def evalfn(p):
-            return _eval_expr_matrix(mat, env(p), p.shape[:-1])
+    def evalfn(p, v):
+        return contract(env(p), v)
 
-        def grad(p, v):
-            """(p, v) -> D_v f."""
-            return _eval_expr_matrix(mat, env(p, v), p.shape[:-1],
-                                     dm.derivative)
+    def curl(p, v, w):
+        """D_v A(w) - D_w A(v): the coefficients differentiated."""
+        return contract(env(p, v), w, dm.derivative) \
+            - contract(env(p, w), v, dm.derivative)
 
-        d = LocalForm(1, dim, grad, value_tag, zero_form(2, dim, value_tag))
-
-    elif degree == 1:
-        comp = {c: _as_expr_matrix(m, coord_names) for c, m in components.items()}
-        dim = len(next(iter(comp.values())))
-
-        def contract(e, v, part=dm.value):
-            """sum_c v_c part(A_c) over the components."""
-            total = np.zeros(v.shape[:-1] + (dim, dim), dtype=complex)
-            for c, mat in comp.items():
-                total += v[..., index[c], None, None] \
-                    * _eval_expr_matrix(mat, e, v.shape[:-1], part)
-            return total
-
-        def evalfn(p, v):
-            return contract(env(p), v)
-
-        def curl(p, v, w):
-            """D_v A(w) - D_w A(v): the coefficients differentiated."""
-            return contract(env(p, v), w, dm.derivative) \
-                - contract(env(p, w), v, dm.derivative)
-
-        d = LocalForm(2, dim, curl, value_tag)
-
-    elif degree == 2:
-        comp = {}
-        for (a, b), m in components.items():
-            if index[a] >= index[b]:
-                raise DegreeUnsupported(
-                    f"degree-2 key ({a},{b}) must follow coordinate order")
-            comp[(a, b)] = _as_expr_matrix(m, coord_names)
-        dim = len(next(iter(comp.values())))
-
-        def evalfn(p, v, w):
-            e, shape = env(p), p.shape[:-1]
-            total = np.zeros(shape + (dim, dim), dtype=complex)
-            for (a, b), mat in comp.items():
-                ia, ib = index[a], index[b]
-                factor = v[..., ia] * w[..., ib] - v[..., ib] * w[..., ia]
-                total += factor[..., None, None] \
-                    * _eval_expr_matrix(mat, e, shape)
-            return total
-
-        d = None
-    else:
-        raise DegreeUnsupported(f"degree {degree}")
-
-    return LocalForm(degree, dim, evalfn, value_tag, d)
+    return LocalForm(1, dim, evalfn, value_tag,
+                     LocalForm(2, dim, curl, value_tag))
 
 
 def zero_form(degree, dim, value_tag="h"):

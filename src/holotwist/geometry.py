@@ -7,12 +7,10 @@ cylinder's point and both partials come from one call of its map, with
 s and t seeded as two directions of one Dual derivative stack.  Collars
 are warped by the closed-form dual step (dual.smooth_step).  The maps
 run on arrays of nodes; a scalar parameter is evaluated as a batch of
-one node.  Piecewise maps select per node (dual.choose):
-segment paths gather the ends of each node's segment from a table,
-gluings run each half with the other half's nodes pinned at the seam,
-and a batch that falls in one piece runs that piece alone.  Chart
-membership and the point tests of a model take one point of shape (n,)
-or a stack of shape (N, n).
+one node.  Gluings select per node (dual.choose): each half runs with
+the other half's nodes pinned at the seam, and a batch that falls in
+one half runs that half alone.  Chart membership and the point tests
+of a model take one point of shape (n,) or a stack of shape (N, n).
 """
 
 from __future__ import annotations
@@ -27,7 +25,6 @@ from .dual import Dual, value
 from . import dual as dm
 from .errors import (
     BoundaryMismatch,
-    ChartMismatch,
     InvalidReparam,
     MaxDepthExceeded,
 )
@@ -44,39 +41,6 @@ STACK_TOL = 1e-10   # boundary mismatch allowed when stacking cylinders
 def collar_warp(t, delta=DEFAULT_COLLAR):
     """[0,1] -> [0,1], constant 0 on [0, delta], constant 1 on [1-delta, 1]."""
     return dm.smooth_step((t - delta) / (1.0 - 2.0 * delta))
-
-
-def _pick(k, options):
-    """options[k], as dual.choose would give it at a node of cell k: a
-    Dual of derivative 0 for a constant when any option is a Dual."""
-    x = options[k]
-    if not isinstance(x, Dual) and any(isinstance(o, Dual) for o in options):
-        return Dual(x)
-    return x
-
-
-def _segment_path(t, segments, delta):
-    """The path glued from n = len(segments) collared straight segments
-    of equal parameter length, at the nodes t.
-
-    segments[k] = (a, b) holds the two end points of segment k as
-    sequences of components (constants, node arrays or Duals).  A node in
-    cell k = cell_index(t, n) sits at a + w * (b - a), with
-    w = collar_warp(t * n - k, delta); the ends of its segment are
-    gathered per node, or taken from the one cell that holds every node.
-    Either way a component is a Dual wherever any segment's is one, so
-    that both give zero partials the same sign.
-    """
-    n = len(segments)
-    k = dm.cell_index(value(t).real, n)
-    first = int(k.flat[0])
-    pick = dm.choose
-    if (k == first).all():
-        k, pick = first, _pick
-    a, b = ([pick(k, [seg[end][c] for seg in segments])
-             for c in range(len(segments[0][0]))] for end in (0, 1))
-    w = collar_warp(t * n - k, delta)
-    return [ac + w * (bc - ac) for ac, bc in zip(a, b)]
 
 
 class Reparam:
@@ -302,14 +266,6 @@ def make_cover(name) -> Cover:
         charts = tuple(cap_chart(f"cap{k}", ax, -0.25)
                        for k, ax in enumerate(SPHERE_CAP_AXES))
         return Cover(name, model, charts)
-    if name == "sphere-2caps-band":
-        model = make_model("sphere")
-        charts = (
-            cap_chart("north", [0, 0, 1], 0.15),
-            cap_chart("south", [0, 0, -1], 0.15),
-            Chart("band", lambda p, s: np.abs(p[..., 2]) < 0.55 - s, 0.05),
-        )
-        return Cover(name, model, charts)
     if name == "torus-4squares":
         model = make_model("torus")
         charts = tuple(square_chart(f"sq{k}", c, 0.35, margin=0.03)
@@ -318,13 +274,6 @@ def make_cover(name) -> Cover:
     if name == "plane-1":
         model = make_model("plane")
         return Cover(name, model, (box_chart("all", [-1.1, -1.1], [1.1, 1.1]),))
-    if name == "plane-4":
-        model = make_model("plane")
-        boxes = [([-1.1, -1.1], [0.3, 0.3]), ([-0.3, -1.1], [1.1, 0.3]),
-                 ([-1.1, -0.3], [0.3, 1.1]), ([-0.3, -0.3], [1.1, 1.1])]
-        charts = tuple(box_chart(f"box{k}", lo, hi)
-                       for k, (lo, hi) in enumerate(boxes))
-        return Cover(name, model, charts)
     raise ValueError(f"unknown cover {name!r}")
 
 
@@ -626,10 +575,6 @@ class RectSubdivision:
         return (len(self.s_breaks) - 1, len(self.t_breaks) - 1)
 
 
-def _cell_samples(a, b, n):
-    return np.linspace(a, b, n)
-
-
 def _cell_rows(a, b, n):
     """n samples of each cell [a[i], b[i]], one row per cell: what
     np.linspace(a, b, n, axis=-1) gives for cells of nonzero width, bit
@@ -638,14 +583,6 @@ def _cell_rows(a, b, n):
     rows = np.arange(n) * ((b - a) / (n - 1))[:, None] + a[:, None]
     rows[:, -1] = b
     return rows
-
-
-def _cell_grid(s0, s1, t0, t1, n):
-    """The n x n sample grid of a cell as flat (s, t) node arrays, s
-    major."""
-    s, t = np.meshgrid(_cell_samples(s0, s1, n), _cell_samples(t0, t1, n),
-                       indexing="ij")
-    return s.ravel(), t.ravel()
 
 
 def _fits(cover, pts, cells):
@@ -714,28 +651,6 @@ def _assign_charts_boundaries(cylinder: Cylinder, cover: Cover, bottom=None,
     return subs.get(0.0, bottom), subs.get(1.0, top)
 
 
-def certify_interval(loop: Loop, cover: Cover, sub: IntervalSubdivision):
-    """Re-check containment at 4x the sampling; ChartMismatch on failure."""
-    for (a, b), chart in zip(sub.cells, sub.charts):
-        ts = _cell_samples(a, b, sub.sample_density * 4)
-        inside = cover.charts[chart].contains(
-            cover.model.reduce(loop.eval(ts)), with_margin=True)
-        if not inside.all():
-            raise ChartMismatch(f"cell [{a},{b}] leaves chart {chart} at "
-                                f"t={ts[np.argmin(inside)]}")
-    return True
-
-
-def refine_interval(sub: IntervalSubdivision, cell_index) -> IntervalSubdivision:
-    """Split one cell at its midpoint, keeping its chart."""
-    a, b = sub.cells[cell_index]
-    bp = list(sub.breakpoints)
-    bp.insert(cell_index + 1, 0.5 * (a + b))
-    ch = list(sub.charts)
-    ch.insert(cell_index, ch[cell_index])
-    return IntervalSubdivision(tuple(bp), tuple(ch), sub.sample_density)
-
-
 def assign_charts_rect(cylinder: Cylinder, cover: Cover, max_depth=12,
                        samples_per_cell=5,
                        bottom: IntervalSubdivision = None,
@@ -760,7 +675,7 @@ def assign_charts_rect(cylinder: Cylinder, cover: Cover, max_depth=12,
         ns, nt = len(s_breaks) - 1, len(t_breaks) - 1
         s = _cell_rows(s_breaks[:-1], s_breaks[1:], n)
         t = _cell_rows(t_breaks[:-1], t_breaks[1:], n)
-        # cell (i, j) holds the n x n grid of _cell_grid, s major
+        # cell (i, j) holds the n x n grid of its s and t samples, s major
         shape = (ns, nt, n, n)
         pts = cylinder.eval(
             np.broadcast_to(s[:, None, :, None], shape).ravel(),
@@ -786,23 +701,6 @@ def assign_charts_rect(cylinder: Cylinder, cover: Cover, max_depth=12,
         s_breaks = sorted({*s_breaks, *s_mid[bad.any(axis=1)].tolist()})
         t_breaks = sorted({*t_breaks,
                            *t_mid[bad[~forced].any(axis=0)].tolist()})
-
-
-def certify_rect(cylinder: Cylinder, cover: Cover, sub: RectSubdivision):
-    """Re-check containment at 4x the sampling; ChartMismatch on failure."""
-    ns, nt = sub.shape
-    for i in range(ns):
-        for j in range(nt):
-            s, t = _cell_grid(sub.s_breaks[i], sub.s_breaks[i + 1],
-                              sub.t_breaks[j], sub.t_breaks[j + 1],
-                              sub.sample_density * 4)
-            inside = cover.charts[sub.charts[i][j]].contains(
-                cover.model.reduce(cylinder.eval(s, t)), with_margin=True)
-            if not inside.all():
-                k = np.argmin(inside)
-                raise ChartMismatch(f"rect cell ({i},{j}) leaves its chart "
-                                    f"at (s,t)=({s[k]},{t[k]})")
-    return True
 
 
 def refine_rect(sub: RectSubdivision) -> RectSubdivision:

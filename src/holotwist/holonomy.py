@@ -12,8 +12,7 @@ computes the abelian surface factor from the curving, the overlap
 1-forms and the fiber 2-cocycle over a grid; the holonomy functor
 assembles both into a morphism of the categorical group.  Charts are
 assigned from samples (geometry.assign_charts_*; the functor bisects
-both boundary loops in lockstep, one cylinder call per level); the
-denser certify_* re-checks are run by the tests only.
+both boundary loops in lockstep, one cylinder call per level).
 
 Face quadrature compares two Gauss orders per cell and splits the cell
 while they disagree.  The cylinder is evaluated once per grid row (every
@@ -155,31 +154,27 @@ def _layer(bundle, tag):
             bundle.extension.families[tag].dim)
 
 
-def _line_holonomy(bundle, loop, tag, subdivision, steps, with_error):
+def _line_holonomy(bundle, loop, tag, subdivision, steps):
     """Holonomy of one layer: tag "G" transports with D and g, tag "E"
     with A and e, max(4, round(steps * length)) steps per cell.  The
     step-halving check walks the same loop call's jets."""
     sub = subdivision or assign_charts_interval(loop, bundle.cover)
-    counts = (steps, max(8, steps // 2)) if with_error else (steps,)
-    products = _line_products(
+    (total, cells), (half, _) = _line_products(
         lambda s, ts: loop.eval_with_deriv(ts),
-        [(0.0, sub, _cell_steps(n)) for n in counts], *_layer(bundle, tag),
-        tag.lower())
-    total, cells = products[0]
-    err = mat_norm(total - products[1][0]) if with_error else 0.0
-    return HolonomyResult(GroupElement(total, tag), sub, cells, err)
+        [(0.0, sub, _cell_steps(n)) for n in (steps, max(8, steps // 2))],
+        *_layer(bundle, tag), tag.lower())
+    return HolonomyResult(GroupElement(total, tag), sub, cells,
+                          mat_norm(total - half))
 
 
-def hol0(bundle, loop, subdivision=None, steps=96,
-         with_error=True) -> HolonomyResult:
+def hol0(bundle, loop, subdivision=None, steps=96) -> HolonomyResult:
     """Ordinary holonomy of the underlying G-bundle along a based loop."""
-    return _line_holonomy(bundle, loop, "G", subdivision, steps, with_error)
+    return _line_holonomy(bundle, loop, "G", subdivision, steps)
 
 
-def hol1(bundle, loop, subdivision=None, steps=96,
-         with_error=True) -> HolonomyResult:
+def hol1(bundle, loop, subdivision=None, steps=96) -> HolonomyResult:
     """The E-valued 1-holonomy; only well-defined jointly with epsilon."""
-    return _line_holonomy(bundle, loop, "E", subdivision, steps, with_error)
+    return _line_holonomy(bundle, loop, "E", subdivision, steps)
 
 
 # --------------------------------------------------------------------------

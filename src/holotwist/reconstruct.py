@@ -100,8 +100,8 @@ def _chain_cylinder(model, waypoints) -> Cylinder:
     ones when s is a Dual), and takes a + w * (b - a),
     w = collar_warp(t * n - k, SEG_COLLAR), and the sphere projection
     by 1 / sqrt(((0 + x^2) + y^2) + z^2), all as Dual operations: node
-    by node those of geometry._segment_path and a projection component
-    by component, so the bits are theirs.  On the torus each base is
+    by node those of a segment path gathered component by component and
+    a projection component by component, so the bits are theirs.  On the torus each base is
     lifted next to the previous one: by the wrapped displacement between
     the two bases as given, so a segment between two given points runs
     the same way wherever the chain has lifted them (a half-period tie

@@ -34,6 +34,7 @@ from holotwist.liecore import (
     path_ordered_exp,
 )
 from holotwist.reconstruct import round_trip_check
+from charts import certify_interval, certify_rect, refine_interval
 from liehelpers import riemann_product_exp
 
 RESULTS = []
@@ -188,9 +189,9 @@ def test_criterion_04_closed_surface_quantization():
 def _certified(b, cyl, bot, top):
     cover = b.cover
     rect = G.assign_charts_rect(cyl, cover, bottom=bot, top=top)
-    G.certify_interval(cyl.bottom_loop(), cover, bot)
-    G.certify_interval(cyl.top_loop(), cover, top)
-    G.certify_rect(cyl, cover, rect)
+    certify_interval(cyl.bottom_loop(), cover, bot)
+    certify_interval(cyl.top_loop(), cover, top)
+    certify_rect(cyl, cover, rect)
     return rect
 
 
@@ -206,8 +207,8 @@ def _two_subdivision_drift(b, cyl, s1, s2, **kw):
     top = G.assign_charts_interval(cyl.top_loop(), cover,
                                    samples_per_cell=49)
     rect = _certified(b, cyl, bot, top)
-    bot2 = G.refine_interval(bot, 0)
-    top2 = G.refine_interval(top, len(top.charts) - 1)
+    bot2 = refine_interval(bot, 0)
+    top2 = refine_interval(top, len(top.charts) - 1)
     rect2 = _certified(b, cyl, bot2, top2)
     m1 = H.holonomy_functor(b, cyl, bottom_sub=bot, top_sub=top,
                             rect=rect, steps=s1, **kw).value

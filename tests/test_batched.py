@@ -46,6 +46,7 @@ from holotwist.liecore import (
 from holotwist.reconstruct import SEG_COLLAR, BasepointScaffold
 
 import pointwise
+from charts import cell_grid, certify_interval, certify_rect, make_cover
 
 # Joints of the three-piece and two-piece maps, collar edges of the
 # default and the chain collars, and the ends.
@@ -277,7 +278,7 @@ def _chains():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(R, "_chain_cylinder", recording)
         for cover in ("sphere-3caps", "torus-4squares", "plane-4"):
-            sc = BasepointScaffold.for_cover(G.make_cover(cover), seed=0)
+            sc = BasepointScaffold.for_cover(make_cover(cover), seed=0)
             i, j = sorted(sc.pair_anchors)[0]
             xij = np.asarray(sc.pair_anchor(i, j))
             y = 0.9 * xij + 0.1 * np.asarray(sc.anchors[j])
@@ -315,7 +316,7 @@ def test_chain_kernel_matches_per_component_chain(label):
     """The stacked chain kernel against the chain evaluated component by
     component, as bytes: eval, one-pass partials, plain, one-direction
     and two-direction seeds on the joint grid and on batches inside one
-    segment (the one-cell path of geometry._segment_path), one node, and
+    segment (the one-cell path of pointwise.segment_path), one node, and
     both boundary loops."""
     cyl, ref, n = CHAINS[label]
     s, t = (a.ravel() for a in np.meshgrid(S_NODES, T_NODES, indexing="ij"))
@@ -342,6 +343,42 @@ def test_chain_kernel_matches_per_component_chain(label):
         for g, w in zip(got.eval_with_deriv(T_NODES),
                         want.eval_with_deriv(T_NODES)):
             assert _same_bits(g, w)
+
+
+# The cap profile's segment ends as the per-component reference takes
+# them: (theta / alpha, phi / 2 pi) as nested tuples of integers.
+_CAP_ENDS = (((0, 0), (1, 0)), ((1, 0), (1, 1)), ((1, 0), (0, 0)))
+
+
+def _reference_cap_profile(alpha, t):
+    depth, turn = pointwise.segment_path(t, _CAP_ENDS, C.PIECE_COLLAR)
+    return alpha * depth, 2.0 * math.pi * turn
+
+
+def test_cap_profile_table_matches_per_component_segments():
+    """catalog._cap_profile, which reads its segment ends from a constant
+    table, against the ends gathered component by component, as bytes:
+    plain, one-direction and two-direction seeds on the joint grid (the
+    breakpoints 0, 1/3, 2/3 and 1 among its nodes), on batches inside one
+    segment (the one-cell path of pointwise.segment_path), each with its
+    left breakpoint, and at one node; alpha a constant, or a Dual in s
+    as cap-sweep passes it."""
+    assert C._CAP_SEGMENTS.tolist() == [[list(end) for end in seg]
+                                        for seg in _CAP_ENDS]
+    batches = [T_NODES] + [np.linspace(k / 3, (k + 1) / 3, 9)[:-1]
+                           for k in range(3)]
+    batches += [np.linspace(2 / 3, 1.0, 9)] + [np.array([x]) for x in
+                                                (0.0, 1 / 3, 0.5, 1.0)]
+    unit = np.eye(2)[:, :, None]
+    for t in batches:
+        s = np.linspace(0.05, 0.95, t.size)
+        for ds, dt in ((None, None), (1.0, None), (None, 1.0), (1.0, 1.0),
+                       (unit[0], unit[1])):
+            tt = t if dt is None else Dual(t, dt)
+            for alpha in (2.0, 2.0 * C._w(s if ds is None else Dual(s, ds))):
+                assert _same_components(
+                    C._cap_profile(alpha, tt),
+                    _reference_cap_profile(alpha, tt)), (t, ds, dt)
 
 
 _ARR = np.linspace(0.3, 0.8, 7)
@@ -711,7 +748,7 @@ def test_line_holonomy_evaluates_loop_jets_once_per_cell():
     sub = G.assign_charts_interval(loop, bundle.cover)
     calls = []
     loop.eval_with_deriv = _counting(loop.eval_with_deriv, calls)
-    H.hol0(bundle, loop, sub, steps=64, with_error=False)
+    H.hol0(bundle, loop, sub, steps=64)
     assert len(calls) == 1 < len(sub.cells)
     assert all(len(shape) == 1 and shape[0] % 2 == 0 for shape in calls)
 
@@ -807,8 +844,8 @@ def test_functor_boundary_holonomies_match_hol1(label):
     cells = dict(res.cells)
     for key, loop, sub in (("H1(bottom)", cyl.bottom_loop(), bot),
                            ("H1(top)", cyl.top_loop(), top)):
-        want = H.hol1(bundle, loop, sub, R.ORACLE_NUMERICS["steps"],
-                      with_error=False).value.entries
+        want = H.hol1(bundle, loop, sub,
+                      R.ORACLE_NUMERICS["steps"]).value.entries
         assert _same_bits(cells[key], want), key
     assert _same_bits(res.value.rep_source.entries, cells["H1(bottom)"])
 
@@ -847,8 +884,10 @@ def test_one_form_call_per_line_cell_and_per_edge():
     sub = G.assign_charts_interval(loop, bundle.cover)
     calls = []
     bundle.D = {i: _recording(f, calls) for i, f in bundle.D.items()}
-    H.hol0(bundle, loop, sub, steps=64, with_error=False)
-    assert len(calls) == len(sub.cells) > 1
+    H.hol0(bundle, loop, sub, steps=64)
+    # once per cell at 64 steps, then once per cell at the step-halving
+    # check's 32
+    assert len(calls) == 2 * len(sub.cells) > 2
     assert all(len(shape) == 2 and shape[1] == 3 for shape in calls)
 
     cyl = C.cap_sweep_cylinder(2.0)
@@ -1002,7 +1041,7 @@ def test_one_evaluation_per_chart_assignment_level():
     # a binary split tree: 2 * cells - 1 cells sampled in all
     assert sum(n for n, in calls) == 17 * (2 * len(sub.cells) - 1)
     calls.clear()
-    G.certify_interval(loop, cover, sub)
+    certify_interval(loop, cover, sub)
     assert calls == [(68,)] * len(sub.cells)
 
     cyl = C.make_cylinder("sphere", "constant", {"loop": "latitude"})
@@ -1013,7 +1052,7 @@ def test_one_evaluation_per_chart_assignment_level():
                                 bottom=bottom, top=bottom)
     assert rect.shape[0] == 1 and calls == [(25 * rect.shape[1],)]
     calls.clear()
-    G.certify_rect(cyl, cover, rect)
+    certify_rect(cyl, cover, rect)
     assert calls == [(400,)] * rect.shape[1]
 
 
@@ -1071,7 +1110,7 @@ def _reference_rect(cylinder, cover, max_depth=12, samples_per_cell=5,
         for i in range(ns):
             for j in range(nt):
                 t0, t1 = t_breaks[j], t_breaks[j + 1]
-                fits = _fitting(cover, cylinder.eval(*G._cell_grid(
+                fits = _fitting(cover, cylinder.eval(*cell_grid(
                     s_breaks[i], s_breaks[i + 1], t0, t1, samples_per_cell)))
                 forced = None
                 if i == 0 and bottom is not None:
@@ -1169,7 +1208,7 @@ _ASSIGN_CYLINDERS.update(
 def test_interval_assignment_matches_per_cell_reference(label):
     loop = _ASSIGN_LOOPS[label]
     for name in _COVERS[loop.model.kind]:
-        cover = G.make_cover(name)
+        cover = make_cover(name)
         assert _outcome(G.assign_charts_interval, loop, cover) \
             == _outcome(_reference_interval, loop, cover), name
 
@@ -1180,7 +1219,7 @@ def test_rect_assignment_matches_per_cell_reference(label):
     free on the first cover of the model."""
     cyl = _ASSIGN_CYLINDERS[label]
     for k, name in enumerate(_COVERS[cyl.model.kind]):
-        cover = G.make_cover(name)
+        cover = make_cover(name)
         bottom = _outcome(G.assign_charts_interval, cyl.bottom_loop(), cover)
         top = _outcome(G.assign_charts_interval, cyl.top_loop(), cover)
         assert bottom == _outcome(_reference_interval, cyl.bottom_loop(),
@@ -1249,7 +1288,7 @@ def test_lockstep_boundary_assignment_matches_two_interval_calls(label):
     level, give the two loops' own subdivisions; a given side is kept."""
     cyl = _ASSIGN_CYLINDERS[label]
     for name in _COVERS[cyl.model.kind]:
-        cover = G.make_cover(name)
+        cover = make_cover(name)
         want = _two_interval_calls(cyl, cover)
         assert _outcome(G._assign_charts_boundaries, cyl, cover) == want
         if isinstance(want, tuple):
@@ -1299,11 +1338,11 @@ def test_lockstep_boundary_failures_match_two_interval_calls(label):
 @pytest.mark.parametrize("cover", ["sphere-3caps", "torus-4squares",
                                    "sphere-2caps-band", "plane-4"])
 def test_anchors_match_per_point_reference(cover, monkeypatch):
-    got = [R.BasepointScaffold.for_cover(G.make_cover(cover), seed=seed)
+    got = [R.BasepointScaffold.for_cover(make_cover(cover), seed=seed)
            for seed in range(6)]
     monkeypatch.setattr(R, "_central_point", _reference_central_point)
     for seed, sc in enumerate(got):
-        want = R.BasepointScaffold.for_cover(G.make_cover(cover), seed=seed)
+        want = R.BasepointScaffold.for_cover(make_cover(cover), seed=seed)
         for mine, theirs in ((sc.anchors, want.anchors),
                              (sc.pair_anchors, want.pair_anchors)):
             assert mine.keys() == theirs.keys()
@@ -1324,7 +1363,7 @@ _SAMPLE_REGIONS = [
 
 @pytest.mark.parametrize("cover,region", _SAMPLE_REGIONS)
 def test_region_blocks_match_per_point_draws(cover, region):
-    cover = G.make_cover(cover)
+    cover = make_cover(cover)
     for seed in range(10):
         for count in (1, 5, 40, 64):
             rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -1340,7 +1379,7 @@ def test_region_blocks_match_per_point_draws(cover, region):
 ])
 def test_region_blocks_give_up_where_per_point_draws_do(cover, region,
                                                         count):
-    cover = G.make_cover(cover)
+    cover = make_cover(cover)
     rng, ref = np.random.default_rng(3), np.random.default_rng(3)
     with pytest.raises(ChartMismatch) as exc:
         sample_region(cover, region, rng, count)
@@ -1353,7 +1392,7 @@ def test_region_blocks_give_up_where_per_point_draws_do(cover, region,
 @pytest.mark.parametrize("cover", ["sphere-3caps", "torus-4squares",
                                    "plane-4"])
 def test_tangent_block_matches_per_point_draws(cover):
-    cover = G.make_cover(cover)
+    cover = make_cover(cover)
     for seed in range(10):
         for count in (1, 2):
             rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -1446,17 +1485,13 @@ def test_group_maps_on_stacks_match_points(name):
             _stack_matches_points(gmap.jet, p, v)
 
 
-@pytest.mark.parametrize("degree", [0, 1, 2])
-def test_expression_forms_on_stacks_match_points(degree):
+def test_expression_forms_on_stacks_match_points():
     entries = [["sin(x)*y + 2", "exp(z)/(2 + x)"], ["sqrt(1 + y*y)", "x*z"]]
-    components = {0: entries, 1: {"x": entries, "z": entries},
-                  2: {("x", "y"): entries, ("y", "z"): entries}}[degree]
-    form = expr_form(degree, components, ("x", "y", "z"))
+    form = expr_form(1, {"x": entries, "z": entries}, ("x", "y", "z"))
     rng = np.random.default_rng(2)
     stacks = rng.normal(size=(3, N_POINTS, 3))
     for f in (form, form.d):
-        if f is not None:
-            _stack_matches_points(f, *stacks[:f.degree + 1])
+        _stack_matches_points(f, *stacks[:f.degree + 1])
 
 
 @pytest.mark.parametrize("name", sorted(BUILTIN_EXTENSIONS))

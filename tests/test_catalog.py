@@ -8,13 +8,15 @@ import pytest
 from holotwist import catalog as C, geometry as G
 from holotwist.errors import ConfigError
 
+from charts import certify_interval, certify_rect
+
 SCOV = G.make_cover("sphere-3caps")
 TCOV = G.make_cover("torus-4squares")
 
 
 def test_equator_needs_several_cells():
     sub = G.assign_charts_interval(C.equator_loop(), SCOV)
-    G.certify_interval(C.equator_loop(), SCOV, sub)
+    certify_interval(C.equator_loop(), SCOV, sub)
     assert len(sub.charts) >= 3
 
 
@@ -48,7 +50,7 @@ def test_full_sphere_certifiable():
     bot = G.assign_charts_interval(full.bottom_loop(), SCOV)
     top = G.assign_charts_interval(full.top_loop(), SCOV)
     rect = G.assign_charts_rect(full, SCOV, bottom=bot, top=top)
-    G.certify_rect(full, SCOV, rect)
+    certify_rect(full, SCOV, rect)
 
 
 def test_spike_retraction_is_thin():

@@ -9,6 +9,7 @@ import pytest
 from holotwist import cli, geometry, holonomy
 from holotwist.bundle import SAMPLE_BUDGET, ValidationReport
 from holotwist.cli import COMMANDS, main
+from holotwist.families import PARAM_BOUNDS
 from holotwist.formsexpr import parser
 from holotwist.liecore import make_extension
 
@@ -684,3 +685,51 @@ def test_verify_finds_a_sample_count_error_before_any_functor_call(
     assert main(["verify", "--config", cfg]) == 2
     assert "(at numerics.sample_count)" in capsys.readouterr().err
     assert calls == []
+
+
+# Family parameters over their magnitude bounds: each overflowed a
+# kernel (a RuntimeWarning) in the command at the parent of the bounds.
+OVER_BOUND = [
+    ("validate", "monopole", "kappa", 1e300),
+    ("validate", "monopole", "mu", -1e300),
+    ("validate", "sphere-pu2", "spin", 1e300),
+    ("hol1", "sphere-pu2", "spin", 1e10),
+    ("functor", "sphere-pu2", "flux", 1e160),
+    ("validate", "torus-flat", "flux", -1e307),
+]
+CAP_SWEEP = {"name": "cap-sweep", "params": {"alpha": 2.0}}
+LATITUDE = {"name": "latitude", "params": {"theta": 1.0}}
+
+
+def _family_run(tmp_path, command, family, key, value):
+    return main([command, "--config", write_cfg(tmp_path, {
+        "bundle": {"family": family, "params": {key: value}},
+        "loop": LATITUDE if family != "torus-flat" else {"name": "winding"},
+        "cylinder": CAP_SWEEP if family != "torus-flat" else {"name": "morph"},
+        "numerics": {"steps": 32, "order": 4, "edge_cells": 1,
+                     "face_tol": 1e-4}})])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command, family, key, value", OVER_BOUND)
+def test_family_parameter_over_its_bound_exits_two(tmp_path, capsys, command,
+                                                    family, key, value):
+    assert _family_run(tmp_path, command, family, key, value) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"{key} must have magnitude at most" in err
+    assert "(at bundle.params)" in err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("family, key", [
+    ("monopole", "kappa"), ("monopole", "mu"), ("sphere-pu2", "kappa"),
+    ("sphere-pu2", "mu"), ("sphere-pu2", "spin"), ("sphere-pu2", "flux"),
+    ("torus-flat", "flux")])
+def test_family_parameter_at_its_bound_runs(tmp_path, capsys, family, key):
+    """At the bound, validate and hol1 compute (exit 0 or 1) without an
+    overflow."""
+    for command in ("validate", "hol1"):
+        for value in (PARAM_BOUNDS[key], -PARAM_BOUNDS[key]):
+            assert _family_run(tmp_path, command, family, key, value) in (0, 1)
+    assert "Traceback" not in capsys.readouterr().err

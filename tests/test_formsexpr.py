@@ -16,6 +16,7 @@ from holotwist.errors import (
     HolotwistError,
     UnknownIdentifier,
 )
+from holotwist.families import sphere_area_form
 from holotwist.formsexpr import (
     Bin,
     Call,
@@ -256,7 +257,7 @@ def test_imaginary_constant():
 def test_degree1_linearity_and_degree2_antisymmetry():
     rng = np.random.default_rng(0)
     a1 = expr_form(1, {"x": [["sin(y)"]], "y": [["x*y"]]}, ("x", "y"))
-    f2 = expr_form(2, {("x", "y"): [["exp(x)"]]}, ("x", "y"))
+    f2 = exterior_derivative(a1)
     for _ in range(10):
         p = rng.uniform(-1, 1, size=2)
         v, w = rng.normal(size=2), rng.normal(size=2)
@@ -264,16 +265,6 @@ def test_degree1_linearity_and_degree2_antisymmetry():
         assert abs(a1(p, c * v)[0, 0] - c * a1(p, v)[0, 0]) < 1e-10
         assert abs(f2(p, v, w)[0, 0] + f2(p, w, v)[0, 0]) < 1e-10
         assert abs(f2(p, v, v)[0, 0]) < 1e-10
-
-
-def test_exterior_derivative_of_function():
-    f0 = expr_form(0, [["sin(x)*y"]], ("x", "y"))
-    df = exterior_derivative(f0)
-    p = np.array([0.3, 0.8])
-    assert df(p, np.array([1.0, 0.0]))[0, 0] == pytest.approx(
-        0.8 * math.cos(0.3), abs=1e-12)
-    assert df(p, np.array([0.0, 1.0]))[0, 0] == pytest.approx(
-        math.sin(0.3), abs=1e-12)
 
 
 def test_d_of_u_dv_is_du_wedge_dv():
@@ -285,8 +276,10 @@ def test_d_of_u_dv_is_du_wedge_dv():
 
 
 def test_dd_is_small():
-    f0 = expr_form(0, [["exp(x)*sin(2*y)"]], ("x", "y"))
-    ddf = exterior_derivative(exterior_derivative(f0))
+    """d of the exact 1-form d(exp(x) sin(2y))."""
+    df = expr_form(1, {"x": [["exp(x)*sin(2*y)"]],
+                       "y": [["2*exp(x)*cos(2*y)"]]}, ("x", "y"))
+    ddf = exterior_derivative(df)
     rng = np.random.default_rng(1)
     for _ in range(5):
         p = rng.uniform(-1, 1, size=2)
@@ -294,9 +287,16 @@ def test_dd_is_small():
 
 
 def test_top_degree_rejected():
-    f2 = expr_form(2, {("x", "y"): [["1"]]}, ("x", "y"))
+    f2 = exterior_derivative(expr_form(1, {"y": [["x"]]}, ("x", "y")))
     with pytest.raises(DegreeUnsupported):
         exterior_derivative(f2)
+
+
+def test_expression_forms_are_1forms_only():
+    with pytest.raises(DegreeUnsupported):
+        expr_form(0, [["sin(x)*y"]], ("x", "y"))
+    with pytest.raises(DegreeUnsupported):
+        expr_form(2, {("x", "y"): [["exp(x)"]]}, ("x", "y"))
 
 
 def test_zero_form_chain():
@@ -351,8 +351,7 @@ def _sphere_patch(s, t):
     return p, dps, dpt
 
 
-AREA_FORM = expr_form(2, {("y", "z"): [["x"]], ("x", "z"): [["-y"]],
-                          ("x", "y"): [["z"]]}, ("x", "y", "z"))
+AREA_FORM = sphere_area_form(1.0)
 
 
 def test_sphere_area():

@@ -14,6 +14,9 @@ from holotwist.errors import (
     MaxDepthExceeded,
 )
 
+from charts import certify_interval, certify_rect, make_cover, \
+    refine_interval
+
 
 def test_smooth_step_profile():
     assert dm.smooth_step(-0.5) == 0.0
@@ -67,7 +70,7 @@ def test_model_wrap_project_and_tangent():
 def test_covers_basepoint_in_chart0():
     for name in ("sphere-3caps", "sphere-2caps-band", "torus-4squares",
                  "plane-1", "plane-4"):
-        cover = G.make_cover(name)
+        cover = make_cover(name)
         bp = cover.model.reduce(cover.model.basepoint)
         assert cover.charts[0].contains(bp, with_margin=True)
 
@@ -205,16 +208,16 @@ def test_constant_loop_single_cell_chart0():
     cover = G.make_cover("sphere-3caps")
     sub = G.assign_charts_interval(G.constant_loop(cover.model), cover)
     assert sub.charts == (0,)
-    G.certify_interval(G.constant_loop(cover.model), cover, sub)
+    certify_interval(G.constant_loop(cover.model), cover, sub)
 
 
 def test_interval_assignment_certifies_and_refines():
     cover = G.make_cover("torus-4squares")
     loop = _torus_winding(1, 1)
     sub = G.assign_charts_interval(loop, cover)
-    G.certify_interval(loop, cover, sub)
-    refined = G.refine_interval(sub, 0)
-    G.certify_interval(loop, cover, refined)
+    certify_interval(loop, cover, sub)
+    refined = refine_interval(sub, 0)
+    certify_interval(loop, cover, refined)
     assert len(refined.charts) == len(sub.charts) + 1
 
 
@@ -232,7 +235,7 @@ def test_rect_assignment_boundary_rows_inherit():
     cyl = G.constant_cylinder(loop)
     bsub = G.assign_charts_interval(loop, cover)
     rect = G.assign_charts_rect(cyl, cover, bottom=bsub, top=bsub)
-    G.certify_rect(cyl, cover, rect)
+    certify_rect(cyl, cover, rect)
     # bottom row charts agree with the interval assignment cell-by-cell
     for j in range(rect.shape[1]):
         t_mid = 0.5 * (rect.t_breaks[j] + rect.t_breaks[j + 1])
@@ -256,7 +259,7 @@ def test_refine_rect_inherits_charts():
     rect = G.assign_charts_rect(cyl, cover, bottom=sub, top=sub)
     fine = G.refine_rect(rect)
     assert fine.shape == (2 * rect.shape[0], 2 * rect.shape[1])
-    G.certify_rect(cyl, cover, fine)
+    certify_rect(cyl, cover, fine)
 
 
 def test_certify_rejects_wrong_chart():
@@ -267,4 +270,4 @@ def test_certify_rejects_wrong_chart():
                                 tuple((c + 2) % 4 for c in sub.charts),
                                 sub.sample_density)
     with pytest.raises(ChartMismatch):
-        G.certify_interval(loop, cover, bad)
+        certify_interval(loop, cover, bad)

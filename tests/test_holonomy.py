@@ -22,6 +22,7 @@ from holotwist.families import (
     trivial_bundle,
 )
 from holotwist.liecore import GroupElement, mat_norm
+from charts import certify_interval
 from liehelpers import riemann_product_exp
 
 
@@ -52,8 +53,8 @@ def test_constant_cylinder_identity_morphism():
 def test_determinism_with_stored_subdivision():
     b = torus_flat_bundle()
     loop = C.winding_loop(1, 0)
-    r1 = H.hol1(b, loop, steps=64, with_error=False)
-    r2 = H.hol1(b, loop, r1.subdivision, steps=64, with_error=False)
+    r1 = H.hol1(b, loop, steps=64)
+    r2 = H.hol1(b, loop, r1.subdivision, steps=64)
     assert np.array_equal(r1.value.entries, r2.value.entries)
 
 
@@ -67,9 +68,8 @@ def test_monopole_latitude_phase(n, theta):
     b = monopole_bundle(n)
     loop = C.latitude_loop(theta)
     sub = G.assign_charts_interval(loop, b.cover)
-    G.certify_interval(loop, b.cover, sub)
-    val = complex(H.hol0(b, loop, sub, steps=512,
-                         with_error=False).value.entries[0, 0])
+    certify_interval(loop, b.cover, sub)
+    val = complex(H.hol0(b, loop, sub, steps=512).value.entries[0, 0])
     pred = np.exp(1j * n * math.pi * (1.0 - math.cos(theta)))
     assert abs(val - pred) < 1e-6
 
@@ -91,9 +91,9 @@ def test_hol0_concatenation():
     b = monopole_bundle(1)
     l1, l2 = C.latitude_loop(1.0), C.latitude_loop(1.7)
     both = G.concat_loops(l1, l2)
-    v = H.hol0(b, both, steps=512, with_error=False).value.entries
-    v1 = H.hol0(b, l1, steps=512, with_error=False).value.entries
-    v2 = H.hol0(b, l2, steps=512, with_error=False).value.entries
+    v = H.hol0(b, both, steps=512).value.entries
+    v1 = H.hol0(b, l1, steps=512).value.entries
+    v2 = H.hol0(b, l2, steps=512).value.entries
     assert mat_norm(v - v1 @ v2) < 1e-6
 
 
@@ -103,8 +103,8 @@ def test_projection_compatibility():
              (trivial_bundle("sphere", "u2-pu2"), C.equator_loop())]
     for b, loop in cases:
         sub = G.assign_charts_interval(loop, b.cover)
-        h1 = H.hol1(b, loop, sub, steps=256, with_error=False).value.entries
-        h0 = H.hol0(b, loop, sub, steps=256, with_error=False).value.entries
+        h1 = H.hol1(b, loop, sub, steps=256).value.entries
+        h0 = H.hol0(b, loop, sub, steps=256).value.entries
         assert mat_norm(b.extension.project_mat(h1) - h0) < 1e-8
 
 
@@ -114,7 +114,7 @@ def test_torus_flat_hol1_regression():
     b = torus_flat_bundle()
     loop = C.winding_loop(1, 0)
     sub = G.assign_charts_interval(loop, b.cover)
-    val = H.hol1(b, loop, sub, steps=256, with_error=False).value.entries
+    val = H.hol1(b, loop, sub, steps=256).value.entries
 
     total = np.eye(2, dtype=complex)
     charts = sub.charts
