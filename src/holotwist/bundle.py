@@ -18,13 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-import scipy.linalg
-
 from . import dual as dm
 from .dual import value
 from .errors import MissingField, RegionUndersampled, TagMismatch
 from .formsexpr.forms import LocalForm, exterior_derivative, zero_form
-from .liecore import CentralExtension, GroupElement
+from .liecore import CentralExtension, GroupElement, _exp_stack, log_principal
 
 
 def _stack_entries(rows, shape):
@@ -427,23 +425,20 @@ def identity_gauge(bundle: TwistedBundleData) -> GaugeData:
 
 
 def one_parameter_map(gen_matrix, phi_fn, tag) -> GroupMap:
-    """x -> exp(phi(x) X) for a fixed anti-Hermitian generator X and a
-    real scalar field phi, with exact jets via the eigenbasis of X."""
+    """x -> exp(phi(x) X) for a fixed generator X and a real scalar field
+    phi, with the exact jet exp(phi X) X dphi (X commutes with exp(phi X))."""
     X = np.asarray(gen_matrix, dtype=complex)
-    lam, V = np.linalg.eigh(1j * X)      # X = V diag(-i lam) V^dagger
-    Vd = V.conj().T
+
+    def exp_phi(f):
+        f = np.asarray(f)
+        return _exp_stack(f.reshape(-1, 1, 1) * X).reshape(f.shape + X.shape)
 
     def jet(p, d):
         ph = phi_fn(dm.seeded(p, d))
-        ex = np.exp(-1j * lam * np.asarray(ph.val)[..., None])
-        dex = -1j * lam * ex * np.asarray(ph.dot)[..., None]
-        return (V * ex[..., None, :]) @ Vd, (V * dex[..., None, :]) @ Vd
+        ex = exp_phi(ph.val)
+        return ex, ex @ X * np.asarray(ph.dot)[..., None, None]
 
-    def val(p):
-        ex = np.exp(-1j * lam * np.asarray(phi_fn(dm.columns(p)))[..., None])
-        return (V * ex[..., None, :]) @ Vd
-
-    return GroupMap(jet, tag, val)
+    return GroupMap(jet, tag, lambda p: exp_phi(phi_fn(dm.columns(p))))
 
 
 def _smooth_scalar(rng, dim, scale, periodic, basepoint=None):
@@ -512,7 +507,7 @@ def random_gauge(bundle: TwistedBundleData, seed=0, scale=0.4,
     bp = model.reduce(model.basepoint) if based else None
 
     def alg_gen(tag):
-        x = scipy.linalg.logm(ext.random_mat(tag, rng))
+        x = log_principal(ext.random_mat(tag, rng))
         return 0.5 * (x - x.conj().T)
 
     e_i = {}

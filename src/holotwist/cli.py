@@ -217,14 +217,16 @@ def _quadrature(num):
             **{k: num[k] for k in ("order", "edge_cells", "face_tol")}}
 
 
-def _functor_with_invariance(bundle, cyl, num):
+def _functor_pair(bundle, cyl, num):
+    """The functor's morphisms on the command's grid and, with the same
+    boundary subdivisions and face table, on refine_rect of it at 2x steps."""
     quad = _quadrature(num)
     res = holonomy_functor(bundle, cyl, steps=num["steps"], **quad)
     bot, top, rect = res.subdivision
     fine = holonomy_functor(bundle, cyl, bottom_sub=bot, top_sub=top,
                             rect=refine_rect(rect), steps=2 * num["steps"],
                             **quad)
-    return res.value, morphism_distance(res.value, fine.value)
+    return res.value, fine.value
 
 
 # --------------------------------------------------------------------------
@@ -266,11 +268,12 @@ def _cmd_surface(cfg, num, bundle):
 
 def _cmd_functor(cfg, num, bundle):
     cyl = _cylinder(cfg, bundle)
-    morphism, drift = _functor_with_invariance(bundle, cyl, num)
+    morphism, fine = _functor_pair(bundle, cyl, num)
     values = {name: _ser_matrix(getattr(morphism, name).entries)
               for name in ("rep_source", "rep_target", "source_object",
                            "target_object")}
-    return {"refinement_invariance": drift}, values, num["tol"]
+    return ({"refinement_invariance": morphism_distance(morphism, fine)},
+            values, num["tol"])
 
 
 def _cmd_trace(cfg, num, bundle):
@@ -278,13 +281,8 @@ def _cmd_trace(cfg, num, bundle):
     if not _starts_at_basepoint(bundle, cyl):
         raise ConfigError("the trace needs a cylinder whose bottom loop "
                           "is constant at the basepoint", "cylinder")
-    quad = _quadrature(num)
-    res = holonomy_functor(bundle, cyl, steps=num["steps"], **quad)
-    bot, top, rect = res.subdivision
-    fine = holonomy_functor(bundle, cyl, bottom_sub=bot, top_sub=top,
-                            rect=rect, steps=2 * num["steps"], **quad)
-    tr, tr2 = (complex(np.trace(r.value.rep_target.entries))
-               for r in (res, fine))
+    tr, tr2 = (complex(np.trace(m.rep_target.entries))
+               for m in _functor_pair(bundle, cyl, num))
     return ({"refinement_invariance": abs(tr - tr2)},
             {"trace": [tr.real, tr.imag]}, num["tol"])
 
@@ -351,9 +349,9 @@ def _cmd_verify(cfg, num, bundle):
     validation = _validation(bundle, num).max_residual
     gauged = gauge_transform(bundle, random_gauge(bundle, seed=num["seed"]))
     gauge_validation = _validation(gauged, num).max_residual
-    _, drift = _functor_with_invariance(bundle, cyl, num)
     return {"validation": validation,
-            "functor_invariance": drift,
+            "functor_invariance": morphism_distance(
+                *_functor_pair(bundle, cyl, num)),
             "gauge_validation": gauge_validation,
             }, {}, num["tol"]
 

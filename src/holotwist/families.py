@@ -25,15 +25,16 @@ from .formsexpr.forms import LocalForm, zero_form
 from .geometry import COVER_FOR_MODEL, SPHERE_CAP_AXES, make_cover
 from .liecore import SIGMA, diag_stack, make_extension
 
-# Magnitude bounds of the real family parameters, each far below the
-# smallest value measured to overflow a command (README, Command line).
-PARAM_BOUNDS = {"kappa": 1e150, "mu": 1e150, "spin": 1e8, "flux": 1e150}
+# Magnitude bounds of the family parameters, each far below the smallest
+# value measured to overflow a command (README, Command line).
+PARAM_BOUNDS = {"kappa": 1e150, "mu": 1e150, "spin": 1e8, "flux": 1e150,
+                "n": 1e15}
 
 
-def _param(x, name):
-    """x as a finite float of magnitude at most PARAM_BOUNDS[name], else
-    ConfigError."""
-    x = float_setting(x, name)
+def _param(x, name, setting=float_setting):
+    """x read by setting (a finite float by default), of magnitude at most
+    PARAM_BOUNDS[name], else ConfigError."""
+    x = setting(x, name)
     if abs(x) > PARAM_BOUNDS[name]:
         raise ConfigError(f"{name} must have magnitude at most "
                           f"{PARAM_BOUNDS[name]:g}, got {x!r}")
@@ -311,7 +312,7 @@ def monopole_bundle(n=1, kappa=0.8, mu=0.5) -> TwistedBundleData:
     D_i the matching abelian connection, and the fiber layer carries the
     smooth antisymmetric phases tau_ij, making h_ijk nonconstant.
     """
-    n = integer_setting(n, "monopole charge n")
+    n = _param(n, "n", integer_setting)
     kappa, mu = _param(kappa, "kappa"), _param(mu, "mu")
     ext = make_extension("u1-squared")
     cover = make_cover("sphere-3caps")

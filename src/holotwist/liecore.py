@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import expm, logm
 
 from .errors import ConfigError, NonFinite, NotCentralFiber, NotSameFiber, SectionUndefined, TagMismatch
 
@@ -330,19 +329,23 @@ def group_inv(a: GroupElement) -> GroupElement:
 
 
 def log_principal(m):
-    """Principal matrix logarithm; the 1x1 case uses the scalar branch."""
-    if m.shape == (1, 1):
-        return np.array([[np.log(complex(m[0, 0]))]], dtype=complex)
-    return logm(np.asarray(m, dtype=complex))
+    """Principal matrix logarithm of one (d, d) matrix."""
+    return _log_stack(np.asarray(m, dtype=complex)[None])[0]
+
+
+def _eigen_apply(f, a):
+    """V f(L) V^-1 for each slice V L V^-1 (np.linalg.eig) of an (N, d, d)
+    stack: the matrix function f, for normal (unitary, anti-Hermitian) A."""
+    lam, v = np.linalg.eig(a)
+    return (v * f(lam)[..., None, :]) @ np.linalg.inv(v)
 
 
 def _log_stack(a):
-    """log_principal of every slice of an (N, d, d) complex stack: one
-    elementwise log when d == 1 (the scalar branch's bits), logm slice
-    by slice otherwise."""
-    if a.shape[-1] == 1:
-        return np.log(a)
-    return np.array([log_principal(m) for m in a])
+    """Principal logarithm of every slice of an (N, d, d) complex stack:
+    np.log of the diagonal when every slice is diagonal, else _eigen_apply."""
+    if a[:, ~np.eye(a.shape[-1], dtype=bool)].any():
+        return _eigen_apply(np.log, a)
+    return diag_stack(np.log(np.diagonal(a, axis1=1, axis2=2)).T)
 
 
 _SMALL = 1e-4     # |delta| below which the 2x2 closed form uses series
@@ -370,16 +373,14 @@ def _exp_stack(a):
         delta^2 = (a00 - tau)^2 + a01 a10;
       * real antisymmetric 3x3 (so(3), checked exactly): Rodrigues,
         I + sin theta / theta A + (1 - cos theta) / theta^2 A^2;
-    and scipy.linalg.expm (scaling and squaring) for anything else."""
+    and the eigenvector method (_eigen_apply) for anything else."""
     d = a.shape[-1]
     if d == 1:
         return np.exp(a)
     idx = np.arange(d)
     diag = a[:, idx, idx]
     if not a[:, ~np.eye(d, dtype=bool)].any():
-        out = np.zeros_like(a)
-        out[:, idx, idx] = np.exp(diag)
-        return out
+        return diag_stack(np.exp(diag).T)
     if d == 2:
         tau = 0.5 * (diag[:, 0] + diag[:, 1])
         b = a - tau[:, None, None] * np.eye(2)
@@ -399,7 +400,7 @@ def _exp_stack(a):
         out = sinc[:, None, None] * r + versc[:, None, None] * (r @ r)
         out[:, idx, idx] += 1.0
         return out.astype(complex)
-    return expm(a)
+    return _eigen_apply(np.exp, a)
 
 
 def exp_matrix(a: AlgebraElement) -> GroupElement:
@@ -449,9 +450,9 @@ def path_ordered_exp(field, a=0.0, b=1.0, steps=64, tag="e"):
     order, to the (2 * steps, d, d) stack of its values.  The Magnus
     exponents of all steps are exponentiated in one call of the stack
     kernel (closed forms for U(1), diagonal, U(2) and SO(3) exponents;
-    scipy.linalg.expm for any other), and the ordered product is taken
-    pairwise: each level multiplies neighbouring factors, left by right,
-    in one stacked matmul.
+    the eigenvector method for any other), and the ordered product is
+    taken pairwise: each level multiplies neighbouring factors, left by
+    right, in one stacked matmul.
     """
     h, nodes = _magnus_nodes(a, b, steps)
     values = np.asarray(field(nodes), dtype=complex)

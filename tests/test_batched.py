@@ -702,8 +702,8 @@ def test_refined_run_integrates_only_cells_the_coarse_run_never_saw(
 
 
 def test_second_trace_run_integrates_no_face(monkeypatch):
-    """trace's second run, at twice the steps on the same grid, reads
-    every face integral from the first run's table."""
+    """A trace at twice the steps on the same grid reads every face
+    integral from the first run's table."""
     bundle, cyl = monopole_bundle(1), C.cap_sweep_cylinder(2.0)
     quad = {"order": 4, "edge_cells": 1, "face_tol": 1e-4}
     faces = {}

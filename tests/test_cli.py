@@ -2,14 +2,17 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from holotwist import cli, geometry, holonomy
+from holotwist import catalog, cli, geometry, holonomy
 from holotwist.bundle import SAMPLE_BUDGET, ValidationReport
 from holotwist.cli import COMMANDS, main
-from holotwist.families import PARAM_BOUNDS
+from holotwist.families import PARAM_BOUNDS, make_bundle
 from holotwist.formsexpr import parser
 from holotwist.liecore import make_extension
 
@@ -226,8 +229,8 @@ def test_trace_uses_the_functor_quadrature(tmp_path):
 
 def test_trace_assigns_charts_once(tmp_path, monkeypatch):
     """trace's run at twice the steps reuses the first run's boundary
-    subdivisions and grid: one bisection of the boundary loops and one
-    grid assignment for the whole command."""
+    subdivisions and refines its grid: one bisection of the boundary
+    loops and one grid assignment for the whole command."""
     calls = []
     for module, name in ((geometry, "_bisect_charts"),
                          (holonomy, "assign_charts_rect")):
@@ -237,8 +240,7 @@ def test_trace_assigns_charts_once(tmp_path, monkeypatch):
         monkeypatch.setattr(module, name, counted)
     cfg = write_cfg(tmp_path, {
         "bundle": MONOPOLE,
-        "cylinder": {"name": "cap-sweep", "params": {"alpha": 2.0}},
-        "numerics": {"face_tol": 1e-2, "edge_cells": 1}})
+        "cylinder": {"name": "cap-sweep", "params": {"alpha": 2.0}}})
     assert main(["trace", "--config", cfg]) == 0
     assert sorted(calls) == ["_bisect_charts", "assign_charts_rect"]
 
@@ -696,6 +698,7 @@ OVER_BOUND = [
     ("hol1", "sphere-pu2", "spin", 1e10),
     ("functor", "sphere-pu2", "flux", 1e160),
     ("validate", "torus-flat", "flux", -1e307),
+    ("validate", "monopole", "n", 1e20),
 ]
 CAP_SWEEP = {"name": "cap-sweep", "params": {"alpha": 2.0}}
 LATITUDE = {"name": "latitude", "params": {"theta": 1.0}}
@@ -725,7 +728,7 @@ def test_family_parameter_over_its_bound_exits_two(tmp_path, capsys, command,
 @pytest.mark.parametrize("family, key", [
     ("monopole", "kappa"), ("monopole", "mu"), ("sphere-pu2", "kappa"),
     ("sphere-pu2", "mu"), ("sphere-pu2", "spin"), ("sphere-pu2", "flux"),
-    ("torus-flat", "flux")])
+    ("torus-flat", "flux"), ("monopole", "n")])
 def test_family_parameter_at_its_bound_runs(tmp_path, capsys, family, key):
     """At the bound, validate and hol1 compute (exit 0 or 1) without an
     overflow."""
@@ -733,3 +736,61 @@ def test_family_parameter_at_its_bound_runs(tmp_path, capsys, family, key):
         for value in (PARAM_BOUNDS[key], -PARAM_BOUNDS[key]):
             assert _family_run(tmp_path, command, family, key, value) in (0, 1)
     assert "Traceback" not in capsys.readouterr().err
+
+
+# One cheap run of each command that a CLI user reaches most: a U(2)
+# random gauge draws its generators with the matrix logarithm.
+NO_SCIPY_RUNS = {
+    "hol0": {"bundle": {"family": "sphere-pu2"}, "loop": LATITUDE,
+             "numerics": {"steps": 64}},
+    "functor": CHEAP["functor"],
+    "validate": CHEAP["validate"],
+    "gauge": {"bundle": {"family": "sphere-pu2"},
+              "numerics": {"sample_count": 8}},
+    "verify": CHEAP["verify"],
+    "reconstruct": CHEAP["reconstruct"],
+    "roundtrip": CHEAP["roundtrip"],
+}
+
+
+def test_commands_run_without_importing_scipy(tmp_path):
+    """A fresh interpreter runs hol0, functor, validate, a random gauge,
+    verify, reconstruct and a trivial round trip through cli.main, each
+    exiting 0 or 1, and scipy is never imported."""
+    paths = {command: write_cfg(tmp_path, data, f"{command}.json")
+             for command, data in NO_SCIPY_RUNS.items()}
+    script = (
+        "import sys\n"
+        "from holotwist.cli import main\n"
+        f"for command, path in {paths!r}.items():\n"
+        "    assert main([command, '--config', path]) in (0, 1), command\n"
+        "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    run = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-c", script],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+        text=True, timeout=600)
+    assert run.returncode == 0, run.stderr[-2000:]
+
+
+def test_trace_check_compares_the_refined_grid(tmp_path):
+    """trace's check is |tr - tr'| between rep_target on the command's
+    grid and on the refined grid at twice the steps: on a coarse cap
+    sweep it reads what the refinement moves, not 0."""
+    out = tmp_path / "rep.json"
+    cfg = write_cfg(tmp_path, {"bundle": MONOPOLE, "cylinder": CAP_SWEEP,
+                               "numerics": COARSE})
+    assert main(["trace", "--config", cfg, "--out", str(out)]) == 1
+    check = json.loads(out.read_text())["body"]["checks"][
+        "refinement_invariance"]
+    bundle = make_bundle("monopole")
+    cyl = catalog.make_cylinder("sphere", "cap-sweep", {"alpha": 2.0})
+    quad = {k: COARSE[k] for k in ("order", "edge_cells", "face_tol")}
+    res = holonomy.holonomy_functor(bundle, cyl, steps=32, **quad)
+    bot, top, rect = res.subdivision
+    fine = holonomy.holonomy_functor(
+        bundle, cyl, bottom_sub=bot, top_sub=top,
+        rect=geometry.refine_rect(rect), steps=64, **quad)
+    tr, tr2 = (complex(np.trace(r.value.rep_target.entries))
+               for r in (res, fine))
+    assert check == abs(tr - tr2) > 1e-6

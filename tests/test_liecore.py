@@ -4,9 +4,10 @@ exponential integrator."""
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.linalg import expm
+from scipy.linalg import expm, logm
 
 from holotwist import catalog, liecore
+from holotwist.bundle import gauge_transform, random_gauge
 from holotwist.errors import NotSameFiber, SectionUndefined, TagMismatch
 from holotwist.families import make_bundle
 from holotwist.holonomy import hol0, hol1
@@ -260,8 +261,8 @@ def test_transformation_rule_under_conjugation():
 _NORMS = (1e-12, 1e-8, 5e-5, 1e-4, 2e-4, 1e-2, 0.5, 1.0, 3.0, 10.0)
 
 
-def _no_scipy(a):
-    pytest.fail(f"scipy expm called on a {a.shape} stack")
+def _no_fallback(f, a):
+    pytest.fail(f"eigenvector fallback called on a {a.shape} stack")
 
 
 def _closed_form_stacks(rng, n):
@@ -294,14 +295,15 @@ _STACKS = _closed_form_stacks(np.random.default_rng(17), 48)
 def test_exp_kernel_closed_forms_match_expm(kind, norm, monkeypatch):
     stack = _STACKS[kind]
     stack = stack * (norm / np.linalg.norm(stack, axis=(1, 2)))[:, None, None]
-    monkeypatch.setattr(liecore, "expm", _no_scipy)
+    monkeypatch.setattr(liecore, "_eigen_apply", _no_fallback)
     _assert_close_to_expm(liecore._exp_stack(stack), stack)
 
 
 def test_exp_kernel_falls_back_to_expm(monkeypatch):
-    """Stacks with no closed form go to scipy.linalg.expm, whole: 4x4,
-    and 3x3 that is not real antisymmetric (a general real matrix, an
-    antisymmetric one with an imaginary part, one off by one ulp)."""
+    """Stacks with no closed form go to the eigenvector method, whole:
+    4x4, and 3x3 that is not real antisymmetric (a general real matrix,
+    an antisymmetric one with an imaginary part, one off by one ulp).
+    Each slice is as close to scipy.linalg.expm as the closed forms."""
     rng = np.random.default_rng(19)
     x = rng.normal(size=(8, 3, 3))
     anti = x - np.swapaxes(x, 1, 2)
@@ -311,22 +313,20 @@ def test_exp_kernel_falls_back_to_expm(monkeypatch):
               x.astype(complex), anti + 1e-3j * anti, ulp.astype(complex)]
     calls = []
 
-    def spy(a):
+    def spy(f, a, _real=liecore._eigen_apply):
         calls.append(a.shape)
-        return expm(a)
+        return _real(f, a)
 
-    monkeypatch.setattr(liecore, "expm", spy)
+    monkeypatch.setattr(liecore, "_eigen_apply", spy)
     for stack in stacks:
-        got = liecore._exp_stack(stack)
-        assert got.tobytes() == expm(stack).tobytes()
+        _assert_close_to_expm(liecore._exp_stack(stack), stack)
     assert calls == [s.shape for s in stacks]
 
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_log_stack_matches_log_principal_per_slice(dim):
-    """One elementwise log for a 1x1 stack, logm per slice otherwise:
-    every slice has the bits of log_principal, on and off the negative
-    real axis and at units."""
+    """A stack's logs have the bits of log_principal slice by slice, on
+    and off the negative real axis and at units."""
     rng = np.random.default_rng(23)
     stack = np.array([random_unitary(dim, rng) for _ in range(40)]
                      + [np.eye(dim), -np.eye(dim) + 1e-17j,
@@ -334,6 +334,43 @@ def test_log_stack_matches_log_principal_per_slice(dim):
     got = liecore._log_stack(stack)
     for m, g in zip(stack, got):
         assert g.tobytes() == log_principal(m).tobytes()
+
+
+def _u2_log_cases(rng):
+    """Haar U(2); near-scalar U(2) (e^{i a} I perturbed by 1e-3, 1e-7 and
+    1e-12); trace 0 (eigenvalues z and -z); eigenvalues on both sides of
+    -1 (e^{i(pi - d)} and e^{-i(pi - d)}) and both on one side."""
+    haar = [random_unitary(2, rng) for _ in range(200)]
+    near = []
+    for eps in (1e-3, 1e-7, 1e-12):
+        for _ in range(20):
+            z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            gen = eps * (z - z.conj().T)
+            w, v = np.linalg.eigh(1j * gen)
+            near.append(np.exp(1j * rng.uniform(-np.pi, np.pi))
+                        * (v * np.exp(-1j * w)) @ v.conj().T)
+    cut = []
+    for d in (1e-1, 1e-4, 1e-8):
+        for a, b in ((np.pi - d, -(np.pi - d)), (np.pi - d, np.pi - 2 * d),
+                     (0.3, 0.3 + np.pi)):      # the last: trace 0
+            u = random_unitary(2, rng)
+            cut.append((u * np.exp(1j * np.array([a, b]))) @ u.conj().T)
+    return np.array(haar + near + cut)
+
+
+def test_log_stack_matches_logm_per_slice():
+    """Off the diagonal path, the eigenvector log is scipy's principal
+    logm to 1e-14 relative, slice by slice; a 1x1 stack is np.log's
+    bits."""
+    rng = np.random.default_rng(29)
+    stack = _u2_log_cases(rng)
+    got = liecore._log_stack(stack)
+    for m, g in zip(stack, got):
+        want = logm(m)
+        assert np.linalg.norm(g - want) <= 1e-14 * max(
+            1.0, np.linalg.norm(want))
+    phases = np.exp(1j * rng.uniform(-np.pi, np.pi, size=(40, 1, 1)))
+    assert liecore._log_stack(phases).tobytes() == np.log(phases).tobytes()
 
 
 @pytest.mark.parametrize("n", range(1, 10))
@@ -358,11 +395,33 @@ def _sequential(factors):
                                     "trivial"])
 def test_line_holonomy_makes_no_scipy_call(family, monkeypatch):
     """U(1), diagonal U(1)^2, U(2) and SO(3) exponents all have closed
-    forms: hol0 and hol1 never reach scipy.linalg.expm."""
+    forms: hol0 and hol1 never reach the eigenvector fallback."""
     bundle = make_bundle(family)
     kind = bundle.cover.model.kind
     loop = catalog.make_loop(kind, "latitude" if kind == "sphere"
                              else "winding", {})
-    monkeypatch.setattr(liecore, "expm", _no_scipy)
+    monkeypatch.setattr(liecore, "_eigen_apply", _no_fallback)
     for hol in (hol0, hol1):
         assert np.isfinite(hol(bundle, loop, steps=64).value.entries).all()
+
+
+def test_gauged_so3_holonomy_matches_the_expm_walk(monkeypatch):
+    """A gauge-transformed sphere-pu2 bundle has SO(3) exponents that are
+    antisymmetric only up to rounding, so hol0 reaches the eigenvector
+    fallback; with scipy.linalg.expm in its place, the same walk agrees
+    to 1e-13."""
+    bundle = make_bundle("sphere-pu2")
+    gauged = gauge_transform(bundle, random_gauge(bundle, seed=0))
+    loop = catalog.make_loop("sphere", "latitude", {"theta": 1.0})
+    got = hol0(gauged, loop, steps=64).value.entries
+    calls = []
+
+    def with_expm(f, a):
+        assert f is np.exp
+        calls.append(a.shape)
+        return expm(a)
+
+    monkeypatch.setattr(liecore, "_eigen_apply", with_expm)
+    want = hol0(gauged, loop, steps=64).value.entries
+    assert calls
+    assert np.linalg.norm(got - want) <= 1e-13
