@@ -1,6 +1,7 @@
 """Twisted principal bundles with connection, stored as local data over a
-cover: transition maps, the fiber 2-cocycle, and the three layers of
-connection forms, plus validation and gauge transformation.
+cover: transitions e_ij into E, the fiber 2-cocycle h_ijk and the forms
+A_i, A_ij and F_i, plus validation and gauge transformation.  The G
+layer is derived, not stored: g_ij = pi(e_ij) and D_i = pi_*(A_i).
 
 Group-valued local maps are carried by GroupMap, whose jets are exact:
 defining functions are evaluated on dual numbers over stacks of points,
@@ -197,15 +198,15 @@ def overlap_triples(n):
 
 @dataclass
 class TwistedBundleData:
-    """Local data of a twisted bundle with 0- and 1-connection."""
+    """Local data of a twisted bundle with 0- and 1-connection.  g and D
+    are rebuilt from e and A on every read (g_ij = pi(e_ij), D_i =
+    pi_*(A_i)), so they follow any later change to e or A."""
 
     name: str
     cover: object
     extension: CentralExtension
-    g: dict          # (i,j) -> GroupMap into G
     e: dict          # (i,j) -> GroupMap into E
     h: dict          # (i,j,k) -> GroupMap into H
-    D: dict          # i -> degree-1 LocalForm valued in L(G)
     A: dict          # i -> degree-1 LocalForm valued in L(E)
     Aij: dict        # (i,j) -> degree-1 LocalForm valued in L(H)
     F: dict          # i -> degree-2 LocalForm valued in L(H)
@@ -214,20 +215,42 @@ class TwistedBundleData:
     def nc(self):
         return len(self.cover)
 
+    @property
+    def g(self):
+        """(i,j) -> GroupMap into G: the projection of e_ij."""
+        ext = self.extension
+        return {ij: m.pushforward(ext.project_mat, ext.alg_project_mat, "G")
+                for ij, m in self.e.items()}
+
+    @property
+    def D(self):
+        """i -> degree-1 LocalForm valued in L(G): pi_*(A_i)."""
+        ext = self.extension
+        return {i: _push_form(a, ext.alg_project_mat, ext.G.dim, "g")
+                for i, a in self.A.items()}
+
     def check_structure(self):
         n = self.nc
         for i in range(n):
-            for store, label in ((self.D, "D"), (self.A, "A"), (self.F, "F")):
+            for store, label in ((self.A, "A"), (self.F, "F")):
                 if i not in store:
                     raise MissingField(f"{label}[{i}] missing")
         for ij in overlap_pairs(n):
-            for store, label in ((self.g, "g"), (self.e, "e"),
-                                 (self.Aij, "A_ij")):
+            for store, label in ((self.e, "e"), (self.Aij, "A_ij")):
                 if ij not in store:
                     raise MissingField(f"{label}[{ij}] missing")
         for ijk in overlap_triples(n):
             if ijk not in self.h:
                 raise MissingField(f"h[{ijk}] missing")
+
+
+def _push_form(form: LocalForm, alg_hom, dim, tag) -> LocalForm:
+    """form followed by alg_hom, the differential of an extension's
+    include or project map: a dim x dim form tagged `tag`."""
+    def evalfn(p, *t):
+        return alg_hom(form(p, *t))
+
+    return LocalForm(form.degree, dim, evalfn, tag)
 
 
 @dataclass
@@ -237,10 +260,6 @@ class GaugeData:
     e_i: dict        # i -> GroupMap into E
     h_ij: dict       # (i,j) -> GroupMap into H, with h_ji = h_ij^-1
     B_i: dict        # i -> degree-1 LocalForm valued in L(H)
-
-    def g_i(self, ext, i) -> GroupMap:
-        return self.e_i[i].pushforward(ext.project_mat, ext.alg_project_mat,
-                                       "G")
 
 
 @dataclass
@@ -279,23 +298,21 @@ def _worst(stack):
 
 def validate(bundle: TwistedBundleData, sample_count=40, tol=1e-8,
              seed=0) -> ValidationReport:
-    """Numerically check every local identity at random region samples,
-    each identity evaluated once per region on the stack of its
-    samples."""
+    """Numerically check every local identity of the E and H layers at
+    random region samples, each identity evaluated once per region on
+    the stack of its samples (the G layer's are their images under pi)."""
     bundle.check_structure()
     cover, ext = bundle.cover, bundle.extension
     rng = np.random.default_rng(seed)
     n = bundle.nc
     res = {k: 0.0 for k in (
-        "antisymmetry_e", "antisymmetry_g", "antisymmetry_Aij",
-        "projection", "cocycle", "h_coboundary",
-        "A_gluing", "abelian_cocycle", "D_gluing", "D_projection",
-        "curving_gluing")}
+        "antisymmetry_e", "antisymmetry_Aij", "cocycle", "h_coboundary",
+        "A_gluing", "abelian_cocycle", "curving_gluing")}
 
     def bump(key, stack):
         res[key] = max(res[key], _worst(stack))
 
-    unit_e, unit_g = np.eye(ext.E.dim), np.eye(ext.G.dim)
+    unit_e = np.eye(ext.E.dim)
     for (i, j) in overlap_pairs(n):
         if i > j:
             continue
@@ -303,24 +320,14 @@ def validate(bundle: TwistedBundleData, sample_count=40, tol=1e-8,
         v, w = _tangents(cover, rng, p, 2)
         eij, deij = bundle.e[(i, j)].jet(p, v)
         eji = bundle.e[(j, i)].value(p).entries
-        gij, dgij = bundle.g[(i, j)].jet(p, v)
-        gji = bundle.g[(j, i)].value(p).entries
         aij = bundle.Aij[(i, j)](p, v)
         bump("antisymmetry_e", eij @ eji - unit_e)
-        bump("antisymmetry_g", gij @ gji - unit_g)
         bump("antisymmetry_Aij", aij + bundle.Aij[(j, i)](p, v))
-        bump("projection", ext.project_mat(eij) - gij)
         # 0-connection gluing across the overlap
         ai, aj = bundle.A[i](p, v), bundle.A[j](p, v)
         eij_inv = np.linalg.inv(eij)
         bump("A_gluing", aj - eij_inv @ ai @ eij - eij_inv @ deij
              - ext.alg_include_mat(aij))
-        # plain G-connection gluing
-        di = bundle.D[i](p, v)
-        gij_inv = np.linalg.inv(gij)
-        bump("D_gluing", bundle.D[j](p, v) - gij_inv @ di @ gij
-             - gij_inv @ dgij)
-        bump("D_projection", ext.alg_project_mat(ai) - di)
         # 1-connection gluing needs a tangent pair
         dAij = exterior_derivative(bundle.Aij[(i, j)])
         bump("curving_gluing", bundle.F[j](p, v, w) - bundle.F[i](p, v, w)
@@ -360,18 +367,15 @@ def validate(bundle: TwistedBundleData, sample_count=40, tol=1e-8,
 
 def gauge_transform(bundle: TwistedBundleData,
                     gauge: GaugeData) -> TwistedBundleData:
-    """The standard primed data of an equivalence of twisted bundles."""
+    """The standard primed data of an equivalence of twisted bundles (g'
+    and D' are derived from e' and A', as for any bundle)."""
     ext = bundle.extension
     n = bundle.nc
-    dim_h, dim_e, dim_g = ext.H.dim, ext.E.dim, ext.G.dim
+    dim_h, dim_e = ext.H.dim, ext.E.dim
 
-    g_i = {i: gauge.g_i(ext, i) for i in range(n)}
-
-    new_g, new_e, new_h = {}, {}, {}
-    new_D, new_A, new_Aij, new_F = {}, {}, {}, {}
+    new_e, new_h, new_A, new_Aij, new_F = {}, {}, {}, {}, {}
 
     for (i, j) in overlap_pairs(n):
-        new_g[(i, j)] = g_i[i].inv().mul(bundle.g[(i, j)]).mul(g_i[j])
         new_e[(i, j)] = gauge.e_i[i].inv().mul(bundle.e[(i, j)]) \
             .mul(gauge.e_i[j]).mul(
                 gauge.h_ij[(i, j)].pushforward(ext.include_mat,
@@ -384,11 +388,10 @@ def gauge_transform(bundle: TwistedBundleData,
 
     dBs = {i: exterior_derivative(gauge.B_i[i]) for i in range(n)}
     for i in range(n):
-        gi = g_i[i]
-        new_D[i] = gi.conjugated_form(bundle.D[i]) + gi.maurer_cartan(dim_g)
         ei = gauge.e_i[i]
         new_A[i] = ei.conjugated_form(bundle.A[i]) \
-            + _include_form(ext, gauge.B_i[i], dim_e) + ei.maurer_cartan(dim_e)
+            + _push_form(gauge.B_i[i], ext.alg_include_mat, dim_e, "e") \
+            + ei.maurer_cartan(dim_e)
         new_F[i] = bundle.F[i] + dBs[i]
 
     for (i, j) in overlap_pairs(n):
@@ -402,14 +405,7 @@ def gauge_transform(bundle: TwistedBundleData,
 
     return TwistedBundleData(
         name=bundle.name + "+gauge", cover=bundle.cover, extension=ext,
-        g=new_g, e=new_e, h=new_h, D=new_D, A=new_A, Aij=new_Aij, F=new_F)
-
-
-def _include_form(ext, form_h: LocalForm, dim_e) -> LocalForm:
-    def evalfn(p, *t):
-        return ext.alg_include_mat(form_h(p, *t))
-
-    return LocalForm(form_h.degree, dim_e, evalfn, "e")
+        e=new_e, h=new_h, A=new_A, Aij=new_Aij, F=new_F)
 
 
 def identity_gauge(bundle: TwistedBundleData) -> GaugeData:

@@ -183,11 +183,11 @@ def _build_gauge(cfg: Config, bundle, seed):
                 "expression gauges need a one-dimensional kernel",
                 gc._at("B"))
         coords = bundle.cover.model.coord_names
-        if not isinstance(exprs, dict) or \
+        if not isinstance(exprs, dict) or not exprs or \
                 not set(exprs).issubset(set(coords)):
             raise ConfigError(
-                f"expected a mapping from coordinates {coords} to "
-                "expression strings", gc._at("B"))
+                f"expected a non-empty mapping from coordinates {coords} "
+                "to expression strings", gc._at("B"))
         gauge = identity_gauge(bundle)
         form = expr_form(1, {c: [[_parsed(src, coords, gc._at(f"B.{c}"))]]
                              for c, src in exprs.items()},

@@ -200,17 +200,13 @@ def trivial_bundle(model="sphere", extension="u1-squared"
     n = len(cover)
     unit_e = np.eye(ext.E.dim)
     zero1_e = zero_form(1, ext.E.dim, value_tag="e")
-    zero1_g = zero_form(1, ext.G.dim, value_tag="g")
     zero1_h = zero_form(1, ext.H.dim, value_tag="h")
     zero2_h = zero_form(2, ext.H.dim, value_tag="h")
     return TwistedBundleData(
         name=f"trivial-{model}-{extension}", cover=cover, extension=ext,
-        g={ij: GroupMap.constant(np.eye(ext.G.dim), "G")
-           for ij in overlap_pairs(n)},
         e={ij: GroupMap.constant(unit_e, "E") for ij in overlap_pairs(n)},
         h={t: GroupMap.constant(np.eye(ext.H.dim), "H")
            for t in overlap_triples(n)},
-        D={i: zero1_g for i in range(n)},
         A={i: zero1_e for i in range(n)},
         Aij={ij: zero1_h for ij in overlap_pairs(n)},
         F={i: zero2_h for i in range(n)},
@@ -260,20 +256,14 @@ def torus_flat_bundle(k=1, order=3, flux=0.7) -> TwistedBundleData:
         g_part = 1j * (d1 * v[..., 0] + d2 * v[..., 1])
         return diag_stack([lam_part, g_part])
 
-    def d_eval(p, v):
-        return 1j * (d1 * v[..., 0] + d2 * v[..., 1])[..., None, None]
-
     a_form = LocalForm(1, 2, a_eval, "e", zero_form(2, 2, value_tag="e"))
-    d_form = LocalForm(1, 1, d_eval, "g")
     f_form = _const_2form(2j * math.pi * flux * np.eye(1, dtype=complex),
                           (0, 1), 1)
 
     zero1_h = zero_form(1, 1, value_tag="h")
     return TwistedBundleData(
         name="torus-flat", cover=cover, extension=ext,
-        g={ij: GroupMap.constant(np.eye(1), "G") for ij in overlap_pairs(n)},
         e=e_maps, h=h_maps,
-        D={i: d_form for i in range(n)},
         A={i: a_form for i in range(n)},
         Aij={ij: zero1_h for ij in overlap_pairs(n)},
         F={i: f_form for i in range(n)},
@@ -308,9 +298,10 @@ def _vertical_component(axis):
 def monopole_bundle(n=1, kappa=0.8, mu=0.5) -> TwistedBundleData:
     """Charge-n sphere monopole inside the U(1)^2 extension.
 
-    g_ij is the n-th power of the quaternion-section transition phase,
-    D_i the matching abelian connection, and the fiber layer carries the
-    smooth antisymmetric phases tau_ij, making h_ijk nonconstant.
+    e_ij = diag(exp(i tau_ij), g_ij) with g_ij the n-th power of the
+    quaternion-section transition phase, A_i the matching abelian
+    connection in the g slot, and smooth antisymmetric phases tau_ij
+    making h_ijk nonconstant.
     """
     n = _param(n, "n", integer_setting)
     kappa, mu = _param(kappa, "kappa"), _param(mu, "mu")
@@ -332,37 +323,20 @@ def monopole_bundle(n=1, kappa=0.8, mu=0.5) -> TwistedBundleData:
 
         return fn
 
-    def g_fn(i, j):
-        phase = _sphere_transition_phase(axes[i], axes[j])
-
-        def fn(point):
-            return [[phase(point) ** n]]
-
-        return fn
-
     e_maps = {ij: GroupMap.from_dual_fn(e_fn(*ij), "E")
               for ij in overlap_pairs(nc)}
-    g_maps = {ij: GroupMap.from_dual_fn(g_fn(*ij), "G")
-              for ij in overlap_pairs(nc)}
 
-    d_forms, a_forms = {}, {}
+    a_forms = {}
     for i in range(nc):
-        vert = _vertical_component(axes[i])
-
-        def d_eval(p, v, vert=vert):
-            return -1j * n * np.asarray(vert(p, v))[..., None, None]
-
-        def a_eval(p, v, vert=vert):
+        def a_eval(p, v, vert=_vertical_component(axes[i])):
             return diag_stack([0.0, -1j * n * vert(p, v)])
 
-        d_forms[i] = LocalForm(1, 1, d_eval, "g")
         a_forms[i] = LocalForm(1, 2, a_eval, "e")
 
     f_form = sphere_area_form(0.5j * n)
     return TwistedBundleData(
         name=f"monopole-{n}", cover=cover, extension=ext,
-        g=g_maps, e=e_maps, h=h_maps,
-        D=d_forms, A=a_forms, Aij=aij_forms,
+        e=e_maps, h=h_maps, A=a_forms, Aij=aij_forms,
         F={i: f_form for i in range(nc)},
     )
 
@@ -404,16 +378,13 @@ def pu2_bundle(kappa=0.8, mu=0.5, spin=0.6, flux=0.7) -> TwistedBundleData:
 
     e_maps = {ij: GroupMap.from_dual_fn(e_fn(*ij), "E")
               for ij in overlap_pairs(nc)}
-    g_maps = {ij: e_maps[ij].pushforward(ext.project_mat,
-                                         ext.alg_project_mat, "G")
-              for ij in overlap_pairs(nc)}
 
     def global_su2(p, v):
         """(i spin / 2) sigma . (x cross v): a global su(2) 1-form."""
         return 0.5j * spin * np.einsum("...k,kab->...ab", _cross(p, v),
                                        SIGMA)
 
-    a_forms, d_forms = {}, {}
+    a_forms = {}
     for i in range(nc):
         axis = axes[i]
 
@@ -424,17 +395,12 @@ def pu2_bundle(kappa=0.8, mu=0.5, spin=0.6, flux=0.7) -> TwistedBundleData:
             ui = np.linalg.inv(u)
             return ui @ global_su2(p, v) @ u + ui @ du
 
-        def d_eval(p, v, a_eval=a_eval):
-            return ext.alg_project_mat(a_eval(p, v))
-
         a_forms[i] = LocalForm(1, 2, a_eval, "e")
-        d_forms[i] = LocalForm(1, 3, d_eval, "g")
 
     f_form = sphere_area_form(0.5j * flux)
     return TwistedBundleData(
         name="sphere-pu2", cover=cover, extension=ext,
-        g=g_maps, e=e_maps, h=h_maps,
-        D=d_forms, A=a_forms, Aij=aij_forms,
+        e=e_maps, h=h_maps, A=a_forms, Aij=aij_forms,
         F={i: f_form for i in range(nc)},
     )
 

@@ -883,7 +883,8 @@ def test_one_form_call_per_line_cell_and_per_edge():
     loop = C.latitude_loop(1.0)
     sub = G.assign_charts_interval(loop, bundle.cover)
     calls = []
-    bundle.D = {i: _recording(f, calls) for i, f in bundle.D.items()}
+    # hol0's D is read through A (D_i = pi_*(A_i))
+    bundle.A = {i: _recording(f, calls) for i, f in bundle.A.items()}
     H.hol0(bundle, loop, sub, steps=64)
     # once per cell at 64 steps, then once per cell at the step-halving
     # check's 32

@@ -562,6 +562,15 @@ def test_malformed_gauge_expression_is_a_typed_error(tmp_path, capsys,
     assert ("(at gauge.B.u)" if code == 2 else "error [DomainError]") in err
 
 
+def test_empty_gauge_expressions_are_a_config_error(tmp_path, capsys):
+    """gauge.B with no coordinate is bad input: exit 2 at gauge.B."""
+    assert main(["gauge", "--config", write_cfg(tmp_path, {
+        "bundle": TORUS_FLAT, "gauge": {"B": {}}})]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "(at gauge.B)" in err
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_power_with_an_array_exponent(tmp_path, capsys):
     """atan2 of two node arrays is a Dual, so u's node array meets it as
@@ -701,13 +710,14 @@ OVER_BOUND = [
     ("validate", "monopole", "n", 1e20),
 ]
 CAP_SWEEP = {"name": "cap-sweep", "params": {"alpha": 2.0}}
-LATITUDE = {"name": "latitude", "params": {"theta": 1.0}}
+BOUND_LATITUDE = {"name": "latitude", "params": {"theta": 1.0}}
 
 
 def _family_run(tmp_path, command, family, key, value):
     return main([command, "--config", write_cfg(tmp_path, {
         "bundle": {"family": family, "params": {key: value}},
-        "loop": LATITUDE if family != "torus-flat" else {"name": "winding"},
+        "loop": (BOUND_LATITUDE if family != "torus-flat"
+                 else {"name": "winding"}),
         "cylinder": CAP_SWEEP if family != "torus-flat" else {"name": "morph"},
         "numerics": {"steps": 32, "order": 4, "edge_cells": 1,
                      "face_tol": 1e-4}})])
@@ -741,7 +751,7 @@ def test_family_parameter_at_its_bound_runs(tmp_path, capsys, family, key):
 # One cheap run of each command that a CLI user reaches most: a U(2)
 # random gauge draws its generators with the matrix logarithm.
 NO_SCIPY_RUNS = {
-    "hol0": {"bundle": {"family": "sphere-pu2"}, "loop": LATITUDE,
+    "hol0": {"bundle": {"family": "sphere-pu2"}, "loop": BOUND_LATITUDE,
              "numerics": {"steps": 64}},
     "functor": CHEAP["functor"],
     "validate": CHEAP["validate"],
