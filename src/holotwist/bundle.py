@@ -1,7 +1,8 @@
 """Twisted principal bundles with connection, stored as local data over a
-cover: transitions e_ij into E, the fiber 2-cocycle h_ijk and the forms
-A_i, A_ij and F_i, plus validation and gauge transformation.  The G
-layer is derived, not stored: g_ij = pi(e_ij) and D_i = pi_*(A_i).
+cover: transitions e_ij into E and the forms A_i, A_ij and F_i, plus
+validation and gauge transformation.  The rest is derived, not stored:
+the fiber 2-cocycle h_ijk = iota^-1(e_ij e_jk e_ki), and the G layer
+g_ij = pi(e_ij) and D_i = pi_*(A_i).
 
 Group-valued local maps are carried by GroupMap, whose jets are exact:
 defining functions are evaluated on dual numbers over stacks of points,
@@ -23,7 +24,8 @@ from . import dual as dm
 from .dual import value
 from .errors import MissingField, RegionUndersampled, TagMismatch
 from .formsexpr.forms import LocalForm, exterior_derivative, zero_form
-from .liecore import CentralExtension, GroupElement, _exp_stack, log_principal
+from .liecore import (CentralExtension, GroupElement, _exp_stack, kernel_block,
+                      log_principal)
 
 
 def _stack_entries(rows, shape):
@@ -110,9 +112,9 @@ class GroupMap:
                         lambda p: np.linalg.inv(self._value(p)))
 
     def pushforward(self, hom, alg_hom, tag) -> "GroupMap":
-        """Compose with a group homomorphism `hom` on matrices (an
-        extension's include or project map) whose differential is
-        `alg_hom`; the jet is exact: d hom(a) = hom(a) . alg_hom(a^-1 da)."""
+        """Compose with a group homomorphism `hom` on matrices (include,
+        project, or kernel_block on iota(H)) with differential `alg_hom`;
+        the jet is exact: d hom(a) = hom(a) . alg_hom(a^-1 da)."""
 
         def jet(p, d):
             a, da = self._jet(p, d)
@@ -188,25 +190,21 @@ def overlap_pairs(n):
     return [(i, j) for i in range(n) for j in range(n) if i != j]
 
 
-def overlap_triples(n):
-    return [t for t in itertools.permutations(range(n), 3)]
-
-
 # --------------------------------------------------------------------------
 # Bundle data
 # --------------------------------------------------------------------------
 
 @dataclass
 class TwistedBundleData:
-    """Local data of a twisted bundle with 0- and 1-connection.  g and D
-    are rebuilt from e and A on every read (g_ij = pi(e_ij), D_i =
-    pi_*(A_i)), so they follow any later change to e or A."""
+    """Local data of a twisted bundle with 0- and 1-connection.  h, g and
+    D are rebuilt from e and A on every read (h_ijk = iota^-1(e_ij e_jk
+    e_ki), g_ij = pi(e_ij), D_i = pi_*(A_i)), so they follow any later
+    change to e or A."""
 
     name: str
     cover: object
     extension: CentralExtension
     e: dict          # (i,j) -> GroupMap into E
-    h: dict          # (i,j,k) -> GroupMap into H
     A: dict          # i -> degree-1 LocalForm valued in L(E)
     Aij: dict        # (i,j) -> degree-1 LocalForm valued in L(H)
     F: dict          # i -> degree-2 LocalForm valued in L(H)
@@ -214,6 +212,15 @@ class TwistedBundleData:
     @property
     def nc(self):
         return len(self.cover)
+
+    @property
+    def h(self):
+        """(i,j,k) -> GroupMap into H: e_ij e_jk e_ki read back into H by
+        kernel_block (validate checks that the product lies in iota(H))."""
+        e = self.e
+        return {(i, j, k): e[(i, j)].mul(e[(j, k)]).mul(e[(k, i)])
+                .pushforward(kernel_block, kernel_block, "H")
+                for (i, j, k) in itertools.permutations(range(self.nc), 3)}
 
     @property
     def g(self):
@@ -239,9 +246,6 @@ class TwistedBundleData:
             for store, label in ((self.e, "e"), (self.Aij, "A_ij")):
                 if ij not in store:
                     raise MissingField(f"{label}[{ij}] missing")
-        for ijk in overlap_triples(n):
-            if ijk not in self.h:
-                raise MissingField(f"h[{ijk}] missing")
 
 
 def _push_form(form: LocalForm, alg_hom, dim, tag) -> LocalForm:
@@ -298,16 +302,26 @@ def _worst(stack):
 
 def validate(bundle: TwistedBundleData, sample_count=40, tol=1e-8,
              seed=0) -> ValidationReport:
-    """Numerically check every local identity of the E and H layers at
-    random region samples, each identity evaluated once per region on
-    the stack of its samples (the G layer's are their images under pi)."""
+    """Numerically check the local identities of the stored data at random
+    region samples, each evaluated once per region on the stack of its
+    samples: on pairs antisymmetry_e, antisymmetry_Aij, A_gluing and
+    curving_gluing; on triples cocycle, that P = e_ij e_jk e_ki lies in
+    iota(H) = ker pi, read as |pi(P) - 1_G| (P - iota(K(P)) reads 0 for
+    every P on roots-of-unity-n, whose include_mat is the identity).
+
+    h_ijk = K(P) needs no identity of its own.  Chaining A_gluing over
+    (i,j), (j,k), (k,i) gives P^-1 dP = A_i - Ad(P^-1) A_i - iota(A_ij +
+    A_jk + A_ki), so a central P has h^-1 dh + A_ij + A_jk + A_ki = 0 (the
+    abelian cocycle).  By antisymmetry e_ij e_jk e_kl is both P_ijk P_ikl
+    e_il and P_jkl P_ijl e_il, so a central P has delta h = 1.  The G
+    layer's identities are the images of these under pi."""
     bundle.check_structure()
     cover, ext = bundle.cover, bundle.extension
     rng = np.random.default_rng(seed)
     n = bundle.nc
     res = {k: 0.0 for k in (
-        "antisymmetry_e", "antisymmetry_Aij", "cocycle", "h_coboundary",
-        "A_gluing", "abelian_cocycle", "curving_gluing")}
+        "antisymmetry_e", "antisymmetry_Aij", "cocycle", "A_gluing",
+        "curving_gluing")}
 
     def bump(key, stack):
         res[key] = max(res[key], _worst(stack))
@@ -333,30 +347,11 @@ def validate(bundle: TwistedBundleData, sample_count=40, tol=1e-8,
         bump("curving_gluing", bundle.F[j](p, v, w) - bundle.F[i](p, v, w)
              - dAij(p, v, w))
 
-    for (i, j, k) in overlap_triples(n):
-        if not (i < j and j < k):
-            continue
+    for (i, j, k) in itertools.combinations(range(n), 3):
         p = sample_region(cover, (i, j, k), rng, max(4, sample_count // 4))
-        v, = _tangents(cover, rng, p, 1)
-        eij = bundle.e[(i, j)].value(p).entries
-        ejk = bundle.e[(j, k)].value(p).entries
-        eki = bundle.e[(k, i)].value(p).entries
-        hijk, dhijk = bundle.h[(i, j, k)].jet(p, v)
-        bump("cocycle", eij @ ejk @ eki - ext.include_mat(hijk))
-        total = (bundle.Aij[(i, j)](p, v) + bundle.Aij[(j, k)](p, v)
-                 + bundle.Aij[(k, i)](p, v))
-        bump("abelian_cocycle", total + np.linalg.inv(hijk) @ dhijk)
-
-    for quad in itertools.combinations(range(n), 4):
-        i, j, k, l = quad
-        p = sample_region(cover, quad, rng, max(3, sample_count // 8))
-        hv = {t: bundle.h[t].value(p).entries
-              for t in ((j, k, l), (i, k, l), (i, j, l), (i, j, k))}
-        delta = hv[(j, k, l)] @ np.linalg.inv(hv[(i, k, l)]) \
-            @ hv[(i, j, l)] @ np.linalg.inv(hv[(i, j, k)])
-        bump("h_coboundary", delta - np.eye(ext.H.dim))
-    if n < 4:
-        res.pop("h_coboundary")
+        eij, ejk, eki = (bundle.e[ab].value(p).entries
+                         for ab in ((i, j), (j, k), (k, i)))
+        bump("cocycle", ext.project_mat(eij @ ejk @ eki) - np.eye(ext.G.dim))
 
     return ValidationReport(res, tol)
 
@@ -367,24 +362,20 @@ def validate(bundle: TwistedBundleData, sample_count=40, tol=1e-8,
 
 def gauge_transform(bundle: TwistedBundleData,
                     gauge: GaugeData) -> TwistedBundleData:
-    """The standard primed data of an equivalence of twisted bundles (g'
-    and D' are derived from e' and A', as for any bundle)."""
+    """The standard primed data of an equivalence of twisted bundles.  h',
+    g' and D' are derived from e' and A', as for any bundle; since
+    iota(H) is central, h'_ijk = h_ijk h_ij h_jk h_ki."""
     ext = bundle.extension
     n = bundle.nc
     dim_h, dim_e = ext.H.dim, ext.E.dim
 
-    new_e, new_h, new_A, new_Aij, new_F = {}, {}, {}, {}, {}
+    new_e, new_A, new_Aij, new_F = {}, {}, {}, {}
 
     for (i, j) in overlap_pairs(n):
         new_e[(i, j)] = gauge.e_i[i].inv().mul(bundle.e[(i, j)]) \
             .mul(gauge.e_i[j]).mul(
                 gauge.h_ij[(i, j)].pushforward(ext.include_mat,
                                                ext.alg_include_mat, "E"))
-
-    for (i, j, k) in overlap_triples(n):
-        new_h[(i, j, k)] = bundle.h[(i, j, k)] \
-            .mul(gauge.h_ij[(i, j)]).mul(gauge.h_ij[(j, k)]) \
-            .mul(gauge.h_ij[(k, i)])
 
     dBs = {i: exterior_derivative(gauge.B_i[i]) for i in range(n)}
     for i in range(n):
@@ -405,7 +396,7 @@ def gauge_transform(bundle: TwistedBundleData,
 
     return TwistedBundleData(
         name=bundle.name + "+gauge", cover=bundle.cover, extension=ext,
-        e=new_e, h=new_h, A=new_A, Aij=new_Aij, F=new_F)
+        e=new_e, A=new_A, Aij=new_Aij, F=new_F)
 
 
 def identity_gauge(bundle: TwistedBundleData) -> GaugeData:

@@ -3,8 +3,9 @@
 The two sphere families are built from quaternion sections of the unit
 2-sphere: for each cap axis p the section rotates p to the evaluation
 point along a great circle, then a fixed rotation aligns the reference
-axis k with p.  All transition phases, connection forms and cocycles
-derive from those sections, so every local identity holds exactly.
+axis k with p.  All transition phases and connection forms derive from
+those sections, so every local identity holds exactly.  No family builds
+the fiber cocycle: TwistedBundleData derives h_ijk from the transitions.
 
 Every map and form here is evaluated on stacks of points: coordinates
 are node arrays (or Duals over them), and forms map (..., n) point and
@@ -18,7 +19,7 @@ import math
 import numpy as np
 
 from . import dual as dm
-from .bundle import GroupMap, TwistedBundleData, overlap_pairs, overlap_triples
+from .bundle import GroupMap, TwistedBundleData, overlap_pairs
 from .dual import value
 from .errors import ConfigError, DomainError, float_setting, integer_setting
 from .formsexpr.forms import LocalForm, zero_form
@@ -28,17 +29,17 @@ from .liecore import SIGMA, diag_stack, make_extension
 # Magnitude bounds of the family parameters, each far below the smallest
 # value measured to overflow a command (README, Command line).
 PARAM_BOUNDS = {"kappa": 1e150, "mu": 1e150, "spin": 1e8, "flux": 1e150,
-                "n": 1e15}
+                "n": 1e15, "k": 1e15}
 
 
 def _param(x, name, setting=float_setting):
     """x read by setting (a finite float by default), of magnitude at most
-    PARAM_BOUNDS[name], else ConfigError."""
-    x = setting(x, name)
-    if abs(x) > PARAM_BOUNDS[name]:
+    PARAM_BOUNDS[name], else ConfigError (quoting x as given)."""
+    v = setting(x, name)
+    if abs(v) > PARAM_BOUNDS[name]:
         raise ConfigError(f"{name} must have magnitude at most "
                           f"{PARAM_BOUNDS[name]:g}, got {x!r}")
-    return x
+    return v
 
 
 # --------------------------------------------------------------------------
@@ -126,9 +127,10 @@ def _linear_tau(pi, pj, kappa, mu):
 
 
 def _sphere_fiber_layer(nc, kappa, mu):
-    """The abelian layer shared by the sphere families: the linear
-    phases tau_ij, the cocycle h_ijk = exp(i(tau_ij + tau_jk + tau_ki))
-    and the closed overlap forms A_ij = -i dtau_ij (so d A_ij = 0)."""
+    """The abelian layer shared by the sphere families: the linear phases
+    tau_ij, carried by the transitions as exp(i tau_ij) (so the derived
+    h_ijk is exp(i(tau_ij + tau_jk + tau_ki))), and the closed overlap
+    forms A_ij = -i dtau_ij (so d A_ij = 0)."""
     axes = SPHERE_CAP_AXES
     taus, aij_forms = {}, {}
     for (i, j) in overlap_pairs(nc):
@@ -139,18 +141,7 @@ def _sphere_fiber_layer(nc, kappa, mu):
 
         aij_forms[(i, j)] = LocalForm(1, 1, aij_eval, "h",
                                       zero_form(2, 1, value_tag="h"))
-
-    def h_fn(i, j, k):
-        ti, tj, tk = taus[(i, j)], taus[(j, k)], taus[(k, i)]
-
-        def fn(point):
-            return [[dm.exp(1j * (ti(point) + tj(point) + tk(point)))]]
-
-        return fn
-
-    h_maps = {t: GroupMap.from_dual_fn(h_fn(*t), "H")
-              for t in overlap_triples(nc)}
-    return taus, h_maps, aij_forms
+    return taus, aij_forms
 
 
 def _section_jet(axis, p, v):
@@ -205,8 +196,6 @@ def trivial_bundle(model="sphere", extension="u1-squared"
     return TwistedBundleData(
         name=f"trivial-{model}-{extension}", cover=cover, extension=ext,
         e={ij: GroupMap.constant(unit_e, "E") for ij in overlap_pairs(n)},
-        h={t: GroupMap.constant(np.eye(ext.H.dim), "H")
-           for t in overlap_triples(n)},
         A={i: zero1_e for i in range(n)},
         Aij={ij: zero1_h for ij in overlap_pairs(n)},
         F={i: zero2_h for i in range(n)},
@@ -223,30 +212,24 @@ TORUS_M = {(0, 1): 1, (2, 3): 1, (0, 2): 0, (0, 3): 0, (1, 2): 0, (1, 3): 0}
 def torus_flat_bundle(k=1, order=3, flux=0.7) -> TwistedBundleData:
     """Flat twisted bundle over the square torus.
 
-    Transitions are constant, the fiber cocycle takes values in the
-    `order`-th roots of unity (raised to the k-th power), the connection
+    Transitions are constant, with `order`-th roots of unity (raised to
+    the k-th power, |k| at most PARAM_BOUNDS["k"]) as their H parts, so
+    the derived fiber cocycle takes its values among them; the connection
     forms are constant-coefficient, and F carries a non-integer flux so
     that surface holonomy separates winding classes.
     """
-    k, order = integer_setting(k, "k"), integer_setting(order, "order", 1)
+    k = _param(k, "k", integer_setting)
+    order = integer_setting(order, "order", 1)
     flux = _param(flux, "flux")
     ext = make_extension("u1-squared")
     cover = make_cover("torus-4squares")
     n = len(cover)
 
-    def m_of(i, j):
-        if (i, j) in TORUS_M:
-            return TORUS_M[(i, j)]
-        return -TORUS_M[(j, i)]
-
-    lam = {ij: np.exp(2j * math.pi * k * m_of(*ij) / order)
+    m = {**TORUS_M, **{(j, i): -v for (i, j), v in TORUS_M.items()}}
+    lam = {ij: np.exp(2j * math.pi * k * m[ij] / order)
            for ij in overlap_pairs(n)}
     e_maps = {ij: GroupMap.constant(np.diag([lam[ij], 1.0]), "E")
               for ij in overlap_pairs(n)}
-    h_maps = {}
-    for (i, j, kk) in overlap_triples(n):
-        val = lam[(i, j)] * lam[(j, kk)] * lam[(kk, i)]
-        h_maps[(i, j, kk)] = GroupMap.constant(np.array([[val]]), "H")
 
     a1, a2 = 0.9, 1.7
     d1, d2 = 1.3, 0.55
@@ -263,7 +246,7 @@ def torus_flat_bundle(k=1, order=3, flux=0.7) -> TwistedBundleData:
     zero1_h = zero_form(1, 1, value_tag="h")
     return TwistedBundleData(
         name="torus-flat", cover=cover, extension=ext,
-        e=e_maps, h=h_maps,
+        e=e_maps,
         A={i: a_form for i in range(n)},
         Aij={ij: zero1_h for ij in overlap_pairs(n)},
         F={i: f_form for i in range(n)},
@@ -310,7 +293,7 @@ def monopole_bundle(n=1, kappa=0.8, mu=0.5) -> TwistedBundleData:
     nc = len(cover)
     axes = SPHERE_CAP_AXES
 
-    taus, h_maps, aij_forms = _sphere_fiber_layer(nc, kappa, mu)
+    taus, aij_forms = _sphere_fiber_layer(nc, kappa, mu)
 
     def e_fn(i, j):
         phase = _sphere_transition_phase(axes[i], axes[j])
@@ -336,7 +319,7 @@ def monopole_bundle(n=1, kappa=0.8, mu=0.5) -> TwistedBundleData:
     f_form = sphere_area_form(0.5j * n)
     return TwistedBundleData(
         name=f"monopole-{n}", cover=cover, extension=ext,
-        e=e_maps, h=h_maps, A=a_forms, Aij=aij_forms,
+        e=e_maps, A=a_forms, Aij=aij_forms,
         F={i: f_form for i in range(nc)},
     )
 
@@ -360,7 +343,7 @@ def pu2_bundle(kappa=0.8, mu=0.5, spin=0.6, flux=0.7) -> TwistedBundleData:
     nc = len(cover)
     axes = SPHERE_CAP_AXES
 
-    taus, h_maps, aij_forms = _sphere_fiber_layer(nc, kappa, mu)
+    taus, aij_forms = _sphere_fiber_layer(nc, kappa, mu)
 
     def e_fn(i, j):
         tau = taus[(i, j)]
@@ -400,7 +383,7 @@ def pu2_bundle(kappa=0.8, mu=0.5, spin=0.6, flux=0.7) -> TwistedBundleData:
     f_form = sphere_area_form(0.5j * flux)
     return TwistedBundleData(
         name="sphere-pu2", cover=cover, extension=ext,
-        e=e_maps, h=h_maps, A=a_forms, Aij=aij_forms,
+        e=e_maps, A=a_forms, Aij=aij_forms,
         F={i: f_form for i in range(nc)},
     )
 

@@ -67,14 +67,15 @@ class HolonomyResult:
 
 def _h_values(bundle, triples, points):
     """h_abc at each point of an (N, n) stack, one chart triple per
-    point; the unit where two charts agree.  Each map is evaluated once,
-    on all of its points."""
+    point; the unit where two charts agree.  The derived maps are built
+    once per call, and each is evaluated once, on all of its points."""
     dim = bundle.extension.H.dim
     out = np.tile(np.eye(dim, dtype=complex), (len(triples), 1, 1))
+    h = bundle.h
     for key in dict.fromkeys(triples):
         if len(set(key)) == 3:
             idx = [k for k, t in enumerate(triples) if t == key]
-            out[idx] = bundle.h[key].value(points[idx]).entries
+            out[idx] = h[key].value(points[idx]).entries
     return out
 
 

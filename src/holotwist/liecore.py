@@ -182,6 +182,14 @@ class CentralExtension:
         return f"<CentralExtension {self.name}>"
 
 
+def kernel_block(x):
+    """K: an element of iota(H) (or of L(iota(H))), or an (..., d, d)
+    stack of them, read back into H.  Every built-in include_mat puts H
+    in the top-left 1x1 block of E, so K inverts include_mat on each
+    extension: it is one map, not a field of the record."""
+    return x[..., :1, :1]
+
+
 def _u1_squared():
     """1 -> U(1) -> U(1) x U(1) -> U(1) -> 1, with E stored as diag(h, g)."""
     def include(h):

@@ -1,5 +1,7 @@
 """Group-valued maps, bundle validation and gauge moves."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,8 @@ from holotwist.bundle import (
 from holotwist.errors import MissingField, TagMismatch
 from holotwist.families import (
     FAMILY_NAMES,
+    TORUS_M,
+    _linear_tau,
     make_bundle,
     monopole_bundle,
     pu2_bundle,
@@ -25,7 +29,9 @@ from holotwist.families import (
 )
 from holotwist.formsexpr.forms import LocalForm, exterior_derivative
 from holotwist.geometry import make_cover
-from holotwist.liecore import BUILTIN_EXTENSIONS, SIGMA, make_extension
+from holotwist.geometry import SPHERE_CAP_AXES
+from holotwist.liecore import (BUILTIN_EXTENSIONS, SIGMA, kernel_block,
+                               make_extension)
 
 
 def _phase_map():
@@ -98,14 +104,14 @@ def test_trivial_bundle_validates_exactly():
 
 def test_missing_field_detected():
     b = trivial_bundle("torus", "u1-squared")
-    del b.h[(0, 1, 2)]
+    del b.e[(0, 1)]
     with pytest.raises(MissingField):
         b.check_structure()
 
 
 def test_validation_flags_corruption():
     b = trivial_bundle("torus", "u1-squared")
-    b.h[(0, 1, 2)] = GroupMap.constant(np.array([[np.exp(0.5j)]]), "H")
+    b.e[(0, 1)] = GroupMap.constant(np.diag([1.0, np.exp(0.5j)]), "E")
     rep = validate(b, sample_count=6, seed=2)
     assert not rep.passed
     assert rep.residuals["cocycle"] > 0.1
@@ -242,8 +248,73 @@ def test_g_layer_is_the_projection_of_the_e_layer(name, params, gauged):
 
 
 def test_validate_checks_the_e_and_h_identities():
-    """The seven identities of the stored layers, and no G-layer key."""
+    """The five identities of the stored data: no key for a derived layer,
+    and none for the abelian cocycle or delta h = 1, which follow."""
     rep = validate(torus_flat_bundle(), sample_count=6)
     assert set(rep.residuals) == {
-        "antisymmetry_e", "antisymmetry_Aij", "cocycle", "h_coboundary",
-        "A_gluing", "abelian_cocycle", "curving_gluing"}
+        "antisymmetry_e", "antisymmetry_Aij", "cocycle", "A_gluing",
+        "curving_gluing"}
+
+
+# Every built-in family, and the trivial bundle on the sphere and the torus
+# with each extension.
+H_CASES = [(name, {}) for name in FAMILY_NAMES] + [
+    ("trivial", {"model": model, "extension": name})
+    for model in ("sphere", "torus") for name in sorted(BUILTIN_EXTENSIONS)]
+
+
+def _stored_h(name, ijk, p):
+    """The fiber cocycle that family `name`, at its default parameters,
+    stored before h was derived, at the (N, n) points p."""
+    edges = list(zip(ijk, ijk[1:] + ijk[:1]))
+    if name in ("monopole", "sphere-pu2"):
+        axes, kappa, mu = SPHERE_CAP_AXES, 0.8, 0.5
+        tau = [_linear_tau(axes[a], axes[c], kappa, mu)[0] for a, c in edges]
+        return np.exp(1j * (tau[0](p.T) + tau[1](p.T) + tau[2](p.T)))
+    if name == "torus-flat":
+        k, order = 1, 3
+        m = {**TORUS_M, **{(j, i): -v for (i, j), v in TORUS_M.items()}}
+        lam = [np.exp(2j * math.pi * k * m[e] / order) for e in edges]
+        return np.full(len(p), lam[0] * lam[1] * lam[2])
+    return np.ones(len(p), dtype=complex)
+
+
+@pytest.mark.parametrize("gauged", [False, True])
+@pytest.mark.parametrize("name, params", H_CASES)
+def test_h_layer_is_read_from_the_triple_product(name, params, gauged):
+    """h_ijk(p) has the bits of K(e_ij e_jk e_ki)(p), on a built-in bundle
+    and on a random gauge of it; ungauged, it is the cocycle the family
+    used to store: within 1e-15 on the sphere families, the same bits on
+    torus-flat, and exactly 1 on the trivial bundle."""
+    b = make_bundle(name, params)
+    if gauged:
+        b = gauge_transform(b, random_gauge(b, seed=11))
+    rng = np.random.default_rng(19)
+    h = b.h
+    assert len(h) == b.nc * (b.nc - 1) * (b.nc - 2)
+    for (i, j, k), hmap in h.items():
+        p = sample_region(b.cover, (i, j, k), rng, 5)
+        got = hmap.value(p).entries
+        e = [b.e[ab].value(p).entries for ab in ((i, j), (j, k), (k, i))]
+        assert _same_bits(got, kernel_block(e[0] @ e[1] @ e[2]))
+        if gauged:
+            continue
+        want = _stored_h(name, (i, j, k), p)
+        if name in ("monopole", "sphere-pu2"):
+            assert np.abs(got[:, 0, 0] - want).max() <= 1e-15
+        else:
+            assert _same_bits(got[:, 0, 0].copy(), want)
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_EXTENSIONS))
+def test_non_central_triple_product_fails_cocycle(name):
+    """e_01 e_12 e_20 outside iota(H) reads in cocycle, through pi, on every
+    extension: a G part that is off on U(1)^2 and U(2), and a phase whose
+    cube is not 1 on roots-of-unity-3, where iota(H) is all of Z/3."""
+    b = trivial_bundle("torus", name)
+    off = {"u1-squared": np.diag([1.0, np.exp(0.5j)]),
+           "u2-pu2": np.diag([np.exp(0.5j), np.exp(-0.5j)]),
+           "roots-of-unity-3": np.array([[np.exp(0.5j)]])}[name]
+    b.e[(0, 1)] = GroupMap.constant(off, "E")
+    rep = validate(b, sample_count=6, seed=2)
+    assert rep.residuals["cocycle"] > 0.1

@@ -699,7 +699,9 @@ def test_verify_finds_a_sample_count_error_before_any_functor_call(
 
 
 # Family parameters over their magnitude bounds: each overflowed a
-# kernel (a RuntimeWarning) in the command at the parent of the bounds.
+# kernel (a RuntimeWarning) in the command at the parent of the bounds,
+# except torus-flat k, whose 2 pi k overflowed to non-finite data (inf
+# residuals, a diverged line holonomy) without a warning.
 OVER_BOUND = [
     ("validate", "monopole", "kappa", 1e300),
     ("validate", "monopole", "mu", -1e300),
@@ -708,6 +710,7 @@ OVER_BOUND = [
     ("functor", "sphere-pu2", "flux", 1e160),
     ("validate", "torus-flat", "flux", -1e307),
     ("validate", "monopole", "n", 1e20),
+    ("validate", "torus-flat", "k", 3e307),
 ]
 CAP_SWEEP = {"name": "cap-sweep", "params": {"alpha": 2.0}}
 BOUND_LATITUDE = {"name": "latitude", "params": {"theta": 1.0}}
@@ -738,7 +741,7 @@ def test_family_parameter_over_its_bound_exits_two(tmp_path, capsys, command,
 @pytest.mark.parametrize("family, key", [
     ("monopole", "kappa"), ("monopole", "mu"), ("sphere-pu2", "kappa"),
     ("sphere-pu2", "mu"), ("sphere-pu2", "spin"), ("sphere-pu2", "flux"),
-    ("torus-flat", "flux"), ("monopole", "n")])
+    ("torus-flat", "flux"), ("monopole", "n"), ("torus-flat", "k")])
 def test_family_parameter_at_its_bound_runs(tmp_path, capsys, family, key):
     """At the bound, validate and hol1 compute (exit 0 or 1) without an
     overflow."""

@@ -19,6 +19,7 @@ from holotwist.liecore import (
     fiber_normalize,
     group_inv,
     group_mul,
+    kernel_block,
     log_principal,
     make_extension,
     path_ordered_exp,
@@ -110,6 +111,19 @@ def test_centrality(name):
         fit, res = ext.central_fit_mat(h.entries)
         assert res <= 1e-12
         assert np.allclose(fit, h_raw.entries, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_EXTENSIONS))
+def test_kernel_block_inverts_include(name):
+    """K(include_mat(h)) has the bits of h: every built-in include_mat puts
+    H in the top-left 1x1 block of E."""
+    ext = make_extension(name)
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        h = ext.random_mat("H", rng)
+        back = kernel_block(ext.include_mat(h))
+        assert back.dtype == h.dtype and back.shape == h.shape
+        assert back.tobytes() == h.tobytes()
 
 
 @pytest.mark.parametrize("name", sorted(BUILTIN_EXTENSIONS))
