@@ -14,8 +14,8 @@ import numpy as np
 
 from . import dual as dm
 from .dual import value
-from .errors import ConfigError, DomainError, float_setting, \
-    integer_setting
+from .errors import ConfigError, DomainError, bounded_setting, \
+    float_setting, integer_setting
 from .geometry import (
     DEFAULT_COLLAR,
     Cylinder,
@@ -278,8 +278,20 @@ def thin_fold_cylinder(loop: Loop, waypoints=(0.0, 0.7, 0.4, 1.0)) -> Cylinder:
 _ALL = ("sphere", "torus", "plane")
 
 
+# Magnitude bounds of a torus loop's p and q and of a perturbation's
+# amplitude, far below 1e160, where each first overflowed a line
+# holonomy (README, Command line).
+PARAM_BOUNDS = {"p": 1e15, "q": 1e15, "amplitude": 1e15}
+
+
 def _real(params, key):
-    return float_setting(params[key], key)
+    return bounded_setting(params[key], key, PARAM_BOUNDS.get(key, math.inf))
+
+
+def _windings(params):
+    """A torus loop's p and q: whole numbers within their bounds."""
+    return [bounded_setting(params[key], key, PARAM_BOUNDS[key],
+                            integer_setting) for key in ("p", "q")]
 
 
 # name -> (model kinds, params with their defaults, builder(kind, params));
@@ -291,11 +303,10 @@ _LOOPS = {
     "equator": (("sphere",), {}, lambda kind, p: equator_loop()),
     "great-circle": (("sphere",), {"tilt": 0.0},
                      lambda kind, p: great_circle_loop(_real(p, "tilt"))),
-    "winding": (("torus",), {"p": 1, "q": 0}, lambda kind, p: winding_loop(
-        integer_setting(p["p"], "p"), integer_setting(p["q"], "q"))),
+    "winding": (("torus",), {"p": 1, "q": 0},
+                lambda kind, p: winding_loop(*_windings(p))),
     "staircase": (("torus",), {"p": 1, "q": 1}, lambda kind, p:
-                  staircase_loop(integer_setting(p["p"], "p"),
-                                 integer_setting(p["q"], "q"))),
+                  staircase_loop(*_windings(p))),
 }
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -22,7 +23,8 @@ from .bundle import (SAMPLE_BUDGET, gauge_transform, identity_gauge,
                      random_gauge, validate)
 from .catgroup import morphism_distance
 from .errors import ConfigError, ExprSyntaxError, HolotwistError, \
-    RegionUndersampled, UnknownIdentifier, float_setting, integer_setting
+    RegionUndersampled, UnknownIdentifier, bounded_setting, float_setting, \
+    integer_setting
 from .families import FAMILY_NAMES, make_bundle
 from .formsexpr.forms import expr_form
 from .formsexpr.parser import parse
@@ -30,15 +32,12 @@ from .geometry import refine_rect
 from .holonomy import (_starts_at_basepoint, epsilon, hol0, hol1,
                        holonomy_functor)
 from .liecore import BUILTIN_EXTENSIONS
-from .reconstruct import (
-    BasepointScaffold,
-    FunctorOracle,
-    _battery_loops,
-    rebuild_transitions_and_cocycle,
-    round_trip_check,
-)
+from .reconstruct import _battery_loops, rebuild, round_trip_check
 
 SCHEMA = "holotwist-report/1"
+# Magnitude bound of gauge.scale, far below 1e19, where a random U(2)
+# gauge first broke down (README, Command line).
+GAUGE_SCALE_BOUND = 1e15
 EXIT_OK, EXIT_CHECK, EXIT_USAGE = 0, 1, 2
 
 _MISSING = object()
@@ -96,8 +95,9 @@ class Config:
             return Config({}, self._at(key))
         return Config(val, self._at(key))
 
-    def positive(self, key, default):
-        val = float_setting(self.get(key, default), key, self._at(key))
+    def positive(self, key, default, bound=math.inf):
+        val = bounded_setting(self.get(key, default), key, bound,
+                              path=self._at(key))
         if val <= 0.0:
             raise ConfigError(f"must be positive, got {val}", self._at(key))
         return val
@@ -199,7 +199,8 @@ def _build_gauge(cfg: Config, bundle, seed):
         raise ConfigError(f"expected true or false, got {based!r}",
                           gc._at("based"))
     return random_gauge(bundle, seed=gc.integer("seed", seed, least=0),
-                        scale=gc.positive("scale", 0.4), based=based)
+                        scale=gc.positive("scale", 0.4, GAUGE_SCALE_BOUND),
+                        based=based)
 
 
 def _parsed(src, coords, path):
@@ -292,43 +293,33 @@ def _cmd_gauge(cfg, num, bundle):
     return _cmd_validate(cfg, {**num, "tol": max(num["tol"], 1e-8)}, gauged)
 
 
-def _check_rebuildable(bundle):
-    """A ConfigError at `bundle` when a rebuild from holonomy would
-    check nothing: a cover without overlaps, on a model without battery
-    loops."""
+def _rebuild_settings(cfg, bundle, samples):
+    """samples_per_overlap (`samples` by default) and tol_rec; a
+    ConfigError at `bundle` when a rebuild from holonomy would check
+    nothing: a cover without overlaps, on a model without battery loops."""
+    rc = cfg.sub("reconstruct", None)
+    settings = (rc.sample_count("samples_per_overlap", samples),
+                rc.positive("tol_rec", 1e-4))
     cover = bundle.cover
     if len(cover) < 2 and not _battery_loops(cover.model):
         raise ConfigError(
             f"nothing to check: cover {cover.name} has no overlaps and the "
             f"{cover.model.kind} model has no battery loops", "bundle")
+    return settings
 
 
 def _cmd_reconstruct(cfg, num, bundle):
-    rc = cfg.sub("reconstruct", None)
-    tol = 10.0 * rc.positive("tol_rec", 1e-4)
-    samples = rc.sample_count("samples_per_overlap", 1)
-    _check_rebuildable(bundle)
-    oracle = FunctorOracle(bundle)
-    scaffold = BasepointScaffold.for_cover(bundle.cover, seed=num["seed"])
-    trans, anti, cocycle = rebuild_transitions_and_cocycle(
-        oracle, scaffold, np.random.default_rng(num["seed"]), samples)
-    values = {}
-    for (i, j) in sorted(scaffold.pair_anchors):
-        values[f"e_{i}{j}"] = [{"point": [float(c) for c in y],
-                                "e": _ser_matrix(eij.entries)}
-                               for y, eij in trans.samples[(i, j)]]
-    checks = {"base_diagonal": trans.base_residual, "antisymmetry": anti}
-    if cocycle:
-        checks["cocycle_central"] = max(
-            r for rows in cocycle.values() for (_, _, r) in rows)
-    return checks, values, tol
+    samples, tol_rec = _rebuild_settings(cfg, bundle, 1)
+    *_, transitions, checks = rebuild(bundle, num["seed"], samples)
+    values = {f"e_{i}{j}": [{"point": [float(c) for c in y],
+                             "e": _ser_matrix(eij.entries)}
+                            for y, eij in rows]
+              for (i, j), rows in transitions.items() if i < j}
+    return checks, values, 10.0 * tol_rec
 
 
 def _cmd_roundtrip(cfg, num, bundle):
-    rc = cfg.sub("reconstruct", None)
-    samples = rc.sample_count("samples_per_overlap", 2)
-    tol_rec = rc.positive("tol_rec", 1e-4)
-    _check_rebuildable(bundle)
+    samples, tol_rec = _rebuild_settings(cfg, bundle, 2)
     report = round_trip_check(bundle, seed=num["seed"],
                               samples_per_overlap=samples, tol_rec=tol_rec)
     checks = {**{f"battery:{label}": d for label, d in report.items},

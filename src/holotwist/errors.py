@@ -117,3 +117,13 @@ def float_setting(x, what, path=""):
         raise ConfigError(f"{what} must be a finite number, got {x!r}",
                           path)
     return float(x)
+
+
+def bounded_setting(x, what, bound, setting=float_setting, path=""):
+    """x read by setting (a finite float by default), of magnitude at most
+    bound, else ConfigError at path (quoting x as given)."""
+    v = setting(x, what, path=path)
+    if abs(v) > bound:
+        raise ConfigError(f"{what} must have magnitude at most {bound:g}, "
+                          f"got {x!r}", path)
+    return v

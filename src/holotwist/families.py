@@ -21,7 +21,8 @@ import numpy as np
 from . import dual as dm
 from .bundle import GroupMap, TwistedBundleData, overlap_pairs
 from .dual import value
-from .errors import ConfigError, DomainError, float_setting, integer_setting
+from .errors import ConfigError, DomainError, bounded_setting, \
+    float_setting, integer_setting
 from .formsexpr.forms import LocalForm, zero_form
 from .geometry import COVER_FOR_MODEL, SPHERE_CAP_AXES, make_cover
 from .liecore import SIGMA, diag_stack, make_extension
@@ -33,13 +34,8 @@ PARAM_BOUNDS = {"kappa": 1e150, "mu": 1e150, "spin": 1e8, "flux": 1e150,
 
 
 def _param(x, name, setting=float_setting):
-    """x read by setting (a finite float by default), of magnitude at most
-    PARAM_BOUNDS[name], else ConfigError (quoting x as given)."""
-    v = setting(x, name)
-    if abs(v) > PARAM_BOUNDS[name]:
-        raise ConfigError(f"{name} must have magnitude at most "
-                          f"{PARAM_BOUNDS[name]:g}, got {x!r}")
-    return v
+    """x read by setting, of magnitude at most PARAM_BOUNDS[name]."""
+    return bounded_setting(x, name, PARAM_BOUNDS[name], setting)
 
 
 # --------------------------------------------------------------------------

@@ -42,7 +42,7 @@ def _freeze(element, tag, tags):
 
 
 def check_finite(entries):
-    if not np.all(np.isfinite(entries.real)) or not np.all(np.isfinite(entries.imag)):
+    if not np.isfinite(entries).all():
         raise NonFinite("matrix contains NaN or infinity")
 
 

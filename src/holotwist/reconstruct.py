@@ -17,16 +17,18 @@ quantity is a function of the oracle alone:
   the reconstructed connection removed.
 
 Every oracle call is the functor at the coarse ORACLE_NUMERICS.
-`round_trip_check` runs the whole pipeline against a bundle's own
-functor and recomputes a battery of line holonomies from the
+`rebuild` gives the bases, the transition samples and their residuals
+to both commands: `reconstruct` reports them, and `round_trip_check`
+(`roundtrip`) recomputes a battery of line holonomies from the
 reconstructed samples alone, through the functor's own cell walk.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -309,61 +311,36 @@ class FunctorOracle:
 # Transitions and the kernel cocycle
 # --------------------------------------------------------------------------
 
-@dataclass
-class TransitionSamples:
-    """Reconstructed transition data: base representatives at the overlap
-    anchors and per-point samples e_ij(y)."""
-
-    bases: dict = field(default_factory=dict)     # (i, j) -> GroupElement
-    samples: dict = field(default_factory=dict)   # (i, j) -> [(y, elem)]
-    base_residual: float = 0.0
-
-
-def _normalized_pair(ext, morphism, base):
-    """The unique representative (base, e') of the morphism's orbit."""
-    h = fiber_normalize(ext, morphism.rep_source, base, tol_fiber=1e-3)
-    return group_mul(morphism.rep_target, ext.include(h))
-
-
-def _fetch_base(oracle, scaffold, bases, i, j):
-    """Store the base representative (e, e) of the anchor-loop morphism
-    of the pair {i, j} under (min, max) and its inverse under the
-    reversed pair, unless already stored.
-
-    Returns the base residual |e - e'| of a fresh fetch, else 0.
-    """
-    key = (min(i, j), max(i, j))
-    if key in bases:
-        return 0.0
-    m0 = oracle(scaffold.pair_cylinder(*key, scaffold.pair_anchor(*key)))
-    bases[key] = m0.rep_source
-    bases[(key[1], key[0])] = group_inv(m0.rep_source)
-    return mat_norm(m0.rep_source.entries - m0.rep_target.entries)
-
-
-def reconstruct_transitions(oracle, scaffold, points) -> TransitionSamples:
-    """Sample the transition functions from the oracle.
-
-    `points` maps ordered chart pairs (i, j) to sample points inside the
-    overlap; the base for (i, j) with i < j comes from the oracle, the
-    base for (j, i) is its inverse.
-    """
-    out = TransitionSamples()
-    for (i, j) in sorted(points):
-        out.base_residual = max(out.base_residual, _fetch_base(
-            oracle, scaffold, out.bases, i, j))
-        out.samples[(i, j)] = [
-            (np.asarray(y, dtype=float),
-             transition_at(oracle, scaffold, out.bases, i, j, y))
-            for y in points[(i, j)]]
-    return out
+def pair_bases(oracle, scaffold):
+    """(bases, residual): the base representative e of the anchor-loop
+    morphism (e, e') of every anchored overlap {i, j}, i < j, under
+    (i, j) and its inverse under (j, i); `residual` is the worst
+    |e - e'|."""
+    bases, residual = {}, 0.0
+    for (i, j), anchor in sorted(scaffold.pair_anchors.items()):
+        m0 = oracle(scaffold.pair_cylinder(i, j, anchor))
+        bases[(i, j)] = m0.rep_source
+        bases[(j, i)] = group_inv(m0.rep_source)
+        residual = max(residual, mat_norm(m0.rep_source.entries
+                                          - m0.rep_target.entries))
+    return bases, residual
 
 
 def transition_at(oracle, scaffold, bases, i, j, y) -> GroupElement:
-    """One transition sample e_ij(y), normalized against the stored base."""
-    _fetch_base(oracle, scaffold, bases, i, j)
-    m = oracle(scaffold.pair_cylinder(i, j, y))
-    return _normalized_pair(oracle.extension, m, bases[(i, j)])
+    """One transition sample e_ij(y): the representative (bases[(i, j)],
+    e') of the orbit of the pair-loop morphism through y."""
+    m, ext = oracle(scaffold.pair_cylinder(i, j, y)), oracle.extension
+    h = fiber_normalize(ext, m.rep_source, bases[(i, j)], tol_fiber=1e-3)
+    return group_mul(m.rep_target, ext.include(h))
+
+
+def reconstruct_transitions(oracle, scaffold, bases, points):
+    """Transition samples {(i, j): [(y, e_ij(y))]} at the points that
+    `points` gives each ordered chart pair (i, j)."""
+    return {(i, j): [(np.asarray(y, dtype=float),
+                      transition_at(oracle, scaffold, bases, i, j, y))
+                     for y in points[(i, j)]]
+            for (i, j) in sorted(points)}
 
 
 def reconstruct_cocycle(oracle, scaffold, bases, triples_points):
@@ -388,42 +365,42 @@ def reconstruct_cocycle(oracle, scaffold, bases, triples_points):
     return out
 
 
-def rebuild_transitions_and_cocycle(oracle, scaffold, rng,
-                                    samples_per_overlap):
-    """Transition samples at random points of every anchored overlap and
-    kernel-cocycle samples at one random point of each triple overlap.
+def rebuild(bundle, seed, samples_per_overlap):
+    """The rebuild that `reconstruct` and `roundtrip` share: the oracle,
+    the scaffold at `seed`, and, from one default_rng(seed), transitions
+    sampled both ways at `samples_per_overlap` points of every anchored
+    overlap and the kernel cocycle at one point of each triple overlap,
+    all against bases fetched before any sample.
 
-    Returns (transitions, antisymmetry, cocycle): `antisymmetry` is the
-    worst Frobenius norm of e_ij e_ji - 1 over the samples, `cocycle`
-    the reconstruct_cocycle rows ({} when no triple overlap is found).
-    """
-    cover = scaffold.cover
-    pts = {}
-    for (i, j) in sorted(scaffold.pair_anchors):
-        ys = sample_region(cover, (i, j), rng, samples_per_overlap)
-        pts[(i, j)] = ys
-        pts[(j, i)] = ys
-    trans = reconstruct_transitions(oracle, scaffold, pts)
-    unit = np.eye(oracle.extension.E.dim)
-    anti = 0.0
-    for (i, j) in sorted(scaffold.pair_anchors):
-        for (_, eij), (_, eji) in zip(trans.samples[(i, j)],
-                                      trans.samples[(j, i)]):
-            anti = max(anti, mat_norm(group_mul(eij, eji).entries - unit))
-
+    Returns (oracle, scaffold, bases, samples, checks); `checks` holds
+    `base_diagonal` (the pair_bases residual), `antisymmetry` (the worst
+    |e_ij e_ji - 1|) and, where a triple overlap exists,
+    `cocycle_central` (the worst reconstruct_cocycle residual)."""
+    oracle = FunctorOracle(bundle)
+    scaffold = BasepointScaffold.for_cover(bundle.cover, seed=seed)
+    cover, rng = bundle.cover, np.random.default_rng(seed)
+    pairs = sorted(scaffold.pair_anchors)
+    points = {}
+    for (i, j) in pairs:
+        points[(i, j)] = points[(j, i)] = sample_region(
+            cover, (i, j), rng, samples_per_overlap)
     triples = {}
-    n = len(cover)
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                try:
-                    triples[(i, j, k)] = sample_region(cover, (i, j, k),
-                                                       rng, 1)
-                except HolotwistError:
-                    continue
-    cocycle = reconstruct_cocycle(oracle, scaffold, trans.bases, triples) \
-        if triples else {}
-    return trans, anti, cocycle
+    for ijk in itertools.combinations(range(len(cover)), 3):
+        try:
+            triples[ijk] = sample_region(cover, ijk, rng, 1)
+        except HolotwistError:
+            continue
+    bases, base_residual = pair_bases(oracle, scaffold)
+    samples = reconstruct_transitions(oracle, scaffold, bases, points)
+    unit = np.eye(oracle.extension.E.dim)
+    checks = {"base_diagonal": base_residual, "antisymmetry": max(
+        (mat_norm(group_mul(eij, eji).entries - unit) for (i, j) in pairs
+         for (_, eij), (_, eji) in zip(samples[(i, j)], samples[(j, i)])),
+        default=0.0)}
+    if triples:
+        checks["cocycle_central"] = max(res for rows in reconstruct_cocycle(
+            oracle, scaffold, bases, triples).values() for (*_, res) in rows)
+    return oracle, scaffold, bases, samples, checks
 
 
 # --------------------------------------------------------------------------
@@ -552,15 +529,6 @@ class EquivalenceReport:
     checks: dict                     # named residuals from the rebuild
     oracle_calls: int
 
-    def __str__(self):
-        lines = [f"round trip: {'PASS' if self.passed else 'FAIL'} "
-                 f"(max deviation {self.max_deviation:.3e}, tol {self.tol:g})"]
-        for label, dev in self.items:
-            lines.append(f"  {label}: {dev:.3e}")
-        for name, res in sorted(self.checks.items()):
-            lines.append(f"  check {name}: {res:.3e}")
-        return "\n".join(lines)
-
 
 def _battery_loops(model):
     from . import catalog
@@ -583,20 +551,13 @@ def round_trip_check(bundle, seed=0, samples_per_overlap=2,
     every rebuild check are at most 10 * tol_rec.
     """
     ext = bundle.extension
-    oracle = FunctorOracle(bundle)
-    scaffold = BasepointScaffold.for_cover(bundle.cover, seed=seed)
-    rng = np.random.default_rng(seed)
-    trans, anti, cocycle = rebuild_transitions_and_cocycle(
-        oracle, scaffold, rng, samples_per_overlap)
-    checks = {"base-diagonal": trans.base_residual, "antisymmetry": anti}
-    if cocycle:
-        checks["cocycle-central"] = max(
-            res for rows in cocycle.values() for (_, _, res) in rows)
+    oracle, scaffold, bases, _, checks = rebuild(bundle, seed,
+                                                 samples_per_overlap)
 
     # battery: recomputed line holonomies against the functor
     items = []
     for label, loop in _battery_loops(bundle.cover.model):
-        h_rec = holonomy_from_samples(oracle, scaffold, trans.bases, loop)
+        h_rec = holonomy_from_samples(oracle, scaffold, bases, loop)
         m_rec = CatGroupMorphism(h_rec, h_rec, ext)
         m_ref = oracle(constant_cylinder(loop))
         items.append((label, morphism_distance(m_rec, m_ref)))

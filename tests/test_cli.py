@@ -272,6 +272,23 @@ def test_reconstruct_monopole(tmp_path):
     assert "e_01" in body["values"]
 
 
+def test_reconstruct_and_roundtrip_report_the_same_rebuild(tmp_path):
+    """Both commands read one rebuild: at the same seed and sample count
+    they name the same three residuals, with equal values."""
+    cfg = write_cfg(tmp_path, {"bundle": {"family": "trivial"},
+                               "reconstruct": {"samples_per_overlap": 1}})
+    checks = {}
+    for command in ("reconstruct", "roundtrip"):
+        out = tmp_path / f"{command}.json"
+        assert main([command, "--config", cfg, "--seed", "1",
+                     "--out", str(out)]) == 0
+        checks[command] = json.loads(out.read_text())["body"]["checks"]
+    rebuilt = {"base_diagonal", "antisymmetry", "cocycle_central"}
+    assert set(checks["reconstruct"]) == rebuilt
+    assert {k: checks["roundtrip"][k] for k in rebuilt} \
+        == checks["reconstruct"]
+
+
 # --- one report contract for every command ----------------------------------
 
 TRIVIAL_BUNDLE = {"family": "trivial"}
@@ -620,8 +637,7 @@ def _computed(*args, **kwargs):
 ])
 def test_sample_count_over_the_draw_budget_exits_two_before_computing(
         command, key, tmp_path, capsys, monkeypatch):
-    for name in ("validate", "random_gauge", "FunctorOracle",
-                 "round_trip_check"):
+    for name in ("validate", "random_gauge", "rebuild", "round_trip_check"):
         monkeypatch.setattr(cli, name, _computed)
     section, name = key.split(".")
     cfg = write_cfg(tmp_path, {"bundle": MONOPOLE,
@@ -668,7 +684,7 @@ def test_sample_count_a_region_cannot_meet_is_a_config_error(
 def test_rebuild_that_checks_nothing_exits_two_before_any_oracle_call(
         command, tmp_path, capsys, monkeypatch):
     # the plane-1 cover has no overlaps and the plane no battery loops
-    monkeypatch.setattr(cli, "FunctorOracle", _computed)
+    monkeypatch.setattr(cli, "rebuild", _computed)
     monkeypatch.setattr(cli, "round_trip_check", _computed)
     cfg = write_cfg(tmp_path, {"bundle": {
         "family": "trivial",
@@ -748,6 +764,64 @@ def test_family_parameter_at_its_bound_runs(tmp_path, capsys, family, key):
     for command in ("validate", "hol1"):
         for value in (PARAM_BOUNDS[key], -PARAM_BOUNDS[key]):
             assert _family_run(tmp_path, command, family, key, value) in (0, 1)
+    assert "Traceback" not in capsys.readouterr().err
+
+
+# Config numbers over their magnitude bound of 1e15: from 1e19
+# (gauge.scale, sphere-pu2) and 1e160 (p, q and amplitude on torus-flat),
+# each overflowed a kernel (a RuntimeWarning) at the parent of the bounds.
+SETTING_OVER_BOUND = [
+    ("gauge", {"bundle": {"family": "sphere-pu2"}, "gauge": {"scale": 1e19}},
+     "scale", "gauge.scale"),
+    ("gauge", {"bundle": MONOPOLE, "gauge": {"scale": 1e200}},
+     "scale", "gauge.scale"),
+    ("hol0", {"bundle": TORUS_FLAT,
+              "loop": {"name": "winding", "params": {"p": 1e160}}},
+     "p", "loop.params"),
+    ("hol1", {"bundle": TORUS_FLAT,
+              "loop": {"name": "staircase", "params": {"q": -1e160}}},
+     "q", "loop.params"),
+    ("functor", {"bundle": TORUS_FLAT, "cylinder": {
+        "name": "morph", "params": {"loop_params": {"p": 1e160}}}},
+     "p", "cylinder.params"),
+    ("functor", {"bundle": TORUS_FLAT, "cylinder": {
+        "name": "morph", "params": {"amplitude": -1e160}}},
+     "amplitude", "cylinder.params"),
+    ("functor", {"bundle": TORUS_FLAT, "cylinder": {
+        "name": "perturbed", "params": {"amplitude": 1e16}}},
+     "amplitude", "cylinder.params"),
+]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command, cfg, key, path", SETTING_OVER_BOUND)
+def test_setting_over_its_bound_exits_two(tmp_path, capsys, command, cfg,
+                                          key, path):
+    assert main([command, "--config", write_cfg(tmp_path, {
+        **cfg, "numerics": {"steps": 32, "order": 4, "edge_cells": 1,
+                            "face_tol": 1e-4}})]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"{key} must have magnitude at most 1e+15" in err
+    assert f"(at {path})" in err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command, cfg", [
+    *[("gauge", {"bundle": {"family": family}, "gauge": {"scale": 1e15},
+                 "numerics": {"sample_count": 20}})
+      for family in ("sphere-pu2", "monopole", "torus-flat")],
+    ("hol0", {"bundle": TORUS_FLAT,
+              "loop": {"name": "winding", "params": {"p": -1e15}}}),
+    ("functor", {"bundle": TORUS_FLAT, "cylinder": {
+        "name": "morph", "params": {"amplitude": 1e15}},
+        "numerics": {"steps": 32, "order": 4, "edge_cells": 1,
+                     "face_tol": 1e-4}}),
+])
+def test_setting_at_its_bound_runs(tmp_path, capsys, command, cfg):
+    """At the bound, the command computes (exit 0 or 1) without an
+    overflow."""
+    assert main([command, "--config", write_cfg(tmp_path, cfg)]) in (0, 1)
     assert "Traceback" not in capsys.readouterr().err
 
 

@@ -143,11 +143,12 @@ def test_trivial_transitions_are_identity(triv):
     bundle, scaffold, oracle = triv
     rng = np.random.default_rng(1)
     ys = sample_region(bundle.cover, (0, 1), rng, 2)
-    trans = R.reconstruct_transitions(oracle, scaffold,
-                                      {(0, 1): ys, (1, 0): ys})
-    for y, e in trans.samples[(0, 1)]:
+    bases, base_residual = R.pair_bases(oracle, scaffold)
+    samples = R.reconstruct_transitions(oracle, scaffold, bases,
+                                        {(0, 1): ys, (1, 0): ys})
+    for y, e in samples[(0, 1)]:
         assert np.allclose(e.entries, np.eye(2), atol=1e-9)
-    assert trans.base_residual < 1e-9
+    assert base_residual < 1e-9
 
 
 def test_monopole_transition_antisymmetry_and_projection(mono):
@@ -155,10 +156,10 @@ def test_monopole_transition_antisymmetry_and_projection(mono):
     ext = bundle.extension
     rng = np.random.default_rng(2)
     ys = sample_region(bundle.cover, (0, 1), rng, 2)
-    trans = R.reconstruct_transitions(oracle, scaffold,
-                                      {(0, 1): ys, (1, 0): ys})
-    for (y, eij), (_, eji) in zip(trans.samples[(0, 1)],
-                                  trans.samples[(1, 0)]):
+    bases, _ = R.pair_bases(oracle, scaffold)
+    samples = R.reconstruct_transitions(oracle, scaffold, bases,
+                                        {(0, 1): ys, (1, 0): ys})
+    for (y, eij), (_, eji) in zip(samples[(0, 1)], samples[(1, 0)]):
         assert np.allclose(group_mul(eij, eji).entries, np.eye(2),
                            atol=1e-6)
         # the projected sample is the transition of the underlying bundle
@@ -171,7 +172,7 @@ def test_cocycle_lands_in_kernel(mono):
     bundle, scaffold, oracle = mono
     rng = np.random.default_rng(3)
     y = sample_region(bundle.cover, (0, 1, 2), rng, 1)
-    bases = {}
+    bases, _ = R.pair_bases(oracle, scaffold)
     out = R.reconstruct_cocycle(oracle, scaffold, bases, {(0, 1, 2): y})
     (_, h, res), = out[(0, 1, 2)]
     assert res < 1e-6
@@ -295,8 +296,9 @@ def test_gauge_transformed_bundle_reconstructs_same_class(mono):
     gauged = gauge_transform(bundle, random_gauge(bundle, seed=5, scale=0.3))
     oracle_g = R.FunctorOracle(gauged)
     loop = catalog.latitude_loop(1.0)
-    h_a = R.holonomy_from_samples(oracle, scaffold, {}, loop)
-    h_b = R.holonomy_from_samples(oracle_g, scaffold, {}, loop)
+    h_a, h_b = (R.holonomy_from_samples(
+        o, scaffold, R.pair_bases(o, scaffold)[0], loop)
+        for o in (oracle, oracle_g))
     ext = bundle.extension
     m_a = CatGroupMorphism(h_a, h_a, ext)
     m_b = CatGroupMorphism(h_b, h_b, ext)
